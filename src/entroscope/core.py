@@ -42,13 +42,8 @@ __all__ = [
     "builtin",
     "parse_density",
     "quantiles",
-    "NORMALIZATION_TOL",
     "EDGE_SLACK",
 ]
-
-# Normalization tolerance for density construction checks; downstream
-# identity tests target 1e-6, so densities must be normalized well below.
-NORMALIZATION_TOL = 1e-8
 
 # Absolute slack when classifying a coordinate as interior vs edge;
 # inversion exactly at an edge is ill-conditioned.
@@ -86,6 +81,22 @@ class Support:
         if x >= self.upper - EDGE_SLACK * max(1.0, abs(self.upper)) and math.isfinite(self.upper):
             raise EdgeIllConditioned(f"coordinate {x} at or beyond upper support edge {self.upper}")
         return x
+
+    def at(self, t: np.ndarray) -> np.ndarray:
+        """Coordinates for fractions t in (0, 1): affine on a bounded support,
+        t/(1-t) away from a single finite edge, tan(pi (t - 1/2)) on the line."""
+        lo, hi = self.lower, self.upper
+        if math.isfinite(lo) and math.isfinite(hi):
+            return lo + (hi - lo) * t
+        if math.isfinite(lo):
+            return lo + t / (1.0 - t)
+        if math.isfinite(hi):
+            return hi - (1.0 - t) / t
+        return np.tan(math.pi * (t - 0.5))
+
+    def clustered(self, n: int) -> np.ndarray:
+        """n coordinates at t = sin^2 of an even grid, clustered at both ends."""
+        return self.at(np.sin(np.linspace(0.0, 1.0, n + 2)[1:-1] * _PI_2) ** 2)
 
 
 @dataclass(frozen=True)
@@ -497,116 +508,79 @@ class Density:
         return (lo + EDGE_SLACK, hi - EDGE_SLACK)
 
 
-def _make_bracket_table(density_value, support: Support, n: int = 96):
-    """Sampled (x, f(x)) pairs, sorted by f, for warm level-inversion brackets."""
-    lo, hi = support.lower, support.upper
-    t = np.sin(np.linspace(0.0, 1.0, n + 2)[1:-1] * _PI_2) ** 2
-    if math.isfinite(lo) and math.isfinite(hi):
-        xs = lo + (hi - lo) * t
-    elif math.isfinite(lo):
-        xs = lo + t / (1.0 - t)
-    elif math.isfinite(hi):
-        xs = hi - (1.0 - t) / t
-    else:
-        xs = np.tan(math.pi * (t - 0.5))
-    fs = np.asarray(density_value(xs), dtype=float)
-    order = np.argsort(fs)
-    return (xs[order], fs[order])
+def _affine(f: Density, sigma: float, kappa: float, c: float, label: str) -> Density:
+    """Image of f under the coordinate change x = (sigma X + c) / kappa.
+
+    sigma is +1 or -1 and kappa > 0.  The image is x -> kappa f(X) with
+    X = sigma (kappa x - c); every callable field of f is carried, and the
+    monotone flags swap when sigma = -1.
+    """
+
+    def src(x):
+        return sigma * (kappa * (x if np.isscalar(x) else np.asarray(x)) - c)
+
+    def image(X):
+        # adding c = 0 would turn an edge at -0.0 into +0.0
+        return (sigma * X + c) / kappa if c else sigma * X / kappa
+
+    d1 = sigma * kappa * kappa
+    d2 = kappa**3
+    lk = math.log(kappa)
+    val, der, sec, inv = f.value, f.derivative, f.second_derivative, f.level_inverter
+    lv, ld = f.log_value, f.log_abs_derivative
+    table = None
+    if f.bracket_table is not None:
+        xs, fs = f.bracket_table
+        table = (image(xs), kappa * fs)
+    lo, hi = sorted((image(f.support.lower), image(f.support.upper)))
+    dec, inc = f.monotone_decreasing, f.monotone_increasing
+    if sigma < 0:
+        dec, inc = inc, dec
+    return Density(
+        support=Support(lo, hi),
+        value=lambda x: kappa * val(src(x)),
+        derivative=None if der is None else (lambda x: d1 * der(src(x))),
+        second_derivative=None if sec is None else (lambda x: d2 * sec(src(x))),
+        monotone_decreasing=dec,
+        monotone_increasing=inc,
+        label=label,
+        mass=f.mass,
+        level_inverter=None if inv is None else (lambda y: image(inv(y / kappa))),
+        bracket_table=table,
+        log_value=None if lv is None else (lambda x: lk + lv(src(x))),
+        log_abs_derivative=None if ld is None else (lambda x: 2 * lk + ld(src(x))),
+    )
 
 
 def rescale(f: Density, kappa: float) -> Density:
-    """The density x -> kappa * f(kappa x); support scaled by 1/kappa."""
+    """The density x -> kappa * f(kappa x); support scaled by 1/kappa.
+
+    A wrapper of the affine map `_affine` with sigma = 1, c = 0.
+    """
     if not kappa > 0:
         raise InvalidParams("rescale requires kappa > 0")
     if kappa == 1.0:
         return f
     k = float(kappa)
-    sup = Support(f.support.lower / k, f.support.upper / k)
-    val = f.value
-    der = f.derivative
-    sec = f.second_derivative
-    inv = f.level_inverter
-    table = None
-    if f.bracket_table is not None:
-        xs, fs = f.bracket_table
-        table = (xs / k, k * fs)
-    lk = math.log(k)
-    return Density(
-        support=sup,
-        value=lambda x, _v=val: k * _v(k * np.asarray(x) if not np.isscalar(x) else k * x),
-        derivative=None if der is None else (lambda x, _d=der: k * k * _d(k * x)),
-        second_derivative=None if sec is None else (lambda x, _s=sec: k**3 * _s(k * x)),
-        monotone_decreasing=f.monotone_decreasing,
-        monotone_increasing=f.monotone_increasing,
-        label=f"rescale({f.label},{k:g})",
-        mass=f.mass,
-        level_inverter=None if inv is None else (lambda y, _i=inv: _i(y / k) / k),
-        bracket_table=table,
-        log_value=None if f.log_value is None else (lambda x, _l=f.log_value: lk + _l(k * x)),
-        log_abs_derivative=None
-        if f.log_abs_derivative is None
-        else (lambda x, _l=f.log_abs_derivative: 2 * lk + _l(k * x)),
-    )
+    return _affine(f, 1.0, k, 0.0, f"rescale({f.label},{k:g})")
 
 
 def reflect(f: Density) -> Density:
-    """Mirror image x -> f(-x) on the reflected support."""
-    sup = Support(-f.support.upper, -f.support.lower)
-    val = f.value
-    der = f.derivative
-    sec = f.second_derivative
-    inv = f.level_inverter
-    table = None
-    if f.bracket_table is not None:
-        xs, fs = f.bracket_table
-        table = (-xs, fs)
-    return Density(
-        support=sup,
-        value=lambda x, _v=val: _v(-np.asarray(x) if not np.isscalar(x) else -x),
-        derivative=None if der is None else (lambda x, _d=der: -_d(-x)),
-        second_derivative=None if sec is None else (lambda x, _s=sec: _s(-x)),
-        monotone_decreasing=f.monotone_increasing,
-        monotone_increasing=f.monotone_decreasing,
-        label=f"reflect({f.label})",
-        mass=f.mass,
-        level_inverter=None if inv is None else (lambda y, _i=inv: -_i(y)),
-        bracket_table=table,
-        log_value=None if f.log_value is None else (lambda x, _l=f.log_value: _l(-x)),
-        log_abs_derivative=None
-        if f.log_abs_derivative is None
-        else (lambda x, _l=f.log_abs_derivative: _l(-x)),
-    )
+    """Mirror image x -> f(-x) on the reflected support.
+
+    A wrapper of the affine map `_affine` with sigma = -1, kappa = 1, c = 0.
+    """
+    return _affine(f, -1.0, 1.0, 0.0, f"reflect({f.label})")
 
 
 def translate(f: Density, c: float) -> Density:
-    """Shifted density x -> f(x - c)."""
+    """Shifted density x -> f(x - c).
+
+    A wrapper of the affine map `_affine` with sigma = 1, kappa = 1.
+    """
     if c == 0.0:
         return f
-    sup = Support(f.support.lower + c, f.support.upper + c)
-    val = f.value
-    der = f.derivative
-    sec = f.second_derivative
-    inv = f.level_inverter
-    table = None
-    if f.bracket_table is not None:
-        xs, fs = f.bracket_table
-        table = (xs + c, fs)
-    return Density(
-        support=sup,
-        value=lambda x, _v=val: _v(np.asarray(x) - c if not np.isscalar(x) else x - c),
-        derivative=None if der is None else (lambda x, _d=der: _d(x - c)),
-        second_derivative=None if sec is None else (lambda x, _s=sec: _s(x - c)),
-        monotone_decreasing=f.monotone_decreasing,
-        monotone_increasing=f.monotone_increasing,
-        label=f"translate({f.label},{c:g})",
-        mass=f.mass,
-        level_inverter=None if inv is None else (lambda y, _i=inv: _i(y) + c),
-        bracket_table=table,
-        log_value=None if f.log_value is None else (lambda x, _l=f.log_value: _l(x - c)),
-        log_abs_derivative=None
-        if f.log_abs_derivative is None
-        else (lambda x, _l=f.log_abs_derivative: _l(x - c)),
-    )
+    return _affine(f, 1.0, 1.0, c, f"translate({f.label},{c:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -748,14 +722,22 @@ def _builtin_uniform(a: float = 0.0, b: float = 1.0) -> Density:
     )
 
 
-_BUILTIN_KEYS = {
-    "exp": {"rate"},
-    "halfgauss": {"sigma"},
-    "gauss": {"sigma"},
-    "pareto": {"eta", "xmin"},
-    "powerlaw": {"a"},
-    "uniform": {"a", "b"},
-    "gg": {"p", "lambda", "mode"},
+def _builtin_gg(p: float = 2.0, mode: str = "half", **kw) -> Density:
+    # "lambda" is a Python keyword, so it arrives through **kw
+    from . import special
+
+    return special.gg_density(p, kw.get("lambda", 1.0), mode=str(mode))
+
+
+# name -> (factory, accepted parameter keys)
+_BUILTINS = {
+    "exp": (_builtin_exp, {"rate"}),
+    "halfgauss": (_builtin_halfgauss, {"sigma"}),
+    "gauss": (_builtin_gauss, {"sigma"}),
+    "pareto": (_builtin_pareto, {"eta", "xmin"}),
+    "powerlaw": (_builtin_powerlaw, {"a"}),
+    "uniform": (_builtin_uniform, {"a", "b"}),
+    "gg": (_builtin_gg, {"p", "lambda", "mode"}),
 }
 
 
@@ -766,30 +748,13 @@ def builtin(name: str, params: Optional[dict] = None) -> Density:
     """
     key = name.strip().lower()
     kw = {str(k).lower(): v for k, v in (params or {}).items()}
-    if key not in _BUILTIN_KEYS:
+    if key not in _BUILTINS:
         raise UnknownDensity(f"unknown density {name!r}")
-    extra = set(kw) - _BUILTIN_KEYS[key]
+    factory, keys = _BUILTINS[key]
+    extra = set(kw) - keys
     if extra:
         raise InvalidParams(f"unknown parameter(s) {sorted(extra)} for density {key!r}")
-    if key == "exp":
-        return _builtin_exp(**{k: float(v) for k, v in kw.items()})
-    if key == "halfgauss":
-        return _builtin_halfgauss(**{k: float(v) for k, v in kw.items()})
-    if key == "gauss":
-        return _builtin_gauss(**{k: float(v) for k, v in kw.items()})
-    if key == "pareto":
-        return _builtin_pareto(**{k: float(v) for k, v in kw.items()})
-    if key == "powerlaw":
-        return _builtin_powerlaw(**{k: float(v) for k, v in kw.items()})
-    if key == "uniform":
-        return _builtin_uniform(**{k: float(v) for k, v in kw.items()})
-    # gg delegates to the special-function module
-    from . import special
-
-    p = float(kw.get("p", 2.0))
-    lam = float(kw.get("lambda", 1.0))
-    mode = str(kw.get("mode", "half"))
-    return special.gg_density(p, lam, mode=mode)
+    return factory(**{k: v if k == "mode" else float(v) for k, v in kw.items()})
 
 
 def parse_density(spec: str) -> Density:
@@ -832,17 +797,7 @@ def quantiles(f: Density, qs: Sequence[float], tol: float = 1e-10) -> np.ndarray
     if np.any((qs <= 0) | (qs >= 1)):
         raise InvalidParams("quantile fractions must lie strictly inside (0, 1)")
     lo, hi = f.support.lower, f.support.upper
-    n = 64
-    t = np.sin(np.linspace(0.0, 1.0, n + 2)[1:-1] * _PI_2) ** 2
-    if math.isfinite(lo) and math.isfinite(hi):
-        knots = lo + (hi - lo) * t
-    elif math.isfinite(lo):
-        knots = lo + t / (1.0 - t)
-    elif math.isfinite(hi):
-        knots = hi - (1.0 - t) / t
-    else:
-        knots = np.tan(math.pi * (t - 0.5))
-    knots = np.unique(knots)
+    knots = np.unique(f.support.clustered(64))
     segs = [Support(lo, knots[0])] + [
         Support(a, b) for a, b in zip(knots[:-1], knots[1:])
     ] + [Support(knots[-1], hi)]

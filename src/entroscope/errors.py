@@ -67,11 +67,3 @@ class Unbounded(EntroscopeError):
 
 class InvalidEta(EntroscopeError):
     """Tail exponent must satisfy eta > 1."""
-
-
-class DegenerateTheta(EntroscopeError):
-    """Exponent 1 + beta - lambda vanishes; constant composition undefined."""
-
-
-class DegenerateIndex(EntroscopeError):
-    """Index map degenerates (division by zero in a parameter relation)."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
+from scipy.special import gammaincc, gammainccinv
 
 from .core import Density, Support, integrate, invert_monotone
 from .errors import DivergentIntegral, InvalidParams, OutOfDomain, OutOfRange
@@ -454,51 +455,10 @@ def sinh_gen(v: float, b: float, y: float, tol: float = 1e-11) -> float:
 # incomplete Gamma
 # ---------------------------------------------------------------------------
 
-_EPS = 1e-16
-_FPMIN = 1e-300
-
-
-def _gamma_series_lower(a: float, x: float) -> float:
-    """Lower incomplete gamma(a, x) by the standard ascending series; a > 0."""
-    ap = a
-    s = 1.0 / a
-    term = s
-    for _ in range(10_000):
-        ap += 1.0
-        term *= x / ap
-        s += term
-        if abs(term) < abs(s) * _EPS:
-            break
-    return s * math.exp(-x + a * math.log(x))
-
-
-def _gamma_cf_upper(a: float, x: float) -> float:
-    """Upper incomplete Gamma(a, x) via the Lentz continued fraction; x > 0."""
-    b0 = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b0 if b0 != 0 else 1.0 / _FPMIN
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - a)
-        b0 += 2.0
-        d = an * d + b0
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b0 + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x))
-
-
 def inc_gamma_upper(a: float, x: float) -> float:
     """Upper incomplete Gamma(a, x) = int_x^inf t^{a-1} e^{-t} dt.
 
-    Series for small x, continued fraction for large x; non-positive
+    scipy's regularized gammaincc times Gamma(a) for a > 0; non-positive
     non-integer orders are lifted by the recursion
     Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a.
     """
@@ -515,41 +475,22 @@ def inc_gamma_upper(a: float, x: float) -> float:
             aj = a + j
             g = (g - math.exp(-x + aj * math.log(x))) / aj
         return g
-    if x == 0:
-        return _gamma_fn(a)
-    if x < a + 1.0:
-        return _gamma_fn(a) - _gamma_series_lower(a, x)
-    return _gamma_cf_upper(a, x)
+    return float(gammaincc(a, x) * _gamma_fn(a))
 
 
 def inv_inc_gamma_upper(a: float, y: float, tol: float = 1e-12) -> float:
-    """Inverse of x -> Gamma(a, x) (strictly decreasing) by bracketed Newton."""
+    """Inverse of x -> Gamma(a, x) (strictly decreasing) for a > 0, by
+    scipy's gammainccinv of y / Gamma(a); tol is not used."""
+    if not a > 0:
+        raise OutOfRange("inv_inc_gamma_upper requires order a > 0")
     if not y > 0:
         raise OutOfRange("inv_inc_gamma_upper requires y > 0")
-    if a > 0:
-        top = _gamma_fn(a)
-        if y > top * (1.0 + 1e-12):
-            raise OutOfRange(f"y = {y} above Gamma({a}) = {top}")
-        if y >= top:
-            return 0.0
-    lo = hi = 1.0
-    for _ in range(2000):
-        if inc_gamma_upper(a, hi) <= y:
-            break
-        hi *= 2.0
-    else:
-        raise OutOfRange("inv_inc_gamma_upper bracket expansion failed upward")
-    for _ in range(2000):
-        if inc_gamma_upper(a, lo) >= y:
-            break
-        lo *= 0.5
-    else:
-        raise OutOfRange("inv_inc_gamma_upper bracket expansion failed downward")
-
-    def dg(x):
-        return -math.exp(-x + (a - 1.0) * math.log(x)) if x > 0 else 0.0
-
-    return invert_monotone(lambda x: inc_gamma_upper(a, x), y, (lo, hi), tol=tol, dg=dg)
+    top = _gamma_fn(a)
+    if y > top * (1.0 + 1e-12):
+        raise OutOfRange(f"y = {y} above Gamma({a}) = {top}")
+    if y >= top:
+        return 0.0
+    return float(gammainccinv(a, y / top))
 
 
 # ---------------------------------------------------------------------------

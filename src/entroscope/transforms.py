@@ -24,6 +24,7 @@ just described), so comparisons between transformed densities use
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -320,7 +321,7 @@ def down(f: Density, alpha: float) -> TransformedDensity:
     table = _down_bracket_table(sup, val)
     inverter = None
     if mono_dec or mono_inc:
-        inverter = _down_level_inverter(f, a, s_of_level, mono_dec, sup_f, inf_f)
+        inverter = _down_level_inverter(f, a, s_of_level)
 
     return TransformedDensity(
         support=sup,
@@ -342,28 +343,11 @@ def down(f: Density, alpha: float) -> TransformedDensity:
 
 
 def _probe_grid(f: Density, n: int = 65) -> np.ndarray:
-    lo, hi = f.support.lower, f.support.upper
-    t = np.linspace(0.0, 1.0, n + 2)[1:-1]
-    if math.isfinite(lo) and math.isfinite(hi):
-        return lo + (hi - lo) * t
-    if math.isfinite(lo):
-        return lo + t / (1.0 - t)
-    if math.isfinite(hi):
-        return hi - (1.0 - t) / t
-    return np.tan(math.pi * (t - 0.5))
+    return f.support.at(np.linspace(0.0, 1.0, n + 2)[1:-1])
 
 
 def _down_bracket_table(sup: Support, val, n: int = 48):
-    lo, hi = sup.lower, sup.upper
-    t = np.sin(np.linspace(0.0, 1.0, n + 2)[1:-1] * math.pi / 2) ** 2
-    if math.isfinite(lo) and math.isfinite(hi):
-        ss = lo + (hi - lo) * t
-    elif math.isfinite(lo):
-        ss = lo + t / (1.0 - t)
-    elif math.isfinite(hi):
-        ss = hi - (1.0 - t) / t
-    else:
-        ss = np.tan(math.pi * (t - 0.5))
+    ss = sup.clustered(n)
     try:
         vals = np.array([float(val(s)) for s in ss])
     except Exception:
@@ -375,9 +359,12 @@ def _down_bracket_table(sup: Support, val, n: int = 48):
     return (ss[good][order], vals[good][order])
 
 
-def _down_level_inverter(f: Density, a: float, s_of_level, mono_dec: bool, sup_f, inf_f):
+def _down_level_inverter(f: Density, a: float, s_of_level):
     """Level inversion of a monotone down image: solve f^alpha/|f'| = y in x,
-    then map back through the canonical variable change."""
+    then map back through the canonical variable change.  Brackets come
+    from a table of (x, f^alpha/|f'|) on the source, sorted by value, built
+    at the first inversion: building it with the image would double the
+    cost of down() for images never inverted."""
 
     def g(x: float) -> float:
         v = float(f.value(x))
@@ -385,13 +372,16 @@ def _down_level_inverter(f: Density, a: float, s_of_level, mono_dec: bool, sup_f
         with np.errstate(all="ignore"):
             return math.exp(a * math.log(v) - math.log(dv)) if v > 0 and dv > 0 else math.inf
 
-    def inverter(y: float) -> float:
-        xs, vals = _source_sample(f)
+    @functools.cache
+    def table():
+        xs = _probe_grid(f, 96)
         gs = np.array([g(x) for x in xs])
         good = np.isfinite(gs)
-        xs, gs = xs[good], gs[good]
-        order = np.argsort(gs)
-        xs, gs = xs[order], gs[order]
+        order = np.argsort(gs[good])
+        return xs[good][order], gs[good][order]
+
+    def inverter(y: float) -> float:
+        xs, gs = table()
         j = int(np.searchsorted(gs, y))
         j = min(max(j, 1), len(gs) - 1)
         bracket = (min(xs[j - 1], xs[j]), max(xs[j - 1], xs[j]))
@@ -399,12 +389,6 @@ def _down_level_inverter(f: Density, a: float, s_of_level, mono_dec: bool, sup_f
         return s_of_level(float(f.value(x)))
 
     return inverter
-
-
-def _source_sample(f: Density, n: int = 96):
-    xs = _probe_grid(f, n)
-    vals = np.asarray(f.value(xs), dtype=float)
-    return xs, vals
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +622,7 @@ def up(f: Density, alpha: float) -> TransformedDensity:
 
 
 def _up_knots(f: Density, n: int = _TABLE_N) -> np.ndarray:
-    lo, hi = f.support.lower, f.support.upper
-    t = np.sin(np.linspace(0.0, 1.0, n + 2)[1:-1] * math.pi / 2) ** 2
-    if math.isfinite(lo) and math.isfinite(hi):
-        xs = lo + (hi - lo) * t
-    elif math.isfinite(lo):
-        xs = lo + t / (1.0 - t)
-    elif math.isfinite(hi):
-        xs = hi - (1.0 - t) / t
-    else:
-        xs = np.tan(math.pi * (t - 0.5))
+    xs = f.support.clustered(n)
     if f.support.contains(0.0, slack=EDGE_SLACK):
         xs = np.append(xs, 0.0)
     return np.unique(xs)

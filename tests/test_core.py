@@ -31,6 +31,7 @@ from entroscope.errors import (
     TargetOutOfRange,
     UnknownDensity,
 )
+from entroscope.transforms import down
 
 
 # ----------------------------------------------------------------- oracles
@@ -150,6 +151,9 @@ class TestBuiltins:
             "uniform:a=0,b=1",
             "gg:p=2,lambda=1",
             "gg:p=2,lambda=2",
+            "exp",
+            "gg",
+            "gg:p=3,lambda=1.5,mode=paper",
         ],
     )
     def test_normalized(self, spec):
@@ -255,6 +259,51 @@ class TestReflectTranslate:
         g = translate(f, 2.0)
         assert g.support.lower == 2.0 and g.support.upper == 3.0
         assert abs(g(2.5) - 1.0) < 1e-15
+
+
+# (map, sigma, kappa, c): each map sends a source coordinate X to
+# x = (sigma X + c) / kappa and a density f to x -> kappa f(X)
+AFFINE_MAPS = [
+    pytest.param(lambda f: rescale(f, 1.7), 1.0, 1.7, 0.0, id="rescale"),
+    pytest.param(reflect, -1.0, 1.0, 0.0, id="reflect"),
+    pytest.param(lambda f: translate(f, 0.6), 1.0, 1.0, 0.6, id="translate"),
+]
+
+
+class TestAffineFields:
+    @pytest.mark.parametrize("amap,sigma,kappa,c", AFFINE_MAPS)
+    def test_every_field(self, amap, sigma, kappa, c):
+        f = builtin("exp", {"rate": 1})
+        g = amap(f)
+        lk = math.log(kappa)
+        for X in (0.2, 1.0, 2.5):
+            x = (sigma * X + c) / kappa
+            assert g(x) == pytest.approx(kappa * f(X), rel=1e-13)
+            assert g.d(x) == pytest.approx(sigma * kappa**2 * f.d(X), rel=1e-13)
+            assert g.dd(x) == pytest.approx(kappa**3 * f.dd(X), rel=1e-13)
+            assert g.invert_level(g(x)) == pytest.approx(x, rel=1e-12)
+            assert g.log_value(x) == pytest.approx(lk + f.log_value(X), rel=1e-13, abs=1e-15)
+            assert g.log_abs_derivative(x) == pytest.approx(
+                2 * lk + f.log_abs_derivative(X), rel=1e-13, abs=1e-15
+            )
+        ends = sorted((sigma * e + c) / kappa for e in (f.support.lower, f.support.upper))
+        assert (g.support.lower, g.support.upper) == tuple(ends)
+        assert g.mass == f.mass
+        dec, inc = f.monotone_decreasing, f.monotone_increasing
+        assert (g.monotone_decreasing, g.monotone_increasing) == ((inc, dec) if sigma < 0 else (dec, inc))
+
+    @pytest.mark.parametrize("amap,sigma,kappa,c", AFFINE_MAPS)
+    def test_image_bracket_table_and_float_value(self, amap, sigma, kappa, c):
+        d = down(builtin("halfgauss", {"sigma": 1}), 3.0)
+        g = amap(d)
+        xs, fs = d.bracket_table
+        gxs, gfs = g.bracket_table
+        np.testing.assert_allclose(gxs, (sigma * xs + c) / kappa, rtol=1e-15)
+        np.testing.assert_allclose(gfs, kappa * fs, rtol=1e-15)
+        X = d.support.lower + 1.0
+        v = g((sigma * X + c) / kappa)
+        assert type(v) is float
+        assert v == pytest.approx(kappa * d(X), rel=1e-12)
 
 
 class TestQuantiles:

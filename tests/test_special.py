@@ -308,3 +308,5 @@ class TestIncGamma:
             inc_gamma_upper(-1.0, 1.0)  # non-positive integer order
         with pytest.raises(OutOfRange):
             inv_inc_gamma_upper(1.0, 2.0)  # above Gamma(1) = 1
+        with pytest.raises(OutOfRange):
+            inv_inc_gamma_upper(-0.5, 1.0)  # non-positive order
