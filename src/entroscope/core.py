@@ -13,7 +13,7 @@ its mirror before the tanh-sinh rule is applied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -460,7 +460,6 @@ class Density:
     label: str = ""
     mass: float = 1.0
     level_inverter: Optional[Callable[[float], float]] = None
-    bracket_table: Optional[tuple] = field(default=None, repr=False)
     # analytic log f and log |f'|: keep Fisher-type integrands exact far
     # into regions where the density itself underflows
     log_value: Optional[Callable] = None
@@ -489,23 +488,26 @@ class Density:
             return self.level_inverter(y)
         if not self.monotone:
             raise NotMonotone(f"density {self.label!r} is not monotone; cannot invert levels")
-        a, b = self._level_bracket(y)
-        dg = self.derivative
-        return invert_monotone(self.value, y, (a, b), tol=tol, dg=dg)
-
-    def _level_bracket(self, y: float) -> tuple[float, float]:
-        if self.bracket_table is not None:
-            xs, fs = self.bracket_table
-            # fs sorted ascending together with xs (constructed that way)
-            j = int(np.searchsorted(fs, y))
-            j = min(max(j, 1), len(fs) - 1)
-            return (min(xs[j - 1], xs[j]), max(xs[j - 1], xs[j]))
         lo, hi = self.support.lower, self.support.upper
         if not math.isfinite(lo) or not math.isfinite(hi):
             raise EdgeIllConditioned(
-                f"density {self.label!r} has no bracket table and unbounded support"
+                f"density {self.label!r} has no level inverter and unbounded support"
             )
-        return (lo + EDGE_SLACK, hi - EDGE_SLACK)
+        bracket = (lo + EDGE_SLACK, hi - EDGE_SLACK)
+        return invert_monotone(self.value, y, bracket, tol=tol, dg=self.derivative)
+
+
+def _pointwise(one: Callable[[float], float]) -> Callable:
+    """Lift a scalar function to the value convention of transformed
+    densities: a scalar argument gives a float, any other argument is
+    iterated into an array (so a 0-d array raises TypeError)."""
+
+    def lifted(x):
+        if np.isscalar(x):
+            return one(float(x))
+        return np.array([one(float(xi)) for xi in np.asarray(x, dtype=float)])
+
+    return lifted
 
 
 def _affine(f: Density, sigma: float, kappa: float, c: float, label: str) -> Density:
@@ -528,10 +530,6 @@ def _affine(f: Density, sigma: float, kappa: float, c: float, label: str) -> Den
     lk = math.log(kappa)
     val, der, sec, inv = f.value, f.derivative, f.second_derivative, f.level_inverter
     lv, ld = f.log_value, f.log_abs_derivative
-    table = None
-    if f.bracket_table is not None:
-        xs, fs = f.bracket_table
-        table = (image(xs), kappa * fs)
     lo, hi = sorted((image(f.support.lower), image(f.support.upper)))
     dec, inc = f.monotone_decreasing, f.monotone_increasing
     if sigma < 0:
@@ -546,7 +544,6 @@ def _affine(f: Density, sigma: float, kappa: float, c: float, label: str) -> Den
         label=label,
         mass=f.mass,
         level_inverter=None if inv is None else (lambda y: image(inv(y / kappa))),
-        bracket_table=table,
         log_value=None if lv is None else (lambda x: lk + lv(src(x))),
         log_abs_derivative=None if ld is None else (lambda x: 2 * lk + ld(src(x))),
     )

@@ -171,10 +171,7 @@ def fisher_integral(f: Density, p: float, lam: float, tol: float = 1e-10) -> flo
         # genuine zeros of f (log = -inf) contribute nothing
         return np.where(np.isneginf(lv), 0.0, out)
 
-    r = _quad(f, integrand, tol=tol)
-    if not r.value > 0:
-        raise DivergentIntegral("Fisher integrand has no positive mass")
-    return r.value
+    return _quad(f, integrand, tol=tol).value
 
 
 def fisher(f: Density, p: float, lam: float, tol: float = 1e-10) -> float:
@@ -183,7 +180,10 @@ def fisher(f: Density, p: float, lam: float, tol: float = 1e-10) -> float:
         raise InvalidParams("fisher requires p != 0")
     if lam == 0:
         raise OutOfDomain("fisher requires lambda != 0 (see fisher_zero for the limit)")
-    return fisher_integral(f, p, lam, tol=tol) ** (1.0 / (p * lam))
+    v = fisher_integral(f, p, lam, tol=tol)
+    if v == 0.0 and p * lam < 0:
+        raise DivergentIntegral("Fisher integral is zero under a negative root")
+    return v ** (1.0 / (p * lam))
 
 
 def fisher_sup(f: Density, lam: float, n_grid: int = 400) -> float:
@@ -238,21 +238,9 @@ def fisher_sup(f: Density, lam: float, n_grid: int = 400) -> float:
 
 
 def fisher_zero(f: Density, q: float, tol: float = 1e-10) -> float:
-    """F_{q,0}[f] = int (|f'| / f^2)^q f dx (un-rooted)."""
-    if f.derivative is None:
-        raise MissingDerivative("fisher_zero requires an analytic derivative")
-
-    lv_fn, ld_fn = _log_pair(f)
-
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            lv = np.asarray(lv_fn(x), dtype=float)
-            ld = np.asarray(ld_fn(x), dtype=float)
-            out = np.exp(q * (ld - 2.0 * lv) + lv)
-        return np.where(np.isneginf(lv), 0.0, out)
-
-    return _quad(f, integrand, tol=tol).value
+    """F_{q,0}[f] = int (|f'| / f^2)^q f dx (un-rooted): the lambda = 0
+    Fisher integral."""
+    return fisher_integral(f, q, 0.0, tol=tol)
 
 
 def entropic_Sp(f: Density, p: float, tol: float = 1e-10) -> float:

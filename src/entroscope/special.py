@@ -23,8 +23,9 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 from scipy.special import gammaincc, gammainccinv
 
-from .core import Density, Support, integrate, invert_monotone
+from .core import Density, Support, _pointwise, integrate, invert_monotone
 from .errors import DivergentIntegral, InvalidParams, OutOfDomain, OutOfRange
+from .measures import _SHANNON_WINDOW, holder_conjugate
 
 __all__ = [
     "exp_lambda",
@@ -42,17 +43,6 @@ __all__ = [
     "down_of_gg",
     "up_of_gg",
 ]
-
-_SHANNON_WINDOW = 1e-9
-
-
-def _pstar(p: float) -> float:
-    if p == 1:
-        return math.inf
-    if p == 0:
-        return 0.0
-    return p / (p - 1.0)
-
 
 def _beta(a: float, b: float) -> float:
     """Beta function via the Gamma product; valid for non-pole arguments,
@@ -77,7 +67,7 @@ def gg_support_edge(p: float, lam: float) -> float:
         return math.inf
     if p == 0:
         return 1.0
-    return (lam - 1.0) ** (-1.0 / _pstar(p))
+    return (lam - 1.0) ** (-1.0 / holder_conjugate(p))
 
 
 def _check_gg_domain(p: float, lam: float) -> None:
@@ -87,7 +77,7 @@ def _check_gg_domain(p: float, lam: float) -> None:
         if not lam > 1:
             raise OutOfDomain("the p = 0 family member requires lambda > 1")
         return
-    ps = _pstar(p)
+    ps = holder_conjugate(p)
     if not ps > 0:
         raise OutOfDomain(f"g_{{p,lambda}} requires p > 1 or p < 0 (p* > 0); got p = {p}")
     if not lam > 1.0 - ps:
@@ -99,7 +89,7 @@ def gg_normalization(p: float, lam: float) -> float:
     _check_gg_domain(p, lam)
     if p == 0:
         return 1.0 / (2.0 * _gamma_fn(lam / (lam - 1.0)))
-    ps = _pstar(p)
+    ps = holder_conjugate(p)
     if abs(lam - 1.0) < _SHANNON_WINDOW:
         return ps / (2.0 * _gamma_fn(1.0 / ps))
     second = lam / abs(1.0 - lam) + (1.0 / p if 1.0 - lam > 0 else 0.0)
@@ -118,7 +108,7 @@ class GGParams:
 
     @property
     def pstar(self) -> float:
-        return _pstar(self.p)
+        return holder_conjugate(self.p)
 
     @property
     def a(self) -> float:
@@ -156,7 +146,7 @@ def _gg_halfline_callables(p: float, lam: float, amplitude: float):
         inv = lambda y: math.exp(-((y / A) ** (1.0 / c)))
         return val, der, sec, inv
 
-    ps = _pstar(p)
+    ps = holder_conjugate(p)
     if abs(lam - 1.0) < _SHANNON_WINDOW:
 
         def val(x):
@@ -294,7 +284,7 @@ def mirror_gg(p: float, lam: float, tol: float = 1e-10) -> Density:
     """
     if lam == 1 or p in (0, 1):
         raise OutOfDomain("mirror_gg requires lambda != 1 and p not in {0, 1}")
-    ps = _pstar(p)
+    ps = holder_conjugate(p)
     if ps == 0:
         raise OutOfDomain("mirror_gg requires p* != 0")
     second = lam / abs(1.0 - lam) + (1.0 / p if 1.0 - lam > 0 else 0.0)
@@ -418,15 +408,7 @@ def arcsinh_gen(v: float, b: float, x: float, tol: float = 1e-12) -> float:
 @functools.lru_cache(maxsize=256)
 def _arcsinh_limit(v: float, b: float) -> float:
     """Cached limit arcsinh_{v,b}(inf); finite iff b/v > 1."""
-    if b / v <= 1.0:
-        return math.inf
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            return (1.0 + t**b) ** (-1.0 / v)
-
-    return integrate(integrand, Support(0.0, math.inf), tol=1e-12).value
+    return arcsinh_gen(v, b, math.inf) if b / v > 1.0 else math.inf
 
 
 def sinh_gen(v: float, b: float, y: float, tol: float = 1e-11) -> float:
@@ -519,7 +501,7 @@ def down_of_gg(p: float, lam: float, alpha: float, mode: str = "half") -> Densit
         raise OutOfDomain("closed-form down images require p != 0")
     _check_gg_domain(p, lam)
     A, mass = _gg_amplitude(p, lam, mode)
-    ps = _pstar(p)
+    ps = holder_conjugate(p)
     lam1 = abs(lam - 1.0) < _SHANNON_WINDOW
     if alpha != 2:
         s_lo = A ** (2.0 - alpha) / (alpha - 2.0)
@@ -593,7 +575,7 @@ def up_of_gg(p: float, lam: float, alpha: float, mode: str = "half"):
 
         return up(gg_density(p, lam, mode=mode), alpha)
     A, mass = _gg_amplitude(p, lam, mode)
-    ps = _pstar(p)
+    ps = holder_conjugate(p)
     a2 = alpha - 2.0
     pref = abs(a2) ** (1.0 / (2.0 - alpha))
 
@@ -636,18 +618,12 @@ def up_of_gg(p: float, lam: float, alpha: float, mode: str = "half"):
                 def x_of_s(s: float) -> float:
                     return sinh_gen(v, b, -s / C) ** exq / m
 
-    def val(s):
-        def one(si: float) -> float:
-            x = x_of_s(float(si))
-            return pref * x ** (1.0 / (2.0 - alpha))
-
-        if np.isscalar(s):
-            return one(s)
-        return np.array([one(si) for si in np.asarray(s, dtype=float)])
+    def val(s: float) -> float:
+        return pref * x_of_s(s) ** (1.0 / (2.0 - alpha))
 
     return Density(
         support=sup,
-        value=val,
+        value=_pointwise(val),
         label=f"up_of_gg(p={p:g},lambda={lam:g},alpha={alpha:g},{mode})",
         mass=mass,
     )

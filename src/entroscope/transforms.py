@@ -1,20 +1,22 @@
 """The down and up density transformations and their compositions.
 
+Both transforms rest on one canonical variable change of order alpha,
+
+    sigma_alpha(y) = y^{2-alpha} / (alpha - 2)    (alpha != 2)
+    sigma_alpha(y) = -ln y                        (alpha = 2).
+
 The down transformation sends a strictly decreasing density f to
-f(x(s))^alpha / |f'(x(s))| under the canonical variable change
+f(x(s))^alpha / |f'(x(s))| at s(x) = sigma_alpha(f(x)), and the up
+transformation is its inverse: the image value at a source point x is
+sigma_alpha^{-1}(+-x), with the sign that puts the argument in the range of
+sigma_alpha, at the coordinate
 
-    s(x) = f(x)^{2-alpha} / (alpha - 2)    (alpha != 2)
-    s(x) = -ln f(x)                        (alpha = 2)
-
-and the up transformation is its inverse,
-
-    U(u) = |(alpha-2) x(u)|^{1/(2-alpha)}  with  u'(x) = -|(alpha-2)x|^{1/(alpha-2)} f(x)
-    U(u) = e^{-x(u)}                       with  u'(x) = -e^x f(x)        (alpha = 2),
+    u'(x) = -|(alpha-2)x|^{1/(alpha-2)} f(x)      (u'(x) = -e^x f(x) at alpha = 2),
 
 anchored at the upper support edge, falling back to the lower edge and then
 to the median when the defining primitive diverges.  Both transforms are
 evaluated numerically: each value costs one monotone inversion of the
-variable change, warmed by a knot table built eagerly at construction.
+variable change.
 
 Increasing densities are handled by reflecting x -> -x before transforming;
 the transforms are gauge-fixed only up to translation (and the reflection
@@ -35,9 +37,9 @@ from .core import (
     EDGE_SLACK,
     Density,
     Support,
+    _pointwise,
     integrate,
     invert_monotone,
-    quantiles,
     reflect,
     rescale,
     translate,
@@ -51,6 +53,7 @@ from .errors import (
     MissingSecondDerivative,
     NotDecreasing,
     OutOfDomain,
+    TargetOutOfRange,
 )
 
 __all__ = [
@@ -165,6 +168,48 @@ def _edge_limit(f: Density, side: str) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the canonical variable change
+# ---------------------------------------------------------------------------
+
+
+def _canonical(a: float):
+    """(sigma, sigma_inv) of the canonical variable change of order a.
+
+    sigma maps a level y in [0, inf] to s, with its limits at both ends;
+    sigma_inv sends an s outside sigma's range, which only rounding at the
+    zero edge produces, to the edge level itself.
+    """
+    if a == 2.0:
+
+        def sigma(y: float) -> float:
+            if y == math.inf:
+                return -math.inf
+            if y == 0.0:
+                return math.inf
+            return -math.log(y)
+
+        def sigma_inv(s: float) -> float:
+            return math.exp(-s)
+
+        return sigma, sigma_inv
+
+    def sigma(y: float) -> float:
+        if y == math.inf:
+            return -math.inf if a < 2 else 0.0
+        if y == 0.0:
+            return 0.0 if a < 2 else math.inf
+        return y ** (2.0 - a) / (a - 2.0)
+
+    def sigma_inv(s: float) -> float:
+        X = (a - 2.0) * s
+        if X <= 0.0:
+            return 0.0 if a < 2 else math.inf
+        return X ** (1.0 / (2.0 - a))
+
+    return sigma, sigma_inv
+
+
+# ---------------------------------------------------------------------------
 # down transformation
 # ---------------------------------------------------------------------------
 
@@ -189,151 +234,88 @@ def down(f: Density, alpha: float) -> TransformedDensity:
     a = float(alpha)
     sup_f = _edge_limit(f, "lower")   # largest value (decreasing density)
     inf_f = _edge_limit(f, "upper")   # smallest value
-
-    if a != 2.0:
-
-        def s_of_level(y: float) -> float:
-            if y == math.inf:
-                return -math.inf if a < 2 else 0.0
-            if y == 0.0:
-                return 0.0 if a < 2 else math.inf
-            return y ** (2.0 - a) / (a - 2.0)
-
-        def level_of_s(s: float) -> float:
-            X = (a - 2.0) * s
-            if X <= 0.0:
-                # outside the canonical variable's range (possible only from
-                # rounding at the zero edge): treat as the edge itself
-                return 0.0 if a < 2 else math.inf
-            return X ** (1.0 / (2.0 - a))
-
-    else:
-
-        def s_of_level(y: float) -> float:
-            if y == math.inf:
-                return -math.inf
-            if y == 0.0:
-                return math.inf
-            return -math.log(y)
-
-        def level_of_s(s: float) -> float:
-            return math.exp(-s)
-
-    s_lo = s_of_level(sup_f)
-    s_hi = s_of_level(inf_f)
-    sup = Support(s_lo, s_hi)
+    sigma, sigma_inv = _canonical(a)
+    sup = Support(sigma(sup_f), sigma(inf_f))
 
     y_hi = sup_f if math.isfinite(sup_f) else 1e300
     y_lo = max(inf_f, 1e-300)
 
-    def x_of_s(s: float) -> float:
-        y = level_of_s(s)
-        y = min(max(y, y_lo * (1.0 + 1e-15)), y_hi * (1.0 - 1e-15))
-        return float(f.invert_level(y, tol=1e-13))
-
-    def value_scalar(s: float) -> float:
-        y = level_of_s(s)
+    def source(s: float) -> tuple[float, float]:
+        """(x, y): the source point of s and its level y = f(x).  y is pulled
+        inside (y_lo, y_hi) only when it falls outside: tanh-sinh nodes sit
+        within 1e-15 of the bounds, and moving them would move integrals."""
+        y = sigma_inv(s)
         if not (y_lo < y < y_hi):
             y = min(max(y, y_lo * (1.0 + 1e-15)), y_hi * (1.0 - 1e-15))
-        x = float(f.invert_level(y, tol=1e-13))
+        return float(f.invert_level(y, tol=1e-13)), y
+
+    def log_kernel(s: float) -> Optional[float]:
+        """log(y^alpha / |f'(x)|) at the source point of s, or None where
+        neither |f'| nor an analytic log |f'| gives it."""
+        x, y = source(s)
         dv = abs(float(f.derivative(x)))
         if dv == 0.0 or not math.isfinite(dv):
             # fall back to the analytic log-derivative where the linear-scale
             # derivative under- or overflows (deep edge coordinates)
-            if f.log_abs_derivative is not None:
-                ld = float(f.log_abs_derivative(x))
-                with np.errstate(all="ignore"):
-                    return math.exp(a * math.log(y) - ld)
-            raise EdgeIllConditioned(f"source derivative vanishes at x = {x}")
-        with np.errstate(all="ignore"):
-            return math.exp(a * math.log(y) - math.log(dv))
+            if f.log_abs_derivative is None:
+                return None
+            return a * math.log(y) - float(f.log_abs_derivative(x))
+        return a * math.log(y) - math.log(dv)
 
-    def val(s):
-        if np.isscalar(s):
-            return value_scalar(float(s))
-        return np.array([value_scalar(float(si)) for si in np.asarray(s, dtype=float)])
+    def value(s: float) -> float:
+        lk = log_kernel(s)
+        if lk is None:
+            raise EdgeIllConditioned(f"source derivative vanishes at the preimage of s = {s}")
+        return math.exp(lk)
+
+    def log_value(s: float) -> float:
+        lk = log_kernel(s)
+        return math.inf if lk is None else lk
 
     # image monotonicity: sign of dD/ds is -sign(alpha - f f''/f'^2)
     mono_dec = mono_inc = False
     der = None
     log_der = None
     if f.second_derivative is not None:
-
-        def ratio(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(all="ignore"):
-                return f.value(x) * f.second_derivative(x) / f.derivative(x) ** 2
-
-        rs = ratio(_probe_grid(f))
-        rs = rs[np.isfinite(rs)]
+        rs = _curvature_ratio(f, 65)
         if rs.size:
             if a > float(rs.max()) + 1e-9:
                 mono_dec = True
             elif a < float(rs.min()) - 1e-9:
                 mono_inc = True
 
-        def der_scalar(s: float) -> float:
-            x = x_of_s(s)
-            v = float(f.value(x))
-            dv = float(f.derivative(x))
-            ddv = float(f.second_derivative(x))
+        def source_jet(s: float) -> tuple[float, float, float]:
+            x, _ = source(s)
+            return float(f.value(x)), float(f.derivative(x)), float(f.second_derivative(x))
+
+        def derivative(s: float) -> float:
+            v, dv, ddv = source_jet(s)
             return v ** (2 * a - 2.0) / dv * (a - v * ddv / dv**2)
 
-        der = lambda s: (
-            der_scalar(float(s))
-            if np.isscalar(s)
-            else np.array([der_scalar(float(si)) for si in np.asarray(s, dtype=float)])
-        )
-
-        def log_der_scalar(s: float) -> float:
-            x = x_of_s(s)
-            v = float(f.value(x))
-            dv = float(f.derivative(x))
-            ddv = float(f.second_derivative(x))
+        def log_abs_derivative(s: float) -> float:
+            v, dv, ddv = source_jet(s)
             mag = abs(a - v * ddv / dv**2)
             if mag == 0.0 or v <= 0.0:
                 return -math.inf
             return (2 * a - 2.0) * math.log(v) - math.log(abs(dv)) + math.log(mag)
 
-        log_der = lambda s: (
-            log_der_scalar(float(s))
-            if np.isscalar(s)
-            else np.array([log_der_scalar(float(si)) for si in np.asarray(s, dtype=float)])
-        )
+        der = _pointwise(derivative)
+        log_der = _pointwise(log_abs_derivative)
 
-    def log_val(s):
-        def one(si: float) -> float:
-            y = level_of_s(float(si))
-            if not (y_lo < y < y_hi):
-                y = min(max(y, y_lo * (1.0 + 1e-15)), y_hi * (1.0 - 1e-15))
-            x = float(f.invert_level(y, tol=1e-13))
-            dv = abs(float(f.derivative(x)))
-            if dv == 0.0 or not math.isfinite(dv):
-                if f.log_abs_derivative is not None:
-                    return a * math.log(y) - float(f.log_abs_derivative(x))
-                return math.inf
-            return a * math.log(y) - math.log(dv)
-
-        if np.isscalar(s):
-            return one(s)
-        return np.array([one(si) for si in np.asarray(s, dtype=float)])
-
-    table = _down_bracket_table(sup, val)
     inverter = None
     if mono_dec or mono_inc:
-        inverter = _down_level_inverter(f, a, s_of_level)
+        inverter = _down_level_inverter(f, a, sigma)
 
     return TransformedDensity(
         support=sup,
-        value=val,
+        value=_pointwise(value),
         derivative=der,
         monotone_decreasing=mono_dec,
         monotone_increasing=mono_inc,
         label=f"down({f.label},alpha={a:g})",
         mass=f.mass,
         level_inverter=inverter,
-        bracket_table=table,
-        log_value=log_val,
+        log_value=_pointwise(log_value),
         log_abs_derivative=log_der,
         source=f,
         alpha=a,
@@ -346,25 +328,23 @@ def _probe_grid(f: Density, n: int = 65) -> np.ndarray:
     return f.support.at(np.linspace(0.0, 1.0, n + 2)[1:-1])
 
 
-def _down_bracket_table(sup: Support, val, n: int = 48):
-    ss = sup.clustered(n)
-    try:
-        vals = np.array([float(val(s)) for s in ss])
-    except Exception:
-        return None
-    good = np.isfinite(vals)
-    if good.sum() < 4:
-        return None
-    order = np.argsort(vals[good])
-    return (ss[good][order], vals[good][order])
+def _curvature_ratio(f: Density, n: int) -> np.ndarray:
+    """The finite values of f f''/f'^2 on the n-point probe grid."""
+    xs = _probe_grid(f, n)
+    with np.errstate(all="ignore"):
+        r = np.asarray(f.value(xs), dtype=float) * np.asarray(
+            f.second_derivative(xs), dtype=float
+        ) / np.asarray(f.derivative(xs), dtype=float) ** 2
+    return r[np.isfinite(r)]
 
 
-def _down_level_inverter(f: Density, a: float, s_of_level):
+def _down_level_inverter(f: Density, a: float, sigma):
     """Level inversion of a monotone down image: solve f^alpha/|f'| = y in x,
-    then map back through the canonical variable change.  Brackets come
-    from a table of (x, f^alpha/|f'|) on the source, sorted by value, built
-    at the first inversion: building it with the image would double the
-    cost of down() for images never inverted."""
+    then map back through sigma.  Brackets come from a table of
+    (x, f^alpha/|f'|) on the source, sorted by value, built at the first
+    inversion: building it with the image would double the cost of down()
+    for images never inverted.  A level beyond the outermost table node is
+    bracketed against the source edge on that side."""
 
     def g(x: float) -> float:
         v = float(f.value(x))
@@ -380,13 +360,35 @@ def _down_level_inverter(f: Density, a: float, s_of_level):
         order = np.argsort(gs[good])
         return xs[good][order], gs[good][order]
 
+    def beyond(x0: float, step: float, y: float) -> float:
+        """A point past the outermost node x0, in the direction of step, with
+        g on the other side of y: the source edge moved EDGE_SLACK inside, or
+        for an infinite edge the first of x0 + step, x0 + 2 step, ... (at
+        most 64 doublings)."""
+        edge = f.support.upper if step > 0 else f.support.lower
+        if math.isfinite(edge):
+            return edge - math.copysign(EDGE_SLACK * max(1.0, abs(edge)), step)
+        below = g(x0) < y
+        for _ in range(64):
+            x = x0 + step
+            if (g(x) < y) != below:
+                break
+            step *= 2.0
+        return x
+
     def inverter(y: float) -> float:
+        if not y > 0.0:
+            # an underflowed value: its preimage is not representable
+            raise TargetOutOfRange(f"level {y} of a down image cannot be inverted")
         xs, gs = table()
         j = int(np.searchsorted(gs, y))
-        j = min(max(j, 1), len(gs) - 1)
-        bracket = (min(xs[j - 1], xs[j]), max(xs[j - 1], xs[j]))
-        x = invert_monotone(g, y, bracket, tol=1e-12)
-        return s_of_level(float(f.value(x)))
+        if 0 < j < len(gs):
+            bracket = (xs[j - 1], xs[j])
+        else:
+            k, inner = (0, 1) if j == 0 else (-1, -2)
+            bracket = (xs[k], beyond(xs[k], xs[k] - xs[inner], y))
+        x = invert_monotone(g, y, (min(bracket), max(bracket)), tol=1e-12)
+        return sigma(float(f.value(x)))
 
     return inverter
 
@@ -489,52 +491,28 @@ def up(f: Density, alpha: float) -> TransformedDensity:
     coords = _UpCoords(f, wf, knots_arr, u_arr, sup, anchor)
     u_of_x = coords.u_of_x
     x_of_u = coords.x_of_u
+    sigma, sigma_inv = _canonical(a)
 
-    if a == 2.0:
+    def value(u: float) -> float:
+        x = x_of_u(u)
+        if math.isnan(x):
+            return 0.0
+        # U = sigma_inv(+-x), with the sign that puts the argument in the
+        # range of sigma; for alpha = 2 that range is the whole line
+        return sigma_inv(x if a == 2.0 or (a - 2.0) * x > 0.0 else -x)
 
-        def value_of_x(x: float) -> float:
-            if math.isnan(x):
-                return 0.0
-            return math.exp(-x)
-
-        def logvalue_of_x(x: float) -> float:
-            if math.isnan(x):
-                return -math.inf
+    def log_value(u: float) -> float:
+        x = x_of_u(u)
+        if math.isnan(x):
+            return -math.inf
+        if a == 2.0:
             return -x
-
-    else:
-        exq = 1.0 / (2.0 - a)
-
-        def value_of_x(x: float) -> float:
-            if math.isnan(x):
-                return 0.0
-            return abs((a - 2.0) * x) ** exq
-
-        def logvalue_of_x(x: float) -> float:
-            if math.isnan(x):
-                return -math.inf
-            m = abs((a - 2.0) * x)
-            return exq * math.log(m) if m > 0 else -math.inf
-
-    def val(u):
-        def one(ui: float) -> float:
-            return value_of_x(x_of_u(float(ui)))
-
-        if np.isscalar(u):
-            return one(u)
-        return np.array([one(ui) for ui in np.asarray(u, dtype=float)])
-
-    def log_val(u):
-        def one(ui: float) -> float:
-            return logvalue_of_x(x_of_u(float(ui)))
-
-        if np.isscalar(u):
-            return one(u)
-        return np.array([one(ui) for ui in np.asarray(u, dtype=float)])
+        m = abs((a - 2.0) * x)
+        return (1.0 / (2.0 - a)) * math.log(m) if m > 0 else -math.inf
 
     # dU/du = sign((a-2)x) |(a-2)x|^{a/(2-a)} / f(x);  for a = 2: +e^{-2x}/f(x)
-    def der_scalar(u: float) -> float:
-        x = x_of_u(float(u))
+    def derivative(u: float) -> float:
+        x = x_of_u(u)
         if math.isnan(x):
             return 0.0
         v = float(f.value(x))
@@ -543,14 +521,8 @@ def up(f: Density, alpha: float) -> TransformedDensity:
         m = (a - 2.0) * x
         return math.copysign(abs(m) ** (a / (2.0 - a)), m) / v
 
-    der = lambda u: (
-        der_scalar(u)
-        if np.isscalar(u)
-        else np.array([der_scalar(float(ui)) for ui in np.asarray(u, dtype=float)])
-    )
-
-    def log_der_scalar(u: float) -> float:
-        x = x_of_u(float(u))
+    def log_abs_derivative(u: float) -> float:
+        x = x_of_u(u)
         if math.isnan(x):
             return -math.inf
         if f.log_value is not None:
@@ -563,12 +535,6 @@ def up(f: Density, alpha: float) -> TransformedDensity:
         m = abs((a - 2.0) * x)
         lm = math.log(m) if m > 0 else -math.inf
         return (a / (2.0 - a)) * lm - lv
-
-    log_der = lambda u: (
-        log_der_scalar(u)
-        if np.isscalar(u)
-        else np.array([log_der_scalar(float(ui)) for ui in np.asarray(u, dtype=float)])
-    )
 
     # image monotonicity: sign of dU/du is sign((a-2)x), fixed when the
     # source support does not straddle the origin; for alpha = 2 the
@@ -586,34 +552,28 @@ def up(f: Density, alpha: float) -> TransformedDensity:
             mono_inc = True
         else:
             mono_dec = True
-    # level inversion via the analytic inverse of the value map
+    # level inversion via sigma, the inverse of the value map
     inverter = None
     if mono_dec or mono_inc:
 
         def inverter(y: float) -> float:
-            if a == 2.0:
-                x_star = -math.log(y)
-            else:
-                mag = y ** (2.0 - a) / abs(a - 2.0)
-                x_star = mag if f.support.lower >= 0.0 else -mag
-            return u_of_x(x_star)
-
-    uvals = np.array([value_of_x(float(x)) for x in knots_arr])
-    order = np.argsort(uvals)
-    table = (u_arr[order], uvals[order])
+            x = sigma(y)
+            if a != 2.0:
+                # the preimage has the sign of the source support
+                x = abs(x) if f.support.lower >= 0.0 else -abs(x)
+            return u_of_x(x)
 
     return TransformedDensity(
         support=sup,
-        value=val,
-        derivative=der,
+        value=_pointwise(value),
+        derivative=_pointwise(derivative),
         monotone_decreasing=mono_dec,
         monotone_increasing=mono_inc,
         label=f"up({f.label},alpha={a:g})",
         mass=f.mass,
         level_inverter=inverter,
-        bracket_table=table,
-        log_value=log_val,
-        log_abs_derivative=log_der,
+        log_value=_pointwise(log_value),
+        log_abs_derivative=_pointwise(log_abs_derivative),
         source=f,
         alpha=a,
         direction="up",
@@ -894,19 +854,12 @@ class _UpCoords:
 def down_support_length(f: Density, alpha: float) -> float:
     """Length of the support of the down image, from the edge limits of f."""
     base = reflect(f) if (f.monotone_increasing and not f.monotone_decreasing) else f
-    v_lo = _edge_limit(base, "lower")
-    v_hi = _edge_limit(base, "upper")
-    a = float(alpha)
-    if a != 2.0:
-        with np.errstate(all="ignore"):
-            t_lo = v_lo ** (2.0 - a) if v_lo > 0 else (0.0 if a < 2 else math.inf)
-            t_hi = v_hi ** (2.0 - a) if v_hi > 0 else (0.0 if a < 2 else math.inf)
-        if math.isinf(t_lo) or math.isinf(t_hi):
-            return math.inf
-        return abs(t_lo - t_hi) / abs(2.0 - a)
-    if v_hi == 0.0 or v_lo == math.inf or v_lo <= 0.0:
+    sigma, _ = _canonical(float(alpha))
+    s_lo = sigma(_edge_limit(base, "lower"))
+    s_hi = sigma(_edge_limit(base, "upper"))
+    if math.isinf(s_lo) or math.isinf(s_hi):
         return math.inf
-    return abs(math.log(v_lo / v_hi))
+    return abs(s_hi - s_lo)
 
 
 def double_down_admissible(
@@ -917,12 +870,7 @@ def double_down_admissible(
         raise MissingSecondDerivative("double-down admissibility requires f''")
     if f.derivative is None:
         raise MissingDerivative("double-down admissibility requires f'")
-    xs = _probe_grid(f, n_grid)
-    with np.errstate(all="ignore"):
-        r = np.asarray(f.value(xs), dtype=float) * np.asarray(
-            f.second_derivative(xs), dtype=float
-        ) / np.asarray(f.derivative(xs), dtype=float) ** 2
-    r = r[np.isfinite(r)]
+    r = _curvature_ratio(f, n_grid)
     if r.size == 0:
         raise EdgeIllConditioned("admissibility ratio not finite anywhere on the grid")
     sup_r = float(r.max())

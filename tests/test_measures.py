@@ -174,6 +174,15 @@ class TestFisher:
         with pytest.raises(MissingDerivative):
             fisher(bare, 2, 1)
 
+    def test_uniform_zero(self):
+        # f' = 0: the integral is 0, its positive root is 0
+        assert fisher(UNIF, 2, 1) == 0.0
+
+    @pytest.mark.parametrize("p,lam", [(-2, 1), (2, -1)])
+    def test_uniform_negative_root(self, p, lam):
+        with pytest.raises(DivergentIntegral):
+            fisher(UNIF, p, lam)
+
     def test_negative_order_integral(self):
         # int |f^{0} f'|^{-1} f dx for Exp = int e^{x} e^{-x} -> divergent
         with pytest.raises(DivergentIntegral):
