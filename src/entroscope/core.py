@@ -117,6 +117,7 @@ class QuadResult:
 _TMAX = 6.5          # truncation of the t-axis; handles x^(-s) edges up to s ~ 0.98
 _PI_2 = math.pi / 2.0
 _HUGE = 1e50         # partial sums beyond this are treated as divergent
+_MAX_LEVEL = 10      # refinement levels (step h = 2^-level) before NonConvergent
 
 
 def _ts_nodes(h: float, odd_only: bool) -> np.ndarray:
@@ -205,7 +206,9 @@ def _ts_level_sum(fn_left, fn_right, half: float, ts: np.ndarray, include_zero: 
             chunk_max = float(np.abs(terms).max()) if len(terms) else 0.0
             max_term = max(max_term, chunk_max)
             last3 = [abs(float(t)) for t in terms[-3:]]
-            if chunk_max <= _TRUNC_EPS * max(abs(total), max_term):
+            # an integrand that underflows to 0 near the midpoint must not
+            # stop a side before it reaches the mass at the endpoint
+            if max_term > 0.0 and chunk_max <= _TRUNC_EPS * max(abs(total), max_term):
                 break
         # keep the side whose outermost terms are largest: the divergence
         # heuristic watches for edges that fail to decay
@@ -214,22 +217,14 @@ def _ts_level_sum(fn_left, fn_right, half: float, ts: np.ndarray, include_zero: 
     return total, n_evals, edge_terms
 
 
-def _tanh_sinh(
-    fn_left,
-    fn_right,
-    half: float,
-    tol: float,
-    max_level: int,
-    strict: bool = True,
-    min_scale: float = 1.0,
-) -> QuadResult:
+def _tanh_sinh(fn_left, fn_right, half: float, tol: float, min_scale: float) -> QuadResult:
     """Adaptive tanh-sinh on an interval of half-width `half`."""
     h = 1.0
     s = 0.0
     n_evals = 0
     estimates: list[float] = []
     last_edge: list[float] = []
-    for level in range(max_level + 1):
+    for level in range(_MAX_LEVEL + 1):
         odd = level > 0
         ts = _ts_nodes(h, odd_only=odd)
         ds, ne, edge = _ts_level_sum(fn_left, fn_right, half, ts, include_zero=(level == 0))
@@ -279,23 +274,20 @@ def _tanh_sinh(
                 )
         if growing or (last_edge and last_edge == sorted(last_edge) and max(last_edge) > err):
             raise DivergentIntegral("partial sums grow without bound under endpoint refinement")
-    if strict:
-        raise NonConvergent(f"error {err:.3e} above tolerance {tol:.3e} after level {max_level}")
-    return QuadResult(estimates[-1], err, n_evals)
+    raise NonConvergent(
+        f"error {err:.3e} above tolerance {tol:.3e} after level {_MAX_LEVEL}",
+        QuadResult(estimates[-1], err, n_evals),
+    )
 
 
-def _integrate_finite(
-    g, a: float, b: float, tol: float, max_level: int, strict: bool = True, min_scale: float = 1.0
-) -> QuadResult:
+def _integrate_finite(g, a: float, b: float, tol: float, min_scale: float) -> QuadResult:
     half = 0.5 * (b - a)
     fn_left = lambda d: g(a + d)
     fn_right = lambda d: g(b - d)
-    return _tanh_sinh(fn_left, fn_right, half, tol, max_level, strict=strict, min_scale=min_scale)
+    return _tanh_sinh(fn_left, fn_right, half, tol, min_scale)
 
 
-def _integrate_upper_inf(
-    g, a: float, tol: float, max_level: int, strict: bool = True, min_scale: float = 1.0
-) -> QuadResult:
+def _integrate_upper_inf(g, a: float, tol: float, min_scale: float) -> QuadResult:
     # x = a + t/(1-t) maps t in (0,1); near t=1 use x = a + (1-d)/d
     def gl(d):  # d = t, near 0: x near a
         t = d
@@ -307,14 +299,12 @@ def _integrate_upper_inf(
             # divide twice: d**2 can underflow to 0 while g(x)/d/d stays finite
             return g(x) / d / d
 
-    return _tanh_sinh(gl, gr, 0.5, tol, max_level, strict=strict, min_scale=min_scale)
+    return _tanh_sinh(gl, gr, 0.5, tol, min_scale)
 
 
-def _integrate_lower_inf(
-    g, b: float, tol: float, max_level: int, strict: bool = True, min_scale: float = 1.0
-) -> QuadResult:
+def _integrate_lower_inf(g, b: float, tol: float, min_scale: float) -> QuadResult:
     h = lambda x: g(2.0 * b - x) if np.isscalar(x) else g(2.0 * b - np.asarray(x))
-    return _integrate_upper_inf(h, b, tol, max_level, strict=strict, min_scale=min_scale)
+    return _integrate_upper_inf(h, b, tol, min_scale)
 
 
 def integrate(
@@ -322,9 +312,7 @@ def integrate(
     support: Support,
     tol: float = 1e-10,
     *,
-    max_level: int = 10,
     points: Sequence[float] = (),
-    strict: bool = True,
     min_scale: float = 1.0,
 ) -> QuadResult:
     """Integrate g over `support` to relative tolerance tol.
@@ -333,8 +321,9 @@ def integrate(
     kinked; the domain is split there (tanh-sinh clusters only at interval
     endpoints, so interior singularities must become endpoints).
 
-    Raises NonConvergent if the error estimate stays above
-    tol * max(1, |value|) after the refinement budget, and DivergentIntegral
+    Raises NonConvergent if the error estimate of an interval stays above
+    tol * max(min_scale, |value|) after _MAX_LEVEL levels (its `result`
+    holds that interval's last estimate), and DivergentIntegral
     when partial sums grow without bound under endpoint refinement.
     """
     if tol <= 0:
@@ -347,15 +336,15 @@ def integrate(
     sub_tol = tol / max(1.0, math.sqrt(len(edges) - 1))
     for lo, hi in zip(edges[:-1], edges[1:]):
         if math.isinf(lo) and math.isinf(hi):
-            r1 = _integrate_lower_inf(g, 0.0, sub_tol / 2, max_level, strict=strict, min_scale=min_scale)
-            r2 = _integrate_upper_inf(g, 0.0, sub_tol / 2, max_level, strict=strict, min_scale=min_scale)
+            r1 = _integrate_lower_inf(g, 0.0, sub_tol / 2, min_scale)
+            r2 = _integrate_upper_inf(g, 0.0, sub_tol / 2, min_scale)
             rs = [r1, r2]
         elif math.isinf(hi):
-            rs = [_integrate_upper_inf(g, lo, sub_tol, max_level, strict=strict, min_scale=min_scale)]
+            rs = [_integrate_upper_inf(g, lo, sub_tol, min_scale)]
         elif math.isinf(lo):
-            rs = [_integrate_lower_inf(g, hi, sub_tol, max_level, strict=strict, min_scale=min_scale)]
+            rs = [_integrate_lower_inf(g, hi, sub_tol, min_scale)]
         else:
-            rs = [_integrate_finite(g, lo, hi, sub_tol, max_level, strict=strict, min_scale=min_scale)]
+            rs = [_integrate_finite(g, lo, hi, sub_tol, min_scale)]
         for r in rs:
             total += r.value
             err += r.error_estimate
@@ -367,6 +356,8 @@ def integrate(
 # monotone inversion
 # ---------------------------------------------------------------------------
 
+_MAX_ITER = 200  # bracketing steps of invert_monotone
+
 
 def invert_monotone(
     g: Callable[[float], float],
@@ -374,7 +365,6 @@ def invert_monotone(
     bracket: tuple[float, float],
     tol: float = 1e-12,
     dg: Optional[Callable[[float], float]] = None,
-    max_iter: int = 200,
 ) -> float:
     """Solve g(x) = target for strictly monotone g on `bracket`.
 
@@ -404,7 +394,7 @@ def invert_monotone(
     noise = 1e-9 * (1.0 + abs(fa) + abs(fb))
     x_prev, f_prev = a, fa
     x_cur, f_cur = b, fb
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         x_new = math.nan
         if dg is not None:
             d = dg(x_cur)
@@ -787,8 +777,10 @@ def parse_density(spec: str) -> Density:
 # quantiles
 # ---------------------------------------------------------------------------
 
+_QUANTILE_TOL = 1e-10  # relative tolerance of each quantile
 
-def quantiles(f: Density, qs: Sequence[float], tol: float = 1e-10) -> np.ndarray:
+
+def quantiles(f: Density, qs: Sequence[float]) -> np.ndarray:
     """Quantile coordinates of f at cumulative fractions qs (of f.mass)."""
     qs = np.asarray(qs, dtype=float)
     if np.any((qs <= 0) | (qs >= 1)):
@@ -821,6 +813,6 @@ def quantiles(f: Density, qs: Sequence[float], tol: float = 1e-10) -> np.ndarray
         a_eff = a if math.isfinite(a) else min(b - 1.0, -1e8)
         b_eff = b if math.isfinite(b) else max(a + 1.0, 1e8)
         out[i] = invert_monotone(
-            cdf_local, targ, (a_eff + 1e-300, b_eff), tol=tol, dg=lambda x: float(f.value(x))
+            cdf_local, targ, (a_eff + 1e-300, b_eff), tol=_QUANTILE_TOL, dg=lambda x: float(f.value(x))
         )
     return out

@@ -11,7 +11,12 @@ class EntroscopeError(Exception):
 
 
 class NonConvergent(EntroscopeError):
-    """Quadrature error estimate stayed above tolerance after the budget."""
+    """Quadrature error estimate stayed above tolerance after the budget;
+    `result` is the QuadResult (last estimate) of the interval that failed."""
+
+    def __init__(self, message: str, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 class DivergentIntegral(EntroscopeError):

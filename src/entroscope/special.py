@@ -460,9 +460,9 @@ def inc_gamma_upper(a: float, x: float) -> float:
     return float(gammaincc(a, x) * _gamma_fn(a))
 
 
-def inv_inc_gamma_upper(a: float, y: float, tol: float = 1e-12) -> float:
+def inv_inc_gamma_upper(a: float, y: float) -> float:
     """Inverse of x -> Gamma(a, x) (strictly decreasing) for a > 0, by
-    scipy's gammainccinv of y / Gamma(a); tol is not used."""
+    scipy's gammainccinv of y / Gamma(a)."""
     if not a > 0:
         raise OutOfRange("inv_inc_gamma_upper requires order a > 0")
     if not y > 0:

@@ -14,9 +14,11 @@ sigma_alpha, at the coordinate
     u'(x) = -|(alpha-2)x|^{1/(alpha-2)} f(x)      (u'(x) = -e^x f(x) at alpha = 2),
 
 anchored at the upper support edge, falling back to the lower edge and then
-to the median when the defining primitive diverges.  Both transforms are
-evaluated numerically: each value costs one monotone inversion of the
-variable change.
+to the median knot when the defining primitive diverges.  u is cumulated
+once over a table of knots, and u(x) is u at the nearest knot between x and
+the anchor plus the weighted mass from that knot to x (see
+`_UpCoords.u_of_x`).  Both transforms are evaluated numerically: each value
+costs one monotone inversion of the variable change.
 
 Increasing densities are handled by reflecting x -> -x before transforming;
 the transforms are gauge-fixed only up to translation (and the reflection
@@ -26,6 +28,7 @@ just described), so comparisons between transformed densities use
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -36,6 +39,7 @@ import numpy as np
 from .core import (
     EDGE_SLACK,
     Density,
+    QuadResult,
     Support,
     _pointwise,
     integrate,
@@ -51,6 +55,7 @@ from .errors import (
     InvalidParams,
     MissingDerivative,
     MissingSecondDerivative,
+    NonConvergent,
     NotDecreasing,
     OutOfDomain,
     TargetOutOfRange,
@@ -74,6 +79,9 @@ __all__ = [
 _TABLE_N = 160
 _U_CAP = 1e305  # cumulative weighted mass beyond which a side is treated as unbounded
 _SEG_TOL = 1e-13
+_STALL = 1e-7  # relative error at which a weighted-mass integral has stalled
+_ADMISSIBLE_GRID = 129  # probe points of double_down_admissible
+_ADMISSIBLE_MARGIN = 1e-9  # alpha must exceed the observed sup by this much
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +111,7 @@ class AdmissibilityWitness:
     admissible: bool
     observed_sup: float
     alpha: float
-    margin: float = 1e-9
+    margin: float = _ADMISSIBLE_MARGIN
 
     def __bool__(self) -> bool:
         return self.admissible
@@ -398,30 +406,21 @@ def _down_level_inverter(f: Density, a: float, sigma):
 # ---------------------------------------------------------------------------
 
 
-def _wf_integral(wf, lo: float, hi: float, tol: float = _SEG_TOL) -> float:
-    """Integral of the weighted density over (lo, hi), geometrically split
-    when the interval spans many decades on one side of the origin (the
-    weight is a power there, so the mass is spread logarithmically).
+def _wf_quad(wf, lo: float, hi: float) -> QuadResult:
+    """Weighted mass on (lo, hi) to _SEG_TOL, pure relative, or the last
+    estimate when it does not converge."""
+    try:
+        return integrate(wf, Support(lo, hi), tol=_SEG_TOL, min_scale=0.0)
+    except NonConvergent as exc:
+        return exc.result
 
-    Runs non-strict: integrand values behind one level of monotone
-    inversion carry ~1e-13 relative noise, below which the convergence
-    criterion cannot be met; the achieved error is checked instead.
-    """
-    pts: tuple = ()
-    if (lo > 0.0 or hi < 0.0) and lo != 0.0 and hi != 0.0:
-        amin, amax = sorted((abs(lo), abs(hi)))
-        if amin > 0:
-            decades = math.log10(amax) - math.log10(amin)
-            if decades > 4.0:
-                n = min(80, max(2, int(decades / 2.0)))
-                mags = np.geomspace(amin, amax, n + 2)[1:-1]
-                sign = 1.0 if lo > 0 else -1.0
-                pts = tuple(sorted(sign * m for m in mags))
-    r = integrate(wf, Support(lo, hi), tol=tol, points=pts, strict=False, min_scale=0.0)
-    # integrands behind a level inversion carry noise that is amplified
-    # near ill-conditioned edges; accept the estimate unless the stall is
-    # material at the round-trip tolerance scale
-    if r.error_estimate > 3e-6 * max(1e-280, abs(r.value)):
+
+def _wf_integral(wf, lo: float, hi: float) -> float:
+    """Weighted mass on (lo, hi), its error checked against _STALL:
+    integrands behind a monotone inversion carry ~1e-13 relative noise,
+    below which the convergence criterion cannot be met."""
+    r = _wf_quad(wf, lo, hi)
+    if r.error_estimate > _STALL * max(1e-280, abs(r.value)):
         raise EdgeIllConditioned(
             f"weighted segment integral on ({lo}, {hi}) stalled at error {r.error_estimate:.2e}"
         )
@@ -485,10 +484,7 @@ def up(f: Density, alpha: float) -> TransformedDensity:
             with np.errstate(all="ignore"):
                 return w(x) * np.asarray(f.value(x), dtype=float)
 
-    knots = _up_knots(f)
-    segs = _segment_integrals(wf, f.support, knots)
-    anchor, knots_arr, u_arr, sup = _anchor_and_cumulate(segs)
-    coords = _UpCoords(f, wf, knots_arr, u_arr, sup, anchor)
+    coords = _UpCoords(f, wf)
     u_of_x = coords.u_of_x
     x_of_u = coords.x_of_u
     sigma, sigma_inv = _canonical(a)
@@ -564,7 +560,7 @@ def up(f: Density, alpha: float) -> TransformedDensity:
             return u_of_x(x)
 
     return TransformedDensity(
-        support=sup,
+        support=coords.sup,
         value=_pointwise(value),
         derivative=_pointwise(derivative),
         monotone_decreasing=mono_dec,
@@ -577,148 +573,90 @@ def up(f: Density, alpha: float) -> TransformedDensity:
         source=f,
         alpha=a,
         direction="up",
-        anchor=anchor,
+        anchor=coords.anchor,
     )
 
 
-def _up_knots(f: Density, n: int = _TABLE_N) -> np.ndarray:
-    xs = f.support.clustered(n)
+def _up_knots(f: Density) -> np.ndarray:
+    xs = f.support.clustered(_TABLE_N)
     if f.support.contains(0.0, slack=EDGE_SLACK):
         xs = np.append(xs, 0.0)
     return np.unique(xs)
 
 
-def _segment_integrals(wf, support: Support, knots: np.ndarray) -> dict:
-    """Per-segment weighted masses, including open head/tail segments.
+def _anchor_and_cumulate(knots: np.ndarray, inner: np.ndarray, head: float, tail: float):
+    """(anchor, knots, u, u-support, anchor knot) from the segment masses.
 
-    Values are floats; a divergent or overflowing side is recorded as inf.
-    Integrands sit behind a monotone inversion whose ~1e-13 relative noise
-    can stall the convergence criterion, so the achieved error is checked
-    instead of trusting strict convergence.
+    The anchor is the upper edge when the tail mass is finite (u > 0), else
+    the lower edge when the head mass is finite (u < 0), else the median
+    knot.  u is walked outward from the anchor index in both directions; a
+    walk stops at the first knot whose |u| passes _U_CAP, and such knots are
+    dropped, the u-support being unbounded on that side.
     """
-
-    def seg(lo, hi, open_ended: bool) -> float:
-        try:
-            r = integrate(wf, Support(lo, hi), tol=_SEG_TOL, strict=False, min_scale=0.0)
-        except DivergentIntegral:
-            return math.inf
-        except EdgeIllConditioned:
-            if open_ended:
-                return math.inf
-            raise
-        if r.error_estimate > 1e-7 * max(1e-280, abs(r.value)):
-            if open_ended:
-                return math.inf
-            raise EdgeIllConditioned(
-                f"segment integral on ({lo}, {hi}) stalled at error {r.error_estimate:.2e}"
-            )
-        return r.value
-
-    inner = [seg(xa, xb, False) for xa, xb in zip(knots[:-1], knots[1:])]
-    head = seg(support.lower, knots[0], True)
-    tail = seg(knots[-1], support.upper, True)
-    return {"knots": knots, "inner": np.asarray(inner), "head": head, "tail": tail}
-
-
-def _anchor_and_cumulate(segs: dict):
-    """Choose the anchor, cumulate u at the knots, and fix the u-support.
-
-    Anchoring at the upper edge gives u in (0, total]; at the lower edge
-    u in [-total, 0); at the median both signs.  Knots whose cumulative
-    weighted mass overflows the cap are dropped (the support is unbounded
-    on that side, reachable only by bracket marching).
-    """
-    knots = np.asarray(segs["knots"], dtype=float)
-    inner = segs["inner"]
-    head, tail = segs["head"], segs["tail"]
     n = len(knots)
-
     if math.isfinite(tail):
-        # u(x_k) = tail + sum of segments above k (suffix sums)
-        u = np.full(n, np.nan)
-        acc = tail
-        u[-1] = acc
-        for j in range(n - 2, -1, -1):
-            acc += inner[j]
-            if not math.isfinite(acc) or acc > _U_CAP:
-                break
-            u[j] = acc
-        good = np.isfinite(u)
-        truncated = not good.all()
-        hi_u = math.inf if (truncated or not math.isfinite(head)) else float(u[good][0] + head)
-        if not truncated and hi_u > _U_CAP:
-            hi_u = math.inf
-        return "upper", knots[good], u[good], Support(0.0, hi_u)
-
-    if math.isfinite(head):
-        u = np.full(n, np.nan)
-        acc = -head
-        u[0] = acc
-        for j in range(1, n):
-            acc -= inner[j - 1]
-            if not math.isfinite(acc) or -acc > _U_CAP:
-                break
-            u[j] = acc
-        good = np.isfinite(u)
-        truncated = not good.all()
-        lo_u = -math.inf if (truncated or not math.isfinite(tail)) else float(u[good][-1] - tail)
-        if not truncated and lo_u < -_U_CAP:
-            lo_u = -math.inf
-        return "lower", knots[good], u[good], Support(lo_u, 0.0)
-
-    # both edges divergent: anchor at the median knot
-    m = n // 2
+        anchor, i0, u0 = "upper", n - 1, tail
+    elif math.isfinite(head):
+        anchor, i0, u0 = "lower", 0, -head
+    else:
+        anchor, i0, u0 = "median", n // 2, 0.0
     u = np.full(n, np.nan)
-    u[m] = 0.0
-    acc = 0.0
-    for j in range(m - 1, -1, -1):
-        acc += inner[j]
-        if not math.isfinite(acc) or acc > _U_CAP:
-            break
-        u[j] = acc
-    acc = 0.0
-    for j in range(m + 1, n):
-        acc -= inner[j - 1]
-        if not math.isfinite(acc) or -acc > _U_CAP:
-            break
-        u[j] = acc
+    u[i0] = u0
+    for step in (-1, +1):
+        acc = u0
+        for j in range(i0 + step, n if step > 0 else -1, step):
+            acc -= step * inner[min(j, j - step)]  # the segment between j - step and j
+            if not math.isfinite(acc) or abs(acc) > _U_CAP:
+                break
+            u[j] = acc
     good = np.isfinite(u)
-    return "median", knots[good], u[good], Support(-math.inf, math.inf)
+    lo_u = float(u[-1] - tail) if good[-1] else -math.inf
+    hi_u = float(u[0] + head) if good[0] else math.inf
+    sup = Support(lo_u if lo_u >= -_U_CAP else -math.inf, hi_u if hi_u <= _U_CAP else math.inf)
+    return anchor, knots[good], u[good], sup, float(knots[i0])
 
 
 class _UpCoords:
     """Cumulative coordinate u(x) of an up transform and its inverse.
 
-    Backed by the eagerly-built knot table; evaluations beyond the table
-    extend a growing anchor cache (marched once, reused ever after).  A side
-    whose preimages exhaust the float range records its reach; coordinates
-    beyond reach on an unbounded u-side return nan (the image value there
-    has decayed beyond double precision).
+    Built on the eager knots: _TABLE_N knots whose segment masses are
+    cumulated from the anchor with the image.  Inversions beyond them march
+    further knots, used only to bracket.  A side whose preimages exhaust the
+    float range records its reach; coordinates beyond reach on an unbounded
+    u-side return nan (the image value there has decayed beyond double
+    precision).
     """
 
-    def __init__(
-        self,
-        f: Density,
-        wf,
-        knots: np.ndarray,
-        u_knots: np.ndarray,
-        sup: Support,
-        anchor: str,
-    ):
+    def __init__(self, f: Density, wf):
         self.f = f
         self.wf = wf
-        self.xs = list(map(float, knots))
-        self.us = list(map(float, u_knots))
-        self.sup = sup
-        self.anchor = anchor
+
+        def seg(lo: float, hi: float, open_ended: bool) -> float:
+            # a divergent segment, or a stalled open one, has infinite mass
+            try:
+                return _wf_integral(wf, lo, hi)
+            except (DivergentIntegral, EdgeIllConditioned) as exc:
+                if open_ended or isinstance(exc, DivergentIntegral):
+                    return math.inf
+                raise
+
+        knots = _up_knots(f)
+        inner = np.array([seg(xa, xb, False) for xa, xb in zip(knots[:-1], knots[1:])])
+        head = seg(f.support.lower, knots[0], True)
+        tail = seg(knots[-1], f.support.upper, True)
+        self.anchor, knots, u_knots, self.sup, start = _anchor_and_cumulate(
+            knots, inner, head, tail
+        )
+        edges = {"upper": f.support.upper, "lower": f.support.lower}
+        self.anchor_x = edges.get(self.anchor, start)
+        self.knots = knots.tolist()  # eager: u_of_x starts from these only
+        self.u_knots = u_knots.tolist()
+        self.xs = list(self.knots)  # eager and marched: x_of_u brackets on these
+        self.us = list(self.u_knots)
         self.lo_reach: Optional[float] = None  # u at the deepest reachable x above the table
         self.hi_reach: Optional[float] = None  # u at the deepest reachable x below the table
-        if anchor == "median":
-            self.anchor_x = self.xs[len(self.xs) // 2]
-        elif anchor == "upper":
-            self.anchor_x = f.support.upper
-        else:
-            self.anchor_x = f.support.lower
+        self._iter_hi = 0
+        self._iter_lo = 0
 
     # -- marching ----------------------------------------------------------
     def _step(self, x_prev: float, direction: float, i: int) -> Optional[float]:
@@ -754,7 +692,7 @@ class _UpCoords:
                 return False
             x_prev, u_prev = self.xs[0], self.us[0]
         appended = False
-        base_i = getattr(self, "_iter_hi" if direction > 0 else "_iter_lo", 0)
+        base_i = self._iter_hi if direction > 0 else self._iter_lo
         for i in range(base_i, base_i + n_steps):
             x_next = self._step(x_prev, direction, i)
             if x_next is None:
@@ -793,28 +731,37 @@ class _UpCoords:
             return appended
         return True
 
+    def _mass(self, lo: float, hi: float) -> float:
+        if lo == hi:
+            return 0.0
+        if math.isinf(lo) or math.isinf(hi):
+            return _wf_quad(self.wf, lo, hi).value  # unchecked: see u_of_x
+        return _wf_integral(self.wf, lo, hi)
+
     # -- public ------------------------------------------------------------
     def u_of_x(self, x: float) -> float:
-        """Signed direct integral from the anchor: no suffix-sum
-        subtraction, so the coordinate keeps full relative precision even
-        where the primitive decays by hundreds of orders of magnitude."""
+        """u at the nearest eager knot between x and the anchor, plus the
+        weighted mass between that knot and x; with no such knot (x beyond
+        the table on the anchor side), the mass from x to the anchor.  Both
+        terms have the sign of u, so u keeps full relative precision even
+        where it decays by hundreds of orders of magnitude.  Marched knots
+        never start a piece: near x ~ 1e162 they can sit 100x apart.
+
+        Every piece is checked against _STALL except the mass to an infinite
+        anchor: where wf underflows on the way there, its error estimate is
+        no guide (8% on (5.2e161, inf) for pareto(eta=3) at alpha = 3) while
+        its value is right."""
         ax = self.anchor_x
         if x == ax:
             return 0.0
-        if self.anchor == "upper":
-            if math.isfinite(ax):
-                return _wf_integral(self.wf, x, ax)
-            r = integrate(self.wf, Support(x, math.inf), tol=_SEG_TOL, strict=False, min_scale=0.0)
-            return r.value
-        if self.anchor == "lower":
-            if math.isfinite(ax):
-                return -_wf_integral(self.wf, ax, x)
-            r = integrate(self.wf, Support(-math.inf, x), tol=_SEG_TOL, strict=False, min_scale=0.0)
-            return -r.value
-        # median anchor
-        if x > ax:
-            return -_wf_integral(self.wf, ax, x)
-        return _wf_integral(self.wf, x, ax)
+        xs, us = self.knots, self.u_knots
+        if x < ax:
+            j = bisect.bisect_left(xs, x)
+            k, uk = (xs[j], us[j]) if j < len(xs) else (ax, 0.0)
+            return uk + self._mass(x, k)
+        j = bisect.bisect_right(xs, x) - 1
+        k, uk = (xs[j], us[j]) if j >= 0 else (ax, 0.0)
+        return uk - self._mass(k, x)
 
     def x_of_u(self, u: float) -> float:
         for _ in range(400):
@@ -862,20 +809,18 @@ def down_support_length(f: Density, alpha: float) -> float:
     return abs(s_hi - s_lo)
 
 
-def double_down_admissible(
-    f: Density, alpha: float, n_grid: int = 129, margin: float = 1e-9
-) -> AdmissibilityWitness:
+def double_down_admissible(f: Density, alpha: float) -> AdmissibilityWitness:
     """Whether down can be applied twice: alpha must exceed sup f f''/f'^2."""
     if f.second_derivative is None:
         raise MissingSecondDerivative("double-down admissibility requires f''")
     if f.derivative is None:
         raise MissingDerivative("double-down admissibility requires f'")
-    r = _curvature_ratio(f, n_grid)
+    r = _curvature_ratio(f, _ADMISSIBLE_GRID)
     if r.size == 0:
         raise EdgeIllConditioned("admissibility ratio not finite anywhere on the grid")
     sup_r = float(r.max())
     return AdmissibilityWitness(
-        admissible=alpha > sup_r + margin, observed_sup=sup_r, alpha=float(alpha), margin=margin
+        admissible=alpha > sup_r + _ADMISSIBLE_MARGIN, observed_sup=sup_r, alpha=float(alpha)
     )
 
 

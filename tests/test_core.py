@@ -27,6 +27,7 @@ from entroscope.core import (
 from entroscope.errors import (
     DivergentIntegral,
     InvalidParams,
+    NonConvergent,
     NotMonotone,
     TargetOutOfRange,
     UnknownDensity,
@@ -96,6 +97,27 @@ class TestIntegrate:
         r = integrate(lambda x: np.exp(-np.asarray(x)), Support(0.0, math.inf))
         assert r.error_estimate >= 0
         assert r.evaluations > 0
+
+    def test_mass_beyond_an_underflowed_midpoint(self):
+        # the integrand is exactly 0 around the midpoint: each side must
+        # still expand until it reaches the mass at the endpoint
+        r = integrate(lambda x: np.exp(-np.asarray(x) ** 2), Support(0.0, 100.0))
+        assert r.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
+        r = integrate(lambda x: np.exp(-np.asarray(x)), Support(700.0, 1200.0), min_scale=0.0)
+        assert r.value == pytest.approx(math.exp(-700.0) - math.exp(-1200.0), rel=1e-13)
+
+    def test_nonconvergent_carries_result(self):
+        # a 1e-12 ripple keeps the level-to-level error near 2e-14
+        def g(x):
+            x = np.asarray(x)
+            return np.exp(-x) * (1.0 + 1e-12 * np.sin(1e7 * x))
+
+        with pytest.raises(NonConvergent) as info:
+            integrate(g, Support(0.0, math.inf), tol=1e-15)
+        r = info.value.result
+        assert r.value == 1.0000000000000016
+        assert r.error_estimate == pytest.approx(2.43e-14, rel=1e-2)
+        assert r.evaluations == 4457
 
 
 # --------------------------------------------------------- invert_monotone

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entroscope.core import builtin, rescale
-from entroscope.errors import DivergentIntegral, MissingDerivative, OutOfDomain
+from entroscope.errors import DivergentIntegral, MissingDerivative, OutOfDomain, Unbounded
 from entroscope.measures import (
     entropic_Sp,
     evaluate_measure,
@@ -192,6 +192,11 @@ class TestFisher:
 class TestFisherSup:
     def test_uniform_zero(self):
         assert fisher_sup(UNIF, 2) == 0.0
+
+    def test_exp_unbounded(self):
+        # |f^{-3/2} f'| = e^{x/2} grows without bound toward the infinite edge
+        with pytest.raises(Unbounded):
+            fisher_sup(EXP, 0.5)
 
     def test_exp_edge_max(self):
         # |f^0 f'| = e^{-x}, supremum 1 at the left edge

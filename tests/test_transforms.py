@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entroscope.core import builtin, integrate
+from entroscope.core import Density, Support, builtin, integrate
 from entroscope.errors import TargetOutOfRange
 from entroscope.special import down_of_gg, gg_density, up_of_gg
 from entroscope.transforms import down, down_support_length, up
@@ -82,3 +82,54 @@ def test_down_level_zero_not_inverted():
     d = down(builtin("powerlaw", {"a": 2.0}), 2.0)
     with pytest.raises(TargetOutOfRange):
         d.invert_level(0.0)
+
+
+# deep tails: u(x) = (x + 1) e^{-x} for exp and sqrt(2/pi) e^{-x^2/2} for
+# halfgauss, read through the level inverter u(sigma(1/x)) at alpha = 3
+@pytest.mark.parametrize(
+    "name,xs,exact",
+    [
+        ("exp", (0.3, 2.0, 10.0, 50.0, 200.0, 600.0, 700.0), lambda x: (x + 1.0) * math.exp(-x)),
+        (
+            "halfgauss",
+            (0.3, 2.0, 10.0, 25.0, 35.0),
+            lambda x: math.sqrt(2.0 / math.pi) * math.exp(-x * x / 2.0),
+        ),
+    ],
+)
+def test_up_coordinate_deep_tail(name, xs, exact):
+    u = up(builtin(name), 3.0)
+    assert u.anchor == "upper"
+    for x in xs:
+        assert u.invert_level(1.0 / x) == pytest.approx(exact(x), rel=1e-13)
+
+
+def _cauchy() -> Density:
+    return Density(
+        support=Support(-math.inf, math.inf),
+        value=lambda x: 1.0 / (math.pi * (1.0 + np.asarray(x, dtype=float) ** 2)),
+        derivative=lambda x: -2.0 * np.asarray(x, dtype=float)
+        / (math.pi * (1.0 + np.asarray(x, dtype=float) ** 2) ** 2),
+        label="cauchy",
+    )
+
+
+def test_up_median_anchor():
+    # |x| f(x) is not integrable at either edge, so u is anchored at the
+    # median knot x = 0: |u| = ln(1 + x^2) / (2 pi) and U = 1/|x|
+    u = up(_cauchy(), 3.0)
+    assert u.anchor == "median"
+    assert u.support == Support(-math.inf, math.inf)
+    for s in (0.01, 0.3, 2.0, 3.0):
+        exact = (math.expm1(2.0 * math.pi * s)) ** -0.5
+        assert u(s) == pytest.approx(exact, rel=1e-12)
+        assert u(-s) == pytest.approx(exact, rel=1e-12)
+
+
+def test_up_far_side_marching():
+    # alpha = 2 on exp: the weighted density e^x e^{-x} is 1, the anchor is
+    # the lower edge, and u = -x, reached far beyond the knot table
+    u = up(builtin("exp"), 2.0)
+    assert u.anchor == "lower"
+    for s in (-0.5, -30.0, -1e4, -1e5, -1e7):
+        assert u.log_value(s) == pytest.approx(s, rel=1e-12)
