@@ -64,23 +64,11 @@ class Support:
             raise InvalidParams(f"support requires lower < upper, got ({self.lower}, {self.upper})")
 
     @property
-    def finite(self) -> bool:
-        return math.isfinite(self.lower) and math.isfinite(self.upper)
-
-    @property
     def length(self) -> float:
         return self.upper - self.lower
 
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lower + slack < x < self.upper - slack
-
-    def interior(self, x: float) -> float:
-        """Clamp x to the open interior, raising if it sits at/beyond an edge."""
-        if x <= self.lower + EDGE_SLACK * max(1.0, abs(self.lower)) and math.isfinite(self.lower):
-            raise EdgeIllConditioned(f"coordinate {x} at or beyond lower support edge {self.lower}")
-        if x >= self.upper - EDGE_SLACK * max(1.0, abs(self.upper)) and math.isfinite(self.upper):
-            raise EdgeIllConditioned(f"coordinate {x} at or beyond upper support edge {self.upper}")
-        return x
 
     def at(self, t: np.ndarray) -> np.ndarray:
         """Coordinates for fractions t in (0, 1): affine on a bounded support,
@@ -130,15 +118,11 @@ def _ts_nodes(h: float, odd_only: bool) -> np.ndarray:
 
 
 def _eval_batch(fn: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array, falling back to a scalar loop."""
+    """Evaluate fn on an array in one call; a constant result is broadcast."""
     with np.errstate(all="ignore"):
-        try:
-            out = np.asarray(fn(xs), dtype=float)
-            if out.shape == xs.shape:
-                return out
-        except Exception:
-            pass
-        return np.array([float(fn(float(x))) for x in xs], dtype=float)
+        out = np.asarray(fn(xs), dtype=float)
+    # np.broadcast_to costs ten times the shape test: keep it off the common path
+    return out if out.shape == xs.shape else np.broadcast_to(out, xs.shape)
 
 
 _TRUNC_EPS = 1e-17  # stop expanding a side once terms fall below eps * sum
@@ -431,6 +415,9 @@ def invert_monotone(
 # ---------------------------------------------------------------------------
 
 
+_LEVEL_TOL = 1e-13  # relative tolerance of Density.invert_level without an inverter
+
+
 @dataclass(frozen=True, eq=False)
 class Density:
     """Analytically specified density (or sub-probability weight) on a support.
@@ -472,7 +459,7 @@ class Density:
     def monotone(self) -> bool:
         return self.monotone_decreasing or self.monotone_increasing
 
-    def invert_level(self, y: float, tol: float = 1e-13) -> float:
+    def invert_level(self, y: float) -> float:
         """x with value(x) = y, for monotone densities."""
         if self.level_inverter is not None:
             return self.level_inverter(y)
@@ -484,7 +471,7 @@ class Density:
                 f"density {self.label!r} has no level inverter and unbounded support"
             )
         bracket = (lo + EDGE_SLACK, hi - EDGE_SLACK)
-        return invert_monotone(self.value, y, bracket, tol=tol, dg=self.derivative)
+        return invert_monotone(self.value, y, bracket, tol=_LEVEL_TOL, dg=self.derivative)
 
 
 def _pointwise(one: Callable[[float], float]) -> Callable:
@@ -501,19 +488,19 @@ def _pointwise(one: Callable[[float], float]) -> Callable:
 
 
 def _affine(f: Density, sigma: float, kappa: float, c: float, label: str) -> Density:
-    """Image of f under the coordinate change x = (sigma X + c) / kappa.
+    """Image of f under the coordinate change x = sigma X / kappa + c.
 
     sigma is +1 or -1 and kappa > 0.  The image is x -> kappa f(X) with
-    X = sigma (kappa x - c); every callable field of f is carried, and the
+    X = sigma kappa (x - c); every callable field of f is carried, and the
     monotone flags swap when sigma = -1.
     """
 
     def src(x):
-        return sigma * (kappa * (x if np.isscalar(x) else np.asarray(x)) - c)
+        return sigma * (kappa * ((x if np.isscalar(x) else np.asarray(x)) - c))
 
     def image(X):
         # adding c = 0 would turn an edge at -0.0 into +0.0
-        return (sigma * X + c) / kappa if c else sigma * X / kappa
+        return sigma * X / kappa + c if c else sigma * X / kappa
 
     d1 = sigma * kappa * kappa
     d2 = kappa**3

@@ -1,8 +1,9 @@
 """Informational functionals of a density: moments, entropies, Fisher-type.
 
-Every measure is a pure quadrature over the density's declared support.
-Supports containing the origin are split there before integrating, since
-|x|^p weights and symmetrized densities are kinked or singular at 0.
+Every measure is a pure quadrature over the density's declared support,
+run to the fixed relative tolerance _TOL = 1e-10.  Supports containing the
+origin are split there before integrating, since |x|^p weights and
+symmetrized densities are kinked or singular at 0.
 
 Negative moment orders are accepted (they arise in the mirrored parameter
 domain); a divergent integral raises DivergentIntegral rather than
@@ -39,6 +40,7 @@ __all__ = [
 # Rényi orders within this distance of 1 route to the Shannon branch to
 # avoid catastrophic cancellation in 1/(1 - lambda).
 _SHANNON_WINDOW = 1e-9
+_TOL = 1e-10  # relative tolerance of every measure's quadrature
 _SUP_GRID = 400  # probe points of fisher_sup
 
 
@@ -57,9 +59,9 @@ def _split_points(f: Density) -> tuple:
     return (0.0,) if f.support.contains(0.0) else ()
 
 
-def _quad(f: Density, integrand, tol: float = 1e-10, points: Optional[tuple] = None) -> QuadResult:
+def _quad(f: Density, integrand, points: Optional[tuple] = None) -> QuadResult:
     pts = _split_points(f) if points is None else points
-    return integrate(integrand, f.support, tol=tol, points=pts)
+    return integrate(integrand, f.support, tol=_TOL, points=pts)
 
 
 def _log_pair(f: Density):
@@ -80,7 +82,7 @@ def _log_pair(f: Density):
     return lv, ld
 
 
-def typical_deviation(f: Density, p: float, tol: float = 1e-10) -> float:
+def typical_deviation(f: Density, p: float) -> float:
     """sigma_p: p-th absolute moment to the power 1/p.
 
     p = 0 returns exp(<log|x|>); p = inf returns the essential supremum of
@@ -91,15 +93,15 @@ def typical_deviation(f: Density, p: float, tol: float = 1e-10) -> float:
         lo, hi = f.support.lower, f.support.upper
         return max(abs(lo), abs(hi))
     if p == 0:
-        r = _quad(f, lambda x: f.value(x) * np.log(np.abs(np.asarray(x, dtype=float))), tol=tol)
+        r = _quad(f, lambda x: f.value(x) * np.log(np.abs(np.asarray(x, dtype=float))))
         return math.exp(r.value)
-    r = _quad(f, lambda x: np.abs(np.asarray(x, dtype=float)) ** p * f.value(x), tol=tol)
+    r = _quad(f, lambda x: np.abs(np.asarray(x, dtype=float)) ** p * f.value(x))
     if r.value <= 0:
         raise DivergentIntegral(f"absolute moment of order {p} is not positive")
     return r.value ** (1.0 / p)
 
 
-def log_moment(f: Density, p: float, tol: float = 1e-10) -> float:
+def log_moment(f: Density, p: float) -> float:
     """sigma_p^(L) = int f |log|x||^p dx (the integral itself, no 1/p root)."""
     if p < 0:
         raise InvalidParams("log_moment requires p >= 0")
@@ -110,29 +112,28 @@ def log_moment(f: Density, p: float, tol: float = 1e-10) -> float:
     r = _quad(
         f,
         lambda x: f.value(x) * np.abs(np.log(np.abs(np.asarray(x, dtype=float)))) ** p,
-        tol=tol,
         points=tuple(sorted(pts)),
     )
     return r.value
 
 
-def exp_moment(f: Density, p: float, tol: float = 1e-10) -> float:
+def exp_moment(f: Density, p: float) -> float:
     """sigma_p^(E) = <e^{-p x}>^{1/p}."""
     if p == 0:
         raise InvalidParams("exp_moment requires p != 0")
-    r = _quad(f, lambda x: np.exp(-p * np.asarray(x, dtype=float)) * f.value(x), tol=tol)
+    r = _quad(f, lambda x: np.exp(-p * np.asarray(x, dtype=float)) * f.value(x))
     return r.value ** (1.0 / p)
 
 
-def renyi_power(f: Density, lam: float, tol: float = 1e-10) -> float:
+def renyi_power(f: Density, lam: float) -> float:
     """Rényi entropy power N_lambda = (int f^lambda)^{1/(1-lambda)}; N_1 = e^S."""
     if abs(lam - 1.0) < _SHANNON_WINDOW:
-        return math.exp(shannon(f, tol=tol))
-    r = _quad(f, lambda x: f.value(x) ** lam, tol=tol)
+        return math.exp(shannon(f))
+    r = _quad(f, lambda x: f.value(x) ** lam)
     return r.value ** (1.0 / (1.0 - lam))
 
 
-def shannon(f: Density, tol: float = 1e-10) -> float:
+def shannon(f: Density) -> float:
     """Shannon entropy S = -int f log f."""
 
     def integrand(x):
@@ -141,18 +142,18 @@ def shannon(f: Density, tol: float = 1e-10) -> float:
             out = np.where(v > 0.0, -v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
         return out
 
-    return _quad(f, integrand, tol=tol).value
+    return _quad(f, integrand).value
 
 
-def tsallis(f: Density, lam: float, tol: float = 1e-10) -> float:
+def tsallis(f: Density, lam: float) -> float:
     """Tsallis entropy via the one-to-one map from the Rényi power."""
     if abs(lam - 1.0) < _SHANNON_WINDOW:
-        return shannon(f, tol=tol)
-    n = renyi_power(f, lam, tol=tol)
+        return shannon(f)
+    n = renyi_power(f, lam)
     return (n ** (1.0 - lam) - 1.0) / (1.0 - lam)
 
 
-def fisher_integral(f: Density, p: float, lam: float, tol: float = 1e-10) -> float:
+def fisher_integral(f: Density, p: float, lam: float) -> float:
     """Raw Fisher-type integral  int |f^{lam-2} f'|^p f dx  (no root applied).
 
     Accepts any p != 0; negative orders occur in the mirrored domain and in
@@ -172,16 +173,16 @@ def fisher_integral(f: Density, p: float, lam: float, tol: float = 1e-10) -> flo
         # genuine zeros of f (log = -inf) contribute nothing
         return np.where(np.isneginf(lv), 0.0, out)
 
-    return _quad(f, integrand, tol=tol).value
+    return _quad(f, integrand).value
 
 
-def fisher(f: Density, p: float, lam: float, tol: float = 1e-10) -> float:
+def fisher(f: Density, p: float, lam: float) -> float:
     """(p, lambda)-Fisher information phi_{p,lambda} = (int |f^{lam-2} f'|^p f)^{1/(p lam)}."""
     if p == 0:
         raise InvalidParams("fisher requires p != 0")
     if lam == 0:
         raise OutOfDomain("fisher requires lambda != 0 (see fisher_zero for the limit)")
-    v = fisher_integral(f, p, lam, tol=tol)
+    v = fisher_integral(f, p, lam)
     if v == 0.0 and p * lam < 0:
         raise DivergentIntegral("Fisher integral is zero under a negative root")
     return v ** (1.0 / (p * lam))
@@ -242,13 +243,13 @@ def fisher_sup(f: Density, lam: float) -> float:
     return float(best)
 
 
-def fisher_zero(f: Density, q: float, tol: float = 1e-10) -> float:
+def fisher_zero(f: Density, q: float) -> float:
     """F_{q,0}[f] = int (|f'| / f^2)^q f dx (un-rooted): the lambda = 0
     Fisher integral."""
-    return fisher_integral(f, q, 0.0, tol=tol)
+    return fisher_integral(f, q, 0.0)
 
 
-def entropic_Sp(f: Density, p: float, tol: float = 1e-10) -> float:
+def entropic_Sp(f: Density, p: float) -> float:
     """S-bar_p = (int f |ln f|^p)^{1/p}."""
     if not p > 0:
         raise InvalidParams("entropic_Sp requires p > 0")
@@ -268,59 +269,40 @@ def entropic_Sp(f: Density, p: float, tol: float = 1e-10) -> float:
             lg = np.where(v > 0.0, np.log(np.where(v > 0.0, v, 1.0)), 0.0)
         return v * np.abs(lg) ** p
 
-    r = _quad(f, integrand, tol=tol, points=tuple(sorted(pts)))
+    r = _quad(f, integrand, points=tuple(sorted(pts)))
     return r.value ** (1.0 / p)
 
 
 # ---------------------------------------------------------------- registry
 
-MEASURE_IDS = (
-    "sigma",
-    "sigmaL",
-    "sigmaE",
-    "renyiN",
-    "shannon",
-    "tsallis",
-    "fisher",
-    "fisherSup",
-    "fisherZero",
-    "Sbar",
-)
+# id -> (measure, names of its parameters in call order)
+_MEASURES = {
+    "sigma": (typical_deviation, ("p",)),
+    "sigmaL": (log_moment, ("p",)),
+    "sigmaE": (exp_moment, ("p",)),
+    "renyiN": (renyi_power, ("lambda",)),
+    "shannon": (shannon, ()),
+    "tsallis": (tsallis, ("lambda",)),
+    "fisher": (fisher, ("p", "lambda")),
+    "fisherSup": (fisher_sup, ("lambda",)),
+    "fisherZero": (fisher_zero, ("q",)),
+    "Sbar": (entropic_Sp, ("p",)),
+}
+MEASURE_IDS = tuple(_MEASURES)
 
 
-def evaluate_measure(measure_id: str, f: Density, tol: float = 1e-10, **params) -> dict:
+def evaluate_measure(measure_id: str, f: Density, **params) -> dict:
     """Evaluate a measure by its stable string id; returns value and an
-    error estimate suitable for machine-readable reports."""
-    mid = measure_id
-    p = params.get("p")
-    lam = params.get("lam", params.get("lambda"))
-    q = params.get("q")
-
-    def need(name, val):
-        if val is None:
-            raise InvalidParams(f"measure {mid!r} requires parameter {name!r}")
-        return float(val)
-
-    if mid == "sigma":
-        value = typical_deviation(f, need("p", p), tol=tol)
-    elif mid == "sigmaL":
-        value = log_moment(f, need("p", p), tol=tol)
-    elif mid == "sigmaE":
-        value = exp_moment(f, need("p", p), tol=tol)
-    elif mid == "renyiN":
-        value = renyi_power(f, need("lambda", lam), tol=tol)
-    elif mid == "shannon":
-        value = shannon(f, tol=tol)
-    elif mid == "tsallis":
-        value = tsallis(f, need("lambda", lam), tol=tol)
-    elif mid == "fisher":
-        value = fisher(f, need("p", p), need("lambda", lam), tol=tol)
-    elif mid == "fisherSup":
-        value = fisher_sup(f, need("lambda", lam))
-    elif mid == "fisherZero":
-        value = fisher_zero(f, need("q", q), tol=tol)
-    elif mid == "Sbar":
-        value = entropic_Sp(f, need("p", p), tol=tol)
-    else:
+    error estimate suitable for machine-readable reports.  The parameter
+    lambda may be passed as `lam` or `lambda`."""
+    if measure_id not in _MEASURES:
         raise InvalidParams(f"unknown measure id {measure_id!r}")
-    return {"measure": mid, "value": float(value), "error_estimate": tol * max(1.0, abs(value))}
+    fn, names = _MEASURES[measure_id]
+    args = []
+    for name in names:
+        val = params.get("lam", params.get("lambda")) if name == "lambda" else params.get(name)
+        if val is None:
+            raise InvalidParams(f"measure {measure_id!r} requires parameter {name!r}")
+        args.append(float(val))
+    value = fn(f, *args)
+    return {"measure": measure_id, "value": float(value), "error_estimate": _TOL * max(1.0, abs(value))}

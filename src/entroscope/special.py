@@ -44,6 +44,13 @@ __all__ = [
     "up_of_gg",
 ]
 
+_MASS_TOL = 1e-10  # relative tolerance of mirror_gg's mass
+_QUAD_TOL = 1e-12  # relative tolerance of arcsin_gen and arcsinh_gen
+_INV_TOL = 1e-11  # relative tolerance of sin_gen and sinh_gen
+_GAMMA_REL = 1e-10  # largest relative error bound inc_gamma_upper returns
+_EPS = np.finfo(float).eps
+
+
 def _beta(a: float, b: float) -> float:
     """Beta function via the Gamma product; valid for non-pole arguments,
     including the formal continuation to negative non-integers."""
@@ -273,7 +280,7 @@ def gg_density(p: float, lam: float, mode: str = "half") -> Density:
     )
 
 
-def mirror_gg(p: float, lam: float, tol: float = 1e-10) -> Density:
+def mirror_gg(p: float, lam: float) -> Density:
     """Family member with the modulus-flipped deformation sign:
 
         a_{p,lambda} (1 - |lambda-1| t^{p*})_+^{1/(lambda-1)}  on (0, edge).
@@ -310,7 +317,7 @@ def mirror_gg(p: float, lam: float, tol: float = 1e-10) -> Density:
                 good, -A * e * c * ps * t ** (ps - 1.0) * np.where(good, b, 1.0) ** (e - 1.0), 0.0
             )
 
-    mass = integrate(val, Support(0.0, edge), tol=tol).value
+    mass = integrate(val, Support(0.0, edge), tol=_MASS_TOL).value
     return Density(
         support=Support(0.0, edge),
         value=val,
@@ -327,7 +334,7 @@ def mirror_gg(p: float, lam: float, tol: float = 1e-10) -> Density:
 # ---------------------------------------------------------------------------
 
 
-def arcsin_gen(v: float, b: float, x: float, tol: float = 1e-12) -> float:
+def arcsin_gen(v: float, b: float, x: float) -> float:
     """arcsin_{v,b}(x) = int_0^x (1 - t^b)^{-1/v} dt for x in [0, 1]."""
     if not b > 0:
         raise OutOfDomain("arcsin_gen requires b > 0")
@@ -342,7 +349,7 @@ def arcsin_gen(v: float, b: float, x: float, tol: float = 1e-12) -> float:
             return (1.0 - t**b) ** (-1.0 / v)
 
     if x < 0.75:
-        return integrate(integrand, Support(0.0, x), tol=tol).value
+        return integrate(integrand, Support(0.0, x), tol=_QUAD_TOL).value
 
     # split so the (possibly singular) edge t = 1 becomes an origin in the
     # substituted variable u = 1 - t, where 1 - (1-u)^b = -expm1(b log1p(-u))
@@ -352,8 +359,8 @@ def arcsin_gen(v: float, b: float, x: float, tol: float = 1e-12) -> float:
         with np.errstate(all="ignore"):
             return (-np.expm1(b * np.log1p(-u))) ** (-1.0 / v)
 
-    head = integrate(integrand, Support(0.0, 0.5), tol=tol / 2).value
-    tail = integrate(integrand_sub, Support(1.0 - x, 0.5), tol=tol / 2).value
+    head = integrate(integrand, Support(0.0, 0.5), tol=_QUAD_TOL / 2).value
+    tail = integrate(integrand_sub, Support(1.0 - x, 0.5), tol=_QUAD_TOL / 2).value
     return head + tail
 
 
@@ -366,12 +373,12 @@ def _arcsin_quarter(v: float, b: float) -> float:
         return math.inf
 
 
-def sin_gen(v: float, b: float, y: float, tol: float = 1e-11) -> float:
+def sin_gen(v: float, b: float, y: float) -> float:
     """Principal-branch inverse of arcsin_gen: sin_{v,b}(y) in [0, 1]."""
     if not b > 0:
         raise OutOfDomain("sin_gen requires b > 0")
     ymax = _arcsin_quarter(v, b)
-    if y < -tol or (math.isfinite(ymax) and y > ymax * (1.0 + 1e-12) + tol):
+    if y < -_INV_TOL or (math.isfinite(ymax) and y > ymax * (1.0 + 1e-12) + _INV_TOL):
         raise OutOfDomain(f"sin_gen argument {y} outside principal branch [0, {ymax}]")
     y = min(max(y, 0.0), ymax)
     if y == 0.0:
@@ -385,10 +392,10 @@ def sin_gen(v: float, b: float, y: float, tol: float = 1e-11) -> float:
             return math.inf
         return base ** (-1.0 / v)
 
-    return invert_monotone(lambda t: arcsin_gen(v, b, t), y, (0.0, 1.0), tol=tol, dg=dg)
+    return invert_monotone(lambda t: arcsin_gen(v, b, t), y, (0.0, 1.0), tol=_INV_TOL, dg=dg)
 
 
-def arcsinh_gen(v: float, b: float, x: float, tol: float = 1e-12) -> float:
+def arcsinh_gen(v: float, b: float, x: float) -> float:
     """arcsinh_{v,b}(x) = int_0^x (1 + t^b)^{-1/v} dt for x >= 0."""
     if not b > 0:
         raise OutOfDomain("arcsinh_gen requires b > 0")
@@ -402,7 +409,7 @@ def arcsinh_gen(v: float, b: float, x: float, tol: float = 1e-12) -> float:
         with np.errstate(all="ignore"):
             return (1.0 + t**b) ** (-1.0 / v)
 
-    return integrate(integrand, Support(0.0, x), tol=tol).value
+    return integrate(integrand, Support(0.0, x), tol=_QUAD_TOL).value
 
 
 @functools.lru_cache(maxsize=256)
@@ -411,7 +418,7 @@ def _arcsinh_limit(v: float, b: float) -> float:
     return arcsinh_gen(v, b, math.inf) if b / v > 1.0 else math.inf
 
 
-def sinh_gen(v: float, b: float, y: float, tol: float = 1e-11) -> float:
+def sinh_gen(v: float, b: float, y: float) -> float:
     """Inverse of arcsinh_gen on its range."""
     if y < 0:
         raise OutOfDomain("sinh_gen requires y >= 0")
@@ -430,7 +437,7 @@ def sinh_gen(v: float, b: float, y: float, tol: float = 1e-11) -> float:
         with np.errstate(all="ignore"):
             return (1.0 + t**b) ** (-1.0 / v)
 
-    return invert_monotone(lambda t: arcsinh_gen(v, b, t), y, (0.0, hi), tol=tol, dg=dg)
+    return invert_monotone(lambda t: arcsinh_gen(v, b, t), y, (0.0, hi), tol=_INV_TOL, dg=dg)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +449,8 @@ def inc_gamma_upper(a: float, x: float) -> float:
 
     scipy's regularized gammaincc times Gamma(a) for a > 0; non-positive
     non-integer orders are lifted by the recursion
-    Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a.
+    Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a, which raises OutOfRange
+    where its cancellation leaves a relative error bound above _GAMMA_REL.
     """
     if x < 0:
         raise OutOfRange("inc_gamma_upper requires x >= 0")
@@ -453,9 +461,21 @@ def inc_gamma_upper(a: float, x: float) -> float:
             raise OutOfRange("Gamma(a, 0) diverges for a <= 0")
         n = int(math.ceil(-a)) + 1
         g = inc_gamma_upper(a + n, x)
+        lx = math.log(x)
+        err = _EPS  # relative error bound of g
         for j in range(n - 1, -1, -1):
             aj = a + j
-            g = (g - math.exp(-x + aj * math.log(x))) / aj
+            t = math.exp(-x + aj * lx)
+            # t carries the rounding of its exponent; the difference g - t
+            # amplifies both errors by the cancellation
+            err_t = _EPS * (1.0 + x + abs(aj * lx))
+            err = (err * abs(g) + err_t * t) / max(abs(g - t), math.ulp(0.0)) + _EPS
+            g = (g - t) / aj
+        if err > _GAMMA_REL:
+            raise OutOfRange(
+                f"Gamma({a}, {x}): the recursion from order {a + n} cancels "
+                f"(relative error bound {err:.1e})"
+            )
         return g
     return float(gammaincc(a, x) * _gamma_fn(a))
 

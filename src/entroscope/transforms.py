@@ -41,12 +41,11 @@ from .core import (
     Density,
     QuadResult,
     Support,
+    _affine,
     _pointwise,
     integrate,
     invert_monotone,
     reflect,
-    rescale,
-    translate,
 )
 from .errors import (
     DivergentIntegral,
@@ -255,7 +254,7 @@ def down(f: Density, alpha: float) -> TransformedDensity:
         y = sigma_inv(s)
         if not (y_lo < y < y_hi):
             y = min(max(y, y_lo * (1.0 + 1e-15)), y_hi * (1.0 - 1e-15))
-        return float(f.invert_level(y, tol=1e-13)), y
+        return float(f.invert_level(y)), y
 
     def log_kernel(s: float) -> Optional[float]:
         """log(y^alpha / |f'(x)|) at the source point of s, or None where
@@ -332,7 +331,7 @@ def down(f: Density, alpha: float) -> TransformedDensity:
     )
 
 
-def _probe_grid(f: Density, n: int = 65) -> np.ndarray:
+def _probe_grid(f: Density, n: int) -> np.ndarray:
     return f.support.at(np.linspace(0.0, 1.0, n + 2)[1:-1])
 
 
@@ -851,7 +850,10 @@ def compose_downdown(f: Density, alpha: float, beta: float) -> TransformedDensit
 
 
 def tail_classify_down(eta: float, alpha: float) -> TailReport:
-    """Tail regime of down_alpha applied to a density with f' ~ -C x^{-eta-1}."""
+    """Tail regime of down_alpha applied to a density with f' ~ -C x^{-eta-1}.
+
+    An algebraic tail decays as D(s) ~ s^(-exponent) for s -> inf.
+    """
     if not eta > 1:
         raise InvalidEta("tail classification requires eta > 1")
     a = float(alpha)
@@ -865,7 +867,11 @@ def tail_classify_down(eta: float, alpha: float) -> TailReport:
 
 
 def tail_classify_up(eta: float, alpha: float) -> TailReport:
-    """Tail regime of up_alpha applied to a density with f ~ C x^{-eta}."""
+    """Tail regime of up_alpha applied to a density with f ~ C x^{-eta}.
+
+    An algebraic tail goes as U(u) ~ |u|^exponent for |u| -> inf (the
+    exponent is negative); note the sign opposite to tail_classify_down.
+    """
     if not eta > 1:
         raise InvalidEta("tail classification requires eta > 1")
     a = float(alpha)
@@ -886,40 +892,35 @@ def tail_classify_up(eta: float, alpha: float) -> TailReport:
 # ---------------------------------------------------------------------------
 
 
-def _probe_points(sup: Support) -> np.ndarray:
-    lo, hi = sup.lower, sup.upper
-    if math.isfinite(lo) and math.isfinite(hi):
-        return lo + (hi - lo) * np.array([0.25, 0.45, 0.7])
-    if math.isfinite(lo):
-        return lo + np.array([0.3, 0.8, 1.7])
-    if math.isfinite(hi):
-        return hi - np.array([0.3, 0.8, 1.7])
-    return np.array([-1.0, 0.0, 1.0])
-
-
 def _aligned_candidate(d: Density, target: Density, flip: bool) -> Optional[Density]:
-    out = reflect(d) if flip else d
-    d_lo_fin = math.isfinite(out.support.lower)
-    d_hi_fin = math.isfinite(out.support.upper)
-    t_lo_fin = math.isfinite(target.support.lower)
-    t_hi_fin = math.isfinite(target.support.upper)
-    if (d_lo_fin, d_hi_fin) != (t_lo_fin, t_hi_fin):
+    """d under x = sigma X / kappa + c, sigma = -1 when flipped, with its
+    finite edges moved onto the target's; None when the supports differ in
+    which edges are finite."""
+    sigma = -1.0 if flip else 1.0
+    lo, hi = sorted((sigma * d.support.lower, sigma * d.support.upper))
+    t_lo, t_hi = target.support.lower, target.support.upper
+    finite = (math.isfinite(lo), math.isfinite(hi))
+    if finite != (math.isfinite(t_lo), math.isfinite(t_hi)):
         return None
-    if d_lo_fin and d_hi_fin:
-        len_d = out.support.length
-        len_t = target.support.length
+    kappa = 1.0
+    if all(finite):
+        len_d, len_t = hi - lo, t_hi - t_lo
         if abs(len_d - len_t) > 1e-12 * max(len_d, len_t):
-            out = rescale(out, len_d / len_t)
-        return translate(out, target.support.lower - out.support.lower)
-    if d_lo_fin:
-        return translate(out, target.support.lower - out.support.lower)
-    if d_hi_fin:
-        return translate(out, target.support.upper - out.support.upper)
-    return out
+            kappa = len_d / len_t
+    if finite[0]:
+        c = t_lo - lo / kappa
+    elif finite[1]:
+        c = t_hi - hi / kappa
+    else:
+        c = 0.0
+    if sigma == 1.0 and kappa == 1.0 and c == 0.0:
+        return d
+    return _affine(d, sigma, kappa, c, f"gauge_align({d.label})")
 
 
 def gauge_align(d: Density, target: Density) -> Density:
-    """Affine image of d whose support matches the target's.
+    """Affine image of d whose support matches the target's, built with
+    one affine map.
 
     The transforms are defined up to a translation (and an orientation flip
     when the canonical anchor sits at the opposite edge), so comparisons
@@ -942,7 +943,7 @@ def gauge_align(d: Density, target: Density) -> Density:
         return d
     if len(candidates) == 1:
         return candidates[0]
-    pts = _probe_points(target.support)
+    pts = target.support.at(np.array([0.25, 0.45, 0.7]))
     tv = np.array([float(target.value(p)) for p in pts])
 
     def score(c: Density) -> float:

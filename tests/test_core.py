@@ -119,6 +119,24 @@ class TestIntegrate:
         assert r.error_estimate == pytest.approx(2.43e-14, rel=1e-2)
         assert r.evaluations == 4457
 
+    def test_raising_integrand_called_once_on_an_array(self):
+        # an exception from an array call propagates; the chunk is not
+        # evaluated again point by point
+        array_calls = []
+
+        def g(x):
+            if np.ndim(x):
+                array_calls.append(len(x))
+                raise ValueError("no arrays")
+            return math.exp(-x)
+
+        with pytest.raises(ValueError):
+            integrate(g, Support(0.0, 1.0))
+        assert len(array_calls) == 1
+
+    def test_constant_integrand(self):
+        assert integrate(lambda x: 2.0, Support(0.0, 3.0)).value == pytest.approx(6.0, rel=1e-14)
+
 
 # --------------------------------------------------------- invert_monotone
 class TestInvertMonotone:
@@ -284,7 +302,7 @@ class TestReflectTranslate:
 
 
 # (map, sigma, kappa, c): each map sends a source coordinate X to
-# x = (sigma X + c) / kappa and a density f to x -> kappa f(X)
+# x = sigma X / kappa + c and a density f to x -> kappa f(X)
 AFFINE_MAPS = [
     pytest.param(lambda f: rescale(f, 1.7), 1.0, 1.7, 0.0, id="rescale"),
     pytest.param(reflect, -1.0, 1.0, 0.0, id="reflect"),
@@ -299,7 +317,7 @@ class TestAffineFields:
         g = amap(f)
         lk = math.log(kappa)
         for X in (0.2, 1.0, 2.5):
-            x = (sigma * X + c) / kappa
+            x = sigma * X / kappa + c
             assert g(x) == pytest.approx(kappa * f(X), rel=1e-13)
             assert g.d(x) == pytest.approx(sigma * kappa**2 * f.d(X), rel=1e-13)
             assert g.dd(x) == pytest.approx(kappa**3 * f.dd(X), rel=1e-13)
@@ -308,7 +326,7 @@ class TestAffineFields:
             assert g.log_abs_derivative(x) == pytest.approx(
                 2 * lk + f.log_abs_derivative(X), rel=1e-13, abs=1e-15
             )
-        ends = sorted((sigma * e + c) / kappa for e in (f.support.lower, f.support.upper))
+        ends = sorted(sigma * e / kappa + c for e in (f.support.lower, f.support.upper))
         assert (g.support.lower, g.support.upper) == tuple(ends)
         assert g.mass == f.mass
         dec, inc = f.monotone_decreasing, f.monotone_increasing
@@ -319,7 +337,7 @@ class TestAffineFields:
         d = down(builtin("halfgauss", {"sigma": 1}), 3.0)
         g = amap(d)
         X = d.support.lower + 1.0
-        v = g((sigma * X + c) / kappa)
+        v = g(sigma * X / kappa + c)
         assert type(v) is float
         assert v == pytest.approx(kappa * d(X), rel=1e-12)
 

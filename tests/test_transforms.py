@@ -8,7 +8,15 @@ import pytest
 from entroscope.core import Density, Support, builtin, integrate
 from entroscope.errors import TargetOutOfRange
 from entroscope.special import down_of_gg, gg_density, up_of_gg
-from entroscope.transforms import down, down_support_length, up
+from entroscope.transforms import (
+    double_down_admissible,
+    down,
+    down_support_length,
+    gauge_align,
+    tail_classify_down,
+    tail_classify_up,
+    up,
+)
 
 GG_PARAMS = [(2.0, 0.7), (3.0, 1.0), (2.0, 1.5)]
 INTERIOR_T = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
@@ -133,3 +141,69 @@ def test_up_far_side_marching():
     assert u.anchor == "lower"
     for s in (-0.5, -30.0, -1e4, -1e5, -1e7):
         assert u.log_value(s) == pytest.approx(s, rel=1e-12)
+
+
+# derivatives of numeric images: derivative against a central difference of
+# value, log_abs_derivative against log |derivative|
+@pytest.mark.parametrize(
+    "transform,name,alpha",
+    [
+        (down, "exp", 3.0),
+        (down, "halfgauss", 1.5),
+        (down, "pareto", 2.0),
+        (up, "halfgauss", 3.0),
+        (up, "exp", 1.5),
+        (up, "pareto", 3.0),
+    ],
+)
+def test_image_derivatives(transform, name, alpha):
+    d = transform(builtin(name), alpha)
+    for s in d.support.at(np.array([0.2, 0.4, 0.6, 0.8])):
+        s = float(s)
+        h = 1e-5 * max(1.0, abs(s))
+        der = d.derivative(s)
+        assert (d(s + h) - d(s - h)) / (2.0 * h) == pytest.approx(der, rel=1e-8)
+        assert d.log_abs_derivative(s) == pytest.approx(math.log(abs(der)), rel=1e-15, abs=1e-15)
+
+
+def _loglog_slope(d, s1: float, s2: float) -> float:
+    return (math.log(d(s2)) - math.log(d(s1))) / math.log(s2 / s1)
+
+
+@pytest.mark.parametrize("eta", [3.0, 4.5])
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+def test_tail_exponent_down(eta, alpha):
+    d = down(builtin("pareto", {"eta": eta}), alpha)
+    assert d.support.upper == math.inf
+    report = tail_classify_down(eta, alpha)
+    assert report.regime == "algebraic"
+    assert _loglog_slope(d, 1e6, 1e7) == pytest.approx(-report.exponent, rel=1e-12)
+
+
+@pytest.mark.parametrize("eta,alpha", [(3.0, 2.25), (3.0, 2.4), (4.0, 2.2)])
+def test_tail_exponent_up(eta, alpha):
+    u = up(builtin("pareto", {"eta": eta}), alpha)
+    assert u.support.lower == -math.inf
+    report = tail_classify_up(eta, alpha)
+    assert report.regime == "algebraic"
+    assert _loglog_slope(u, -1e3, -1e4) == pytest.approx(report.exponent, rel=2e-4)
+
+
+def test_double_down_admissible_threshold():
+    # f f''/f'^2 = 1 everywhere for exp; alpha must exceed it by the margin
+    f = builtin("exp")
+    assert not double_down_admissible(f, 1.0 + 1e-9)
+    assert double_down_admissible(f, 1.0 + 2e-9)
+
+
+# up(down(f)) is f again up to the gauge; bounds are the round trip's
+# errors at the interior points (halfgauss loses digits in the up coordinate)
+@pytest.mark.parametrize("name,bound", [("exp", 1e-14), ("halfgauss", 1e-7), ("pareto", 1e-12)])
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_gauge_aligned_round_trip(name, bound, alpha):
+    f = builtin(name)
+    g = gauge_align(up(down(f, alpha), alpha), f)
+    assert g.support == f.support
+    for x in f.support.at(np.array([0.1, 0.3, 0.5, 0.7])):
+        x = float(x)
+        assert g(x) == pytest.approx(float(f(x)), rel=bound)
