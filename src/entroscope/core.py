@@ -410,6 +410,19 @@ def invert_monotone(
     return 0.5 * (a + b)
 
 
+def _march(g: Callable[[float], float], target: float, x0: float, step: float) -> float:
+    """A bracket end past x0 toward an infinite edge: the first of x0 + step,
+    x0 + 2 step, x0 + 4 step, ... (at most 64 doublings) where g lies on the
+    other side of target from g(x0)."""
+    below = g(x0) < target
+    for _ in range(64):
+        x = x0 + step
+        if (g(x) < target) != below:
+            break
+        step *= 2.0
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Density
 # ---------------------------------------------------------------------------
@@ -472,6 +485,28 @@ class Density:
             )
         bracket = (lo + EDGE_SLACK, hi - EDGE_SLACK)
         return invert_monotone(self.value, y, bracket, tol=_LEVEL_TOL, dg=self.derivative)
+
+
+def _log_pair(f: Density):
+    """(log f, log |f'|) callables, analytic when the density carries both.
+
+    Otherwise they are logs of the linear values: log f is -inf where f is
+    0, a genuine zero that carries no mass, and log |f'| is nan where |f'|
+    under- or overflowed, since its log is then unknown.
+    """
+    if f.log_value is not None and f.log_abs_derivative is not None:
+        return f.log_value, f.log_abs_derivative
+
+    def lv(x):
+        with np.errstate(all="ignore"):
+            return np.log(np.asarray(f.value(x), dtype=float))
+
+    def ld(x):
+        with np.errstate(all="ignore"):
+            out = np.log(np.abs(np.asarray(f.derivative(x), dtype=float)))
+            return out + (out - out)  # out - out: 0 where finite, nan where infinite
+
+    return lv, ld
 
 
 def _pointwise(one: Callable[[float], float]) -> Callable:
@@ -764,7 +799,9 @@ def parse_density(spec: str) -> Density:
 # quantiles
 # ---------------------------------------------------------------------------
 
-_QUANTILE_TOL = 1e-10  # relative tolerance of each quantile
+_QUANTILE_TOL = 1e-10
+# relative tolerance of each quantile's cumulative fraction, not of x: where
+# f is small the bound on x is looser (pareto(eta=1.5) at 1 - 1e-6: 2e-4)
 
 
 def quantiles(f: Density, qs: Sequence[float]) -> np.ndarray:
@@ -797,8 +834,10 @@ def quantiles(f: Density, qs: Sequence[float]) -> np.ndarray:
             return base + integrate(f.value, Support(a, x), tol=1e-12).value
 
         b = edges[j + 1]
-        a_eff = a if math.isfinite(a) else min(b - 1.0, -1e8)
-        b_eff = b if math.isfinite(b) else max(a + 1.0, 1e8)
+        # an outer segment with an infinite edge is bracketed by marching
+        # out from its knot, in steps of the outermost knot spacing
+        a_eff = a if math.isfinite(a) else _march(cdf_local, targ, b, knots[0] - knots[1])
+        b_eff = b if math.isfinite(b) else _march(cdf_local, targ, a, knots[-1] - knots[-2])
         out[i] = invert_monotone(
             cdf_local, targ, (a_eff + 1e-300, b_eff), tol=_QUANTILE_TOL, dg=lambda x: float(f.value(x))
         )

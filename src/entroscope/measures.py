@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Density, QuadResult, Support, integrate
+from .core import Density, QuadResult, _log_pair, integrate
 from .errors import DivergentIntegral, InvalidParams, MissingDerivative, OutOfDomain, Unbounded
 
 __all__ = [
@@ -62,24 +62,6 @@ def _split_points(f: Density) -> tuple:
 def _quad(f: Density, integrand, points: Optional[tuple] = None) -> QuadResult:
     pts = _split_points(f) if points is None else points
     return integrate(integrand, f.support, tol=_TOL, points=pts)
-
-
-def _log_pair(f: Density):
-    """(log f, log |f'|) callables, analytic when the density carries them."""
-    if f.log_value is not None and f.log_abs_derivative is not None:
-        return f.log_value, f.log_abs_derivative
-
-    def lv(x):
-        v = np.asarray(f.value(x), dtype=float)
-        with np.errstate(all="ignore"):
-            return np.where(v > 0, np.log(np.where(v > 0, v, 1.0)), -math.inf)
-
-    def ld(x):
-        dv = np.asarray(f.derivative(x), dtype=float)
-        with np.errstate(all="ignore"):
-            return np.log(np.abs(dv))
-
-    return lv, ld
 
 
 def typical_deviation(f: Density, p: float) -> float:

@@ -44,7 +44,6 @@ __all__ = [
     "up_of_gg",
 ]
 
-_MASS_TOL = 1e-10  # relative tolerance of mirror_gg's mass
 _QUAD_TOL = 1e-12  # relative tolerance of arcsin_gen and arcsinh_gen
 _INV_TOL = 1e-11  # relative tolerance of sin_gen and sinh_gen
 _GAMMA_REL = 1e-10  # largest relative error bound inc_gamma_upper returns
@@ -287,13 +286,18 @@ def mirror_gg(p: float, lam: float) -> Density:
 
     For lambda > 1 this is the ordinary restricted member (mass 1/2); for
     lambda < 1 it is the formal mirrored-domain member, divergent at its
-    support edge, with the Beta-formula constant continued formally.
+    support edge, with the Beta-formula constant continued formally.  With
+    w = |lambda-1| t^{p*} the mass is A t_e B(1/p*, e+1) / p*, e = 1/(lambda-1),
+    t_e the support edge: finite exactly when e > -1, so lambda in [0, 1)
+    raises DivergentIntegral.
     """
     if lam == 1 or p in (0, 1):
         raise OutOfDomain("mirror_gg requires lambda != 1 and p not in {0, 1}")
     ps = holder_conjugate(p)
-    if ps == 0:
-        raise OutOfDomain("mirror_gg requires p* != 0")
+    if not ps > 0:
+        # for p* < 0 the bracket 1 - |lambda-1| t^{p*} is negative on all of
+        # (0, edge): the member vanishes and the mass formula does not apply
+        raise OutOfDomain("mirror_gg requires p > 1 or p < 0 (p* > 0)")
     second = lam / abs(1.0 - lam) + (1.0 / p if 1.0 - lam > 0 else 0.0)
     A = ps * abs(1.0 - lam) ** (1.0 / ps) / (2.0 * _beta(1.0 / ps, second))
     if not (math.isfinite(A) and A > 0):
@@ -301,6 +305,10 @@ def mirror_gg(p: float, lam: float) -> Density:
     edge = abs(lam - 1.0) ** (-1.0 / ps)
     c = abs(lam - 1.0)
     e = 1.0 / (lam - 1.0)
+    if not e > -1.0:
+        raise DivergentIntegral(
+            f"mirror_gg mass diverges at its support edge for lambda = {lam} (e = {e:g} <= -1)"
+        )
 
     def val(t):
         t = np.asarray(t, dtype=float)
@@ -317,7 +325,7 @@ def mirror_gg(p: float, lam: float) -> Density:
                 good, -A * e * c * ps * t ** (ps - 1.0) * np.where(good, b, 1.0) ** (e - 1.0), 0.0
             )
 
-    mass = integrate(val, Support(0.0, edge), tol=_MASS_TOL).value
+    mass = A * edge * _beta(1.0 / ps, e + 1.0) / ps
     return Density(
         support=Support(0.0, edge),
         value=val,

@@ -5,20 +5,18 @@ Both transforms rest on one canonical variable change of order alpha,
     sigma_alpha(y) = y^{2-alpha} / (alpha - 2)    (alpha != 2)
     sigma_alpha(y) = -ln y                        (alpha = 2).
 
-The down transformation sends a strictly decreasing density f to
-f(x(s))^alpha / |f'(x(s))| at s(x) = sigma_alpha(f(x)), and the up
-transformation is its inverse: the image value at a source point x is
-sigma_alpha^{-1}(+-x), with the sign that puts the argument in the range of
-sigma_alpha, at the coordinate
+Each image has a closed-form kernel at the source point x, in log space:
 
-    u'(x) = -|(alpha-2)x|^{1/(alpha-2)} f(x)      (u'(x) = -e^x f(x) at alpha = 2),
+    down:  log D = alpha log f - log |f'|            at s = sigma_alpha(f(x)),
+    up:    log U = log |(alpha-2) x| / (2 - alpha)   at u(x)   (-x at alpha = 2),
 
-anchored at the upper support edge, falling back to the lower edge and then
-to the median knot when the defining primitive diverges.  u is cumulated
-once over a table of knots, and u(x) is u at the nearest knot between x and
-the anchor plus the weighted mass from that knot to x (see
-`_UpCoords.u_of_x`).  Both transforms are evaluated numerically: each value
-costs one monotone inversion of the variable change.
+with log |D'| = (2 alpha - 2) log f - log |f'| + log |alpha - f f''/f'^2| and
+log |U'| = alpha log U - log f.  `_image_fields` lifts a kernel to the four
+pointwise fields: value = exp(log value), derivative = sign exp(log |D'|).
+Per point, only the source point is found numerically: for down through
+the level inverter of f, for up by inverting u, with u'(x) = -f(x)/U(x),
+anchored at the upper support edge (else the lower edge, else the median
+knot) and cumulated once over a table of knots (see `_UpCoords.u_of_x`).
 
 Increasing densities are handled by reflecting x -> -x before transforming;
 the transforms are gauge-fixed only up to translation (and the reflection
@@ -42,6 +40,8 @@ from .core import (
     QuadResult,
     Support,
     _affine,
+    _log_pair,
+    _march,
     _pointwise,
     integrate,
     invert_monotone,
@@ -85,8 +85,8 @@ _ADMISSIBLE_MARGIN = 1e-9  # alpha must exceed the observed sup by this much
 
 @dataclass(frozen=True, eq=False)
 class TransformedDensity(Density):
-    """A density produced by a down or up transform, evaluated lazily via
-    monotone inversion of the canonical variable change."""
+    """A density produced by a down or up transform, evaluated lazily from
+    its kernel at the source point of each coordinate."""
 
     source: Optional[Density] = None
     alpha: float = 0.0
@@ -216,6 +216,41 @@ def _canonical(a: float):
     return sigma, sigma_inv
 
 
+def _image_fields(locate, log_value, log_derivative):
+    """(value, log_value, derivative, log_abs_derivative) of an image from
+    its kernel at the source point.
+
+    locate maps an image coordinate to its source point, or to None beyond
+    reach, where the image has decayed below double precision (value 0).
+    log_value(point) is nan where the image value cannot be formed, and
+    value raises EdgeIllConditioned there.  log_derivative(point) gives
+    (log |derivative|, sign); without it the image has no derivative fields.
+    """
+
+    def log_value_at(t: float) -> float:
+        point = locate(t)
+        return -math.inf if point is None else log_value(point)
+
+    def value(t: float) -> float:
+        lv = log_value_at(t)
+        if math.isnan(lv):
+            raise EdgeIllConditioned(f"image value cannot be formed at the source point of {t}")
+        return math.exp(lv)
+
+    if log_derivative is None:
+        return _pointwise(value), _pointwise(log_value_at), None, None
+
+    def pair(t: float) -> tuple[float, float]:
+        point = locate(t)
+        return (-math.inf, 0.0) if point is None else log_derivative(point)
+
+    def derivative(t: float) -> float:
+        ld, sign = pair(t)
+        return sign * math.exp(ld)
+
+    return tuple(_pointwise(g) for g in (value, log_value_at, derivative, lambda t: pair(t)[0]))
+
+
 # ---------------------------------------------------------------------------
 # down transformation
 # ---------------------------------------------------------------------------
@@ -247,42 +282,25 @@ def down(f: Density, alpha: float) -> TransformedDensity:
     y_hi = sup_f if math.isfinite(sup_f) else 1e300
     y_lo = max(inf_f, 1e-300)
 
-    def source(s: float) -> tuple[float, float]:
-        """(x, y): the source point of s and its level y = f(x).  y is pulled
+    lv_f, ld_f = _log_pair(f)
+
+    def log_kernel(x: float, log_y: float) -> float:
+        """log D = alpha log y - log |f'(x)| at a source point x of level y;
+        nan where log |f'| is unknown."""
+        return a * log_y - float(ld_f(x))
+
+    def locate(s: float) -> tuple[float, float]:
+        """(x, log y): the source point of s and its level y.  y is pulled
         inside (y_lo, y_hi) only when it falls outside: tanh-sinh nodes sit
         within 1e-15 of the bounds, and moving them would move integrals."""
         y = sigma_inv(s)
         if not (y_lo < y < y_hi):
             y = min(max(y, y_lo * (1.0 + 1e-15)), y_hi * (1.0 - 1e-15))
-        return float(f.invert_level(y)), y
-
-    def log_kernel(s: float) -> Optional[float]:
-        """log(y^alpha / |f'(x)|) at the source point of s, or None where
-        neither |f'| nor an analytic log |f'| gives it."""
-        x, y = source(s)
-        dv = abs(float(f.derivative(x)))
-        if dv == 0.0 or not math.isfinite(dv):
-            # fall back to the analytic log-derivative where the linear-scale
-            # derivative under- or overflows (deep edge coordinates)
-            if f.log_abs_derivative is None:
-                return None
-            return a * math.log(y) - float(f.log_abs_derivative(x))
-        return a * math.log(y) - math.log(dv)
-
-    def value(s: float) -> float:
-        lk = log_kernel(s)
-        if lk is None:
-            raise EdgeIllConditioned(f"source derivative vanishes at the preimage of s = {s}")
-        return math.exp(lk)
-
-    def log_value(s: float) -> float:
-        lk = log_kernel(s)
-        return math.inf if lk is None else lk
+        return float(f.invert_level(y)), math.log(y)
 
     # image monotonicity: sign of dD/ds is -sign(alpha - f f''/f'^2)
     mono_dec = mono_inc = False
-    der = None
-    log_der = None
+    log_derivative = None
     if f.second_derivative is not None:
         rs = _curvature_ratio(f, 65)
         if rs.size:
@@ -291,38 +309,32 @@ def down(f: Density, alpha: float) -> TransformedDensity:
             elif a < float(rs.min()) - 1e-9:
                 mono_inc = True
 
-        def source_jet(s: float) -> tuple[float, float, float]:
-            x, _ = source(s)
-            return float(f.value(x)), float(f.derivative(x)), float(f.second_derivative(x))
+        def log_derivative(point: tuple[float, float]) -> tuple[float, float]:
+            """(log |D'|, sign D') from f, f' and f'' at the source point."""
+            x, _ = point
+            v, dv, ddv = (np.float64(g(x)) for g in (f.value, f.derivative, f.second_derivative))
+            with np.errstate(all="ignore"):
+                m = a - v * ddv / dv**2
+                log_mag = (2 * a - 2.0) * float(lv_f(x)) - float(ld_f(x)) + float(np.log(abs(m)))
+            return log_mag, float(np.sign(dv) * np.sign(m))
 
-        def derivative(s: float) -> float:
-            v, dv, ddv = source_jet(s)
-            return v ** (2 * a - 2.0) / dv * (a - v * ddv / dv**2)
-
-        def log_abs_derivative(s: float) -> float:
-            v, dv, ddv = source_jet(s)
-            mag = abs(a - v * ddv / dv**2)
-            if mag == 0.0 or v <= 0.0:
-                return -math.inf
-            return (2 * a - 2.0) * math.log(v) - math.log(abs(dv)) + math.log(mag)
-
-        der = _pointwise(derivative)
-        log_der = _pointwise(log_abs_derivative)
-
+    value, log_value, der, log_der = _image_fields(
+        locate, lambda point: log_kernel(*point), log_derivative
+    )
     inverter = None
     if mono_dec or mono_inc:
-        inverter = _down_level_inverter(f, a, sigma)
+        inverter = _down_level_inverter(f, sigma, lambda x: math.exp(log_kernel(x, float(lv_f(x)))))
 
     return TransformedDensity(
         support=sup,
-        value=_pointwise(value),
+        value=value,
         derivative=der,
         monotone_decreasing=mono_dec,
         monotone_increasing=mono_inc,
         label=f"down({f.label},alpha={a:g})",
         mass=f.mass,
         level_inverter=inverter,
-        log_value=_pointwise(log_value),
+        log_value=log_value,
         log_abs_derivative=log_der,
         source=f,
         alpha=a,
@@ -345,19 +357,14 @@ def _curvature_ratio(f: Density, n: int) -> np.ndarray:
     return r[np.isfinite(r)]
 
 
-def _down_level_inverter(f: Density, a: float, sigma):
-    """Level inversion of a monotone down image: solve f^alpha/|f'| = y in x,
-    then map back through sigma.  Brackets come from a table of
-    (x, f^alpha/|f'|) on the source, sorted by value, built at the first
-    inversion: building it with the image would double the cost of down()
-    for images never inverted.  A level beyond the outermost table node is
-    bracketed against the source edge on that side."""
-
-    def g(x: float) -> float:
-        v = float(f.value(x))
-        dv = abs(float(f.derivative(x)))
-        with np.errstate(all="ignore"):
-            return math.exp(a * math.log(v) - math.log(dv)) if v > 0 and dv > 0 else math.inf
+def _down_level_inverter(f: Density, sigma, g):
+    """Level inversion of a monotone down image: solve g(x) = f^alpha/|f'| = y
+    in x, then map back through sigma.  Brackets come from a table of
+    (x, g(x)) on the source, sorted by value, built at the first inversion:
+    building it with the image would double the cost of down() for images
+    never inverted.  A level beyond the outermost table node is bracketed
+    against the source edge on that side, moved EDGE_SLACK inside, or past
+    the node by marching toward an infinite edge."""
 
     @functools.cache
     def table():
@@ -366,22 +373,6 @@ def _down_level_inverter(f: Density, a: float, sigma):
         good = np.isfinite(gs)
         order = np.argsort(gs[good])
         return xs[good][order], gs[good][order]
-
-    def beyond(x0: float, step: float, y: float) -> float:
-        """A point past the outermost node x0, in the direction of step, with
-        g on the other side of y: the source edge moved EDGE_SLACK inside, or
-        for an infinite edge the first of x0 + step, x0 + 2 step, ... (at
-        most 64 doublings)."""
-        edge = f.support.upper if step > 0 else f.support.lower
-        if math.isfinite(edge):
-            return edge - math.copysign(EDGE_SLACK * max(1.0, abs(edge)), step)
-        below = g(x0) < y
-        for _ in range(64):
-            x = x0 + step
-            if (g(x) < y) != below:
-                break
-            step *= 2.0
-        return x
 
     def inverter(y: float) -> float:
         if not y > 0.0:
@@ -393,7 +384,13 @@ def _down_level_inverter(f: Density, a: float, sigma):
             bracket = (xs[j - 1], xs[j])
         else:
             k, inner = (0, 1) if j == 0 else (-1, -2)
-            bracket = (xs[k], beyond(xs[k], xs[k] - xs[inner], y))
+            step = xs[k] - xs[inner]
+            edge = f.support.upper if step > 0 else f.support.lower
+            if math.isfinite(edge):
+                far = edge - math.copysign(EDGE_SLACK * max(1.0, abs(edge)), step)
+            else:
+                far = _march(g, y, xs[k], step)
+            bracket = (xs[k], far)
         x = invert_monotone(g, y, (min(bracket), max(bracket)), tol=1e-12)
         return sigma(float(f.value(x)))
 
@@ -426,36 +423,6 @@ def _wf_integral(wf, lo: float, hi: float) -> float:
     return r.value
 
 
-def _up_weight(alpha: float):
-    """(weight, log-weight) callables for the up variable change."""
-    a = float(alpha)
-    if a == 2.0:
-
-        def w(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(all="ignore"):
-                return np.exp(x)
-
-        def logw(x):
-            return np.asarray(x, dtype=float)
-
-        return w, logw
-
-    e = 1.0 / (a - 2.0)
-
-    def w(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            return np.abs((a - 2.0) * x) ** e
-
-    def logw(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            return e * np.log(np.abs((a - 2.0) * x))
-
-    return w, logw
-
-
 def up(f: Density, alpha: float) -> TransformedDensity:
     """Up transformation of a density (no monotonicity required).
 
@@ -468,85 +435,45 @@ def up(f: Density, alpha: float) -> TransformedDensity:
             "weighted change of variable is not integrable across an interior origin "
             f"for alpha = {a}"
         )
-    w, logw = _up_weight(a)
+    # log U = log |(a-2) x| / (2-a) at the source point x, -x at a = 2
+    if a == 2.0:
 
-    if f.log_value is not None:
-        # log-space product: e^x-type weights overflow long before the
-        # weighted integrand itself stops being representable
-        def wf(x):
-            with np.errstate(all="ignore"):
-                return np.exp(logw(x) + np.asarray(f.log_value(x), dtype=float))
+        def log_u(x):
+            return -np.asarray(x, dtype=float)
 
     else:
+        e = 1.0 / (a - 2.0)
 
-        def wf(x):
+        def log_u(x):
             with np.errstate(all="ignore"):
-                return w(x) * np.asarray(f.value(x), dtype=float)
+                return -e * np.log(np.abs((a - 2.0) * np.asarray(x, dtype=float)))
+
+    lv_f, _ = _log_pair(f)
+
+    def wf(x):
+        """The weighted density f/U, -du/dx, in log space: e^x-type weights
+        overflow long before the weighted density stops being representable."""
+        with np.errstate(all="ignore"):
+            return np.exp(np.asarray(lv_f(x), dtype=float) - log_u(x))
 
     coords = _UpCoords(f, wf)
-    u_of_x = coords.u_of_x
-    x_of_u = coords.x_of_u
-    sigma, sigma_inv = _canonical(a)
+    sigma, _ = _canonical(a)
 
-    def value(u: float) -> float:
-        x = x_of_u(u)
-        if math.isnan(x):
-            return 0.0
-        # U = sigma_inv(+-x), with the sign that puts the argument in the
-        # range of sigma; for alpha = 2 that range is the whole line
-        return sigma_inv(x if a == 2.0 or (a - 2.0) * x > 0.0 else -x)
+    def sign_u(x: float) -> float:
+        return 1.0 if a == 2.0 else float(np.sign((a - 2.0) * x))
 
-    def log_value(u: float) -> float:
-        x = x_of_u(u)
-        if math.isnan(x):
-            return -math.inf
-        if a == 2.0:
-            return -x
-        m = abs((a - 2.0) * x)
-        return (1.0 / (2.0 - a)) * math.log(m) if m > 0 else -math.inf
+    def log_derivative(x: float) -> tuple[float, float]:
+        """(log |U'|, sign U') = (a log U - log f, sign((a-2) x))."""
+        return a * float(log_u(x)) - float(lv_f(x)), sign_u(x)
 
-    # dU/du = sign((a-2)x) |(a-2)x|^{a/(2-a)} / f(x);  for a = 2: +e^{-2x}/f(x)
-    def derivative(u: float) -> float:
-        x = x_of_u(u)
-        if math.isnan(x):
-            return 0.0
-        v = float(f.value(x))
-        if a == 2.0:
-            return math.exp(-2.0 * x) / v
-        m = (a - 2.0) * x
-        return math.copysign(abs(m) ** (a / (2.0 - a)), m) / v
+    value, log_value, derivative, log_abs_derivative = _image_fields(
+        coords.x_of_u, lambda x: float(log_u(x)), log_derivative
+    )
 
-    def log_abs_derivative(u: float) -> float:
-        x = x_of_u(u)
-        if math.isnan(x):
-            return -math.inf
-        if f.log_value is not None:
-            lv = float(f.log_value(x))
-        else:
-            v = float(f.value(x))
-            lv = math.log(v) if v > 0 else -math.inf
-        if a == 2.0:
-            return -2.0 * x - lv
-        m = abs((a - 2.0) * x)
-        lm = math.log(m) if m > 0 else -math.inf
-        return (a / (2.0 - a)) * lm - lv
-
-    # image monotonicity: sign of dU/du is sign((a-2)x), fixed when the
-    # source support does not straddle the origin; for alpha = 2 the
-    # derivative e^{-2x}/f is positive on any support
-    mono_dec = mono_inc = False
-    if a == 2.0:
-        mono_inc = True
-    elif f.support.lower >= 0.0:
-        if a < 2.0:
-            mono_dec = True
-        else:
-            mono_inc = True
-    elif f.support.upper <= 0.0:
-        if a < 2.0:
-            mono_inc = True
-        else:
-            mono_dec = True
+    # image monotonicity: the sign of U' is fixed when the source support
+    # does not straddle the origin (at alpha = 2, on any support)
+    signs = {sign_u(x) for x in (f.support.lower, f.support.upper)} - {0.0}
+    mono_inc, mono_dec = signs == {1.0}, signs == {-1.0}
     # level inversion via sigma, the inverse of the value map
     inverter = None
     if mono_dec or mono_inc:
@@ -556,19 +483,19 @@ def up(f: Density, alpha: float) -> TransformedDensity:
             if a != 2.0:
                 # the preimage has the sign of the source support
                 x = abs(x) if f.support.lower >= 0.0 else -abs(x)
-            return u_of_x(x)
+            return coords.u_of_x(x)
 
     return TransformedDensity(
         support=coords.sup,
-        value=_pointwise(value),
-        derivative=_pointwise(derivative),
+        value=value,
+        derivative=derivative,
         monotone_decreasing=mono_dec,
         monotone_increasing=mono_inc,
         label=f"up({f.label},alpha={a:g})",
         mass=f.mass,
         level_inverter=inverter,
-        log_value=_pointwise(log_value),
-        log_abs_derivative=_pointwise(log_abs_derivative),
+        log_value=log_value,
+        log_abs_derivative=log_abs_derivative,
         source=f,
         alpha=a,
         direction="up",
@@ -622,8 +549,8 @@ class _UpCoords:
     cumulated from the anchor with the image.  Inversions beyond them march
     further knots, used only to bracket.  A side whose preimages exhaust the
     float range records its reach; coordinates beyond reach on an unbounded
-    u-side return nan (the image value there has decayed beyond double
-    precision).
+    u-side have no source point, x_of_u gives None (the image value there
+    has decayed beyond double precision).
     """
 
     def __init__(self, f: Density, wf):
@@ -762,7 +689,7 @@ class _UpCoords:
         k, uk = (xs[j], us[j]) if j >= 0 else (ax, 0.0)
         return uk - self._mass(k, x)
 
-    def x_of_u(self, u: float) -> float:
+    def x_of_u(self, u: float) -> Optional[float]:
         for _ in range(400):
             us = self.us
             n = len(us)
@@ -774,15 +701,12 @@ class _UpCoords:
                 break
             direction = -1.0 if k == 0 else +1.0
             if not self._extend(direction):
-                if direction < 0:
-                    if math.isinf(self.sup.upper):
-                        return math.nan
-                    e = self.f.support.lower
-                    return e + EDGE_SLACK * max(1.0, abs(e))
-                if math.isinf(self.sup.lower):
-                    return math.nan
-                e = self.f.support.upper
-                return e - EDGE_SLACK * max(1.0, abs(e))
+                # past the last knot toward an unbounded u-side: beyond reach;
+                # toward a bounded one: the source edge moved EDGE_SLACK inside
+                if math.isinf(self.sup.upper if direction < 0 else self.sup.lower):
+                    return None
+                e = self.f.support.lower if direction < 0 else self.f.support.upper
+                return e - direction * EDGE_SLACK * max(1.0, abs(e))
         else:
             raise EdgeIllConditioned(f"could not bracket coordinate u = {u}")
 
@@ -799,13 +723,7 @@ class _UpCoords:
 
 def down_support_length(f: Density, alpha: float) -> float:
     """Length of the support of the down image, from the edge limits of f."""
-    base = reflect(f) if (f.monotone_increasing and not f.monotone_decreasing) else f
-    sigma, _ = _canonical(float(alpha))
-    s_lo = sigma(_edge_limit(base, "lower"))
-    s_hi = sigma(_edge_limit(base, "upper"))
-    if math.isinf(s_lo) or math.isinf(s_hi):
-        return math.inf
-    return abs(s_hi - s_lo)
+    return down(f, alpha).support.length
 
 
 def double_down_admissible(f: Density, alpha: float) -> AdmissibilityWitness:

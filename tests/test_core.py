@@ -356,3 +356,13 @@ class TestQuantiles:
     def test_support_supremum(self):
         f = builtin("uniform", {"a": 0, "b": 1})
         assert abs(quantiles(f, [0.999])[0] - 0.999) < 1e-6
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_heavy_tail_beyond_outer_knot(self, flip):
+        # pareto(eta=1.5): 1 - F(x) = x^{-1/2}, so the 1 - 1e-6 quantile is
+        # 1e12, far past the outermost knot; the 1e-10 tolerance is on the
+        # cumulative fraction and bounds x only to about 2e-4 there
+        f = builtin("pareto", {"eta": 1.5})
+        q, exact = (1.0 - 1e-6, 1e12) if not flip else (1e-6, -1e12)
+        (x,) = quantiles(reflect(f) if flip else f, [q])
+        assert x == pytest.approx(exact, rel=1e-3)

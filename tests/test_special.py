@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from entroscope.core import Support, integrate
-from entroscope.errors import OutOfDomain, OutOfRange
+from entroscope.errors import DivergentIntegral, OutOfDomain, OutOfRange
 from entroscope.special import (
     GGParams,
     arcsin_gen,
@@ -213,6 +213,36 @@ class TestGGDensity:
         assert abs(m(0.0 + 1e-300) - 0.75) < 1e-10
         assert abs(m.support.upper - 0.25) < 1e-14
         assert abs(m.mass - 0.5) < 1e-8  # integrable edge divergence
+
+    @pytest.mark.parametrize("p,lam", [(2, -0.2), (4, -0.3), (-1, -1)])
+    def test_mirror_gg_mass_closed_form(self, p, lam):
+        # against mpmath quadrature of the density at 40 digits, in the
+        # edge distance t = edge (1 - v^8), which resolves the edge divergence
+        mp = pytest.importorskip("mpmath")
+        m = mirror_gg(p, lam)
+        with mp.workdps(40):
+            ps = mp.mpf(p) / (p - 1)
+            c, e = abs(mp.mpf(lam) - 1), 1 / (mp.mpf(lam) - 1)
+            A = m(1e-300) / (1 - c * mp.mpf(1e-300) ** ps) ** e
+            edge = c ** (-1 / ps)
+
+            def weighted(v):
+                # 1 - c t^{p*} = 1 - (1 - v^8)^{p*}, without cancellation
+                return 8 * v**7 * edge * A * (-mp.expm1(ps * mp.log1p(-(v**8)))) ** e
+
+            ref = mp.quad(weighted, [0, 0.5, 1])
+        assert m.mass == pytest.approx(float(ref), rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [0.5, 0.0])
+    def test_mirror_gg_divergent_mass(self, lam):
+        # e = 1/(lambda - 1) <= -1: the edge divergence is not integrable
+        with pytest.raises(DivergentIntegral):
+            mirror_gg(2, lam)
+
+    def test_mirror_gg_requires_positive_pstar(self):
+        # p = 0.3 gives p* < 0: the member is 0 on its whole support
+        with pytest.raises(OutOfDomain):
+            mirror_gg(0.3, 1.5)
 
 
 # ------------------------------------------------------- generalized trig

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entroscope.core import Density, Support, builtin, integrate
-from entroscope.errors import TargetOutOfRange
+from entroscope.errors import EdgeIllConditioned, TargetOutOfRange
 from entroscope.special import down_of_gg, gg_density, up_of_gg
 from entroscope.transforms import (
     double_down_admissible,
@@ -34,8 +34,8 @@ def test_down_level_roundtrip(name):
 @pytest.mark.parametrize("p,lam", GG_PARAMS)
 def test_numeric_images_match_closed_forms(p, lam):
     g = gg_density(p, lam)
-    pairs = [(down(g, a), down_of_gg(p, lam, a)) for a in (1.5, 2.0, 3.0)]
-    pairs.append((up(g, 3.0), up_of_gg(p, lam, 3.0)))
+    pairs = [(down(g, a), down_of_gg(p, lam, a)) for a in (-1.0, 0.5, 1.5, 2.0, 3.0)]
+    pairs += [(up(g, a), up_of_gg(p, lam, a)) for a in (-1.0, 0.5, 3.0)]
     for numeric, closed in pairs:
         for s in numeric.support.at(INTERIOR_T):
             s = float(s)
@@ -112,6 +112,22 @@ def test_up_coordinate_deep_tail(name, xs, exact):
         assert u.invert_level(1.0 / x) == pytest.approx(exact(x), rel=1e-13)
 
 
+def test_down_value_not_formed_where_source_derivative_underflows():
+    # g_{3,0.7} carries no analytic log |f'|, and deep in its tail f'
+    # underflows to 0: the image value is unknown there, not infinite
+    d = down(gg_density(3.0, 0.7), 3.0)
+    with pytest.raises(EdgeIllConditioned):
+        d(1e280)
+
+
+def test_up_beyond_reach():
+    # exp at alpha = 2: U = e^{-x} at u = -x, far below double precision
+    u = up(builtin("exp"), 2.0)
+    assert u(-1e300) == 0.0
+    assert u.log_value(-1e300) == -math.inf
+    assert u.derivative(-1e300) == 0.0
+
+
 def _cauchy() -> Density:
     return Density(
         support=Support(-math.inf, math.inf),
@@ -151,9 +167,15 @@ def test_up_far_side_marching():
         (down, "exp", 3.0),
         (down, "halfgauss", 1.5),
         (down, "pareto", 2.0),
+        (down, "exp", 0.5),
+        (down, "pareto", -1.0),
+        (down, "halfgauss", 2.0),
         (up, "halfgauss", 3.0),
         (up, "exp", 1.5),
         (up, "pareto", 3.0),
+        (up, "exp", 0.5),
+        (up, "halfgauss", 2.0),
+        (up, "pareto", -1.0),
     ],
 )
 def test_image_derivatives(transform, name, alpha):
