@@ -6,12 +6,15 @@ integrated over that set; this convention is applied uniformly).
 
 Quadrature is tanh-sinh (double-exponential): endpoint-clustered nodes make
 integrable endpoint singularities routine, which transformed densities need
-constantly.  Infinite endpoints are mapped to (0, 1) by x = a + t/(1-t) and
-its mirror before the tanh-sinh rule is applied.
+constantly.  Infinite endpoints are mapped to (0, 1) by x = a + L t/(1-t),
+L = 2^floor(log2 max(1, |a|)), and its mirror before the tanh-sinh rule is
+applied: the map's scale follows the interval, and a power of two scales
+it exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -272,6 +275,9 @@ def _integrate_finite(g, a: float, b: float, tol: float, min_scale: float) -> Qu
 
 
 def _integrate_upper_inf(g, a: float, tol: float, min_scale: float) -> QuadResult:
+    L = math.ldexp(1.0, math.frexp(max(1.0, abs(a)))[1] - 1)
+    if L != 1.0:  # x = a + L y: the map below then follows the scale of a
+        return _integrate_upper_inf(lambda y: g(a + L * y) * L, 0.0, tol, min_scale)
     # x = a + t/(1-t) maps t in (0,1); near t=1 use x = a + (1-d)/d
     def gl(d):  # d = t, near 0: x near a
         t = d
@@ -410,17 +416,42 @@ def invert_monotone(
     return 0.5 * (a + b)
 
 
-def _march(g: Callable[[float], float], target: float, x0: float, step: float) -> float:
-    """A bracket end past x0 toward an infinite edge: the first of x0 + step,
-    x0 + 2 step, x0 + 4 step, ... (at most 64 doublings) where g lies on the
-    other side of target from g(x0)."""
-    below = g(x0) < target
-    for _ in range(64):
-        x = x0 + step
-        if (g(x) < target) != below:
-            break
-        step *= 2.0
-    return x
+def _march(
+    g: Callable[[float], float], target: float, x0: float, edge: float
+) -> Optional[tuple[float, float]]:
+    """A pair (x_prev, x_next) past x0 toward `edge` across which g passes
+    target, for g monotone on the way; g(x0) gives the side it starts on.
+
+    The step law: toward an infinite edge the i-th step (i = 0, 1, ...) is
+    max(1e-6, |x|) 2^(i-1), so x grows faster than geometrically; toward a
+    finite edge the distance to it is quartered, and squared once it is
+    below 1 after 40 steps, stopping at the float next to the edge.
+
+    None when g stops being finite (an OverflowError counts) or x runs out
+    of floats before g passes target: the target is beyond reach.
+    """
+    direction = 1.0 if edge > x0 else -1.0
+    x_prev = x0
+    try:
+        side = float(g(x0)) - target
+        for i in itertools.count():
+            if math.isfinite(edge):
+                dist = abs(edge - x_prev)
+                dist = dist / 4.0 if (i < 40 or dist >= 1.0) else dist * dist
+                # never closer than the float next to the edge
+                x = edge - direction * max(dist, abs(edge - math.nextafter(edge, x0)))
+            else:
+                x = x_prev + direction * max(1e-6, abs(x_prev)) * (0.5 * 2.0**i)
+            if x == x_prev or not math.isfinite(x):
+                return None
+            v = float(g(x))
+            if not math.isfinite(v):
+                return None
+            if (v - target) * side <= 0.0:
+                return x_prev, x
+            x_prev = x
+    except OverflowError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -805,40 +836,46 @@ _QUANTILE_TOL = 1e-10
 
 
 def quantiles(f: Density, qs: Sequence[float]) -> np.ndarray:
-    """Quantile coordinates of f at cumulative fractions qs (of f.mass)."""
+    """Quantile coordinates of f at cumulative fractions qs (of f.mass).
+
+    A fraction q above 1/2 is found as the x whose mass above it is
+    (1 - q) times the total, so the upper tail keeps the relative precision
+    of the lower one.  Both sides sum masses from one segment table and
+    integrate from x to the segment edge on their side.
+    """
     qs = np.asarray(qs, dtype=float)
     if np.any((qs <= 0) | (qs >= 1)):
         raise InvalidParams("quantile fractions must lie strictly inside (0, 1)")
-    lo, hi = f.support.lower, f.support.upper
-    knots = np.unique(f.support.clustered(64))
-    segs = [Support(lo, knots[0])] + [
-        Support(a, b) for a, b in zip(knots[:-1], knots[1:])
-    ] + [Support(knots[-1], hi)]
-    masses = []
-    for s in segs:
-        masses.append(integrate(f.value, s, tol=1e-11).value)
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    total = cum[-1]
-    edges = np.concatenate([[lo], knots, [hi]])
+    sup = f.support
+    edges = np.concatenate([[sup.lower], np.unique(sup.clustered(64)), [sup.upper]])
+    masses = [integrate(f.value, Support(a, b), tol=1e-11).value for a, b in zip(edges, edges[1:])]
+    below = np.concatenate([[0.0], np.cumsum(masses)])  # mass below each edge
+    above = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])  # and above it
+    total = below[-1]
+    n = len(masses)
     out = np.empty_like(qs)
     for i, q in enumerate(qs):
-        targ = q * total
-        j = int(np.searchsorted(cum, targ, side="right")) - 1
-        j = min(max(j, 0), len(segs) - 1)
-        a = edges[j]
-        base = cum[j]
+        upper = q > 0.5
+        targ = ((1.0 - q) if upper else q) * total
+        if upper:
+            j = n - int(np.searchsorted(above[::-1], targ, side="right"))
+        else:
+            j = int(np.searchsorted(below, targ, side="right")) - 1
+        j = min(max(j, 0), n - 1)
+        a, b = edges[j], edges[j + 1]
+        base = above[j + 1] if upper else below[j]
 
-        def cdf_local(x, a=a, base=base):
-            if x <= a:
-                return base
-            return base + integrate(f.value, Support(a, x), tol=1e-12).value
+        def frac(x):
+            s, t = (x, b) if upper else (a, x)
+            return base + integrate(f.value, Support(s, t), tol=1e-12).value if s < t else base
 
-        b = edges[j + 1]
         # an outer segment with an infinite edge is bracketed by marching
-        # out from its knot, in steps of the outermost knot spacing
-        a_eff = a if math.isfinite(a) else _march(cdf_local, targ, b, knots[0] - knots[1])
-        b_eff = b if math.isfinite(b) else _march(cdf_local, targ, a, knots[-1] - knots[-2])
-        out[i] = invert_monotone(
-            cdf_local, targ, (a_eff + 1e-300, b_eff), tol=_QUANTILE_TOL, dg=lambda x: float(f.value(x))
-        )
+        # out from its knot
+        bracket = (a, b)
+        if math.isinf(a) or math.isinf(b):
+            bracket = _march(frac, targ, *((b, a) if math.isinf(a) else (a, b)))
+        if bracket is None:
+            raise TargetOutOfRange(f"quantile {q} not reached before the support edge")
+        dg = lambda x: (-1.0 if upper else 1.0) * f.value(x)
+        out[i] = invert_monotone(frac, targ, bracket, tol=_QUANTILE_TOL, dg=dg)
     return out

@@ -29,6 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -323,7 +324,8 @@ def down(f: Density, alpha: float) -> TransformedDensity:
     )
     inverter = None
     if mono_dec or mono_inc:
-        inverter = _down_level_inverter(f, sigma, lambda x: math.exp(log_kernel(x, float(lv_f(x)))))
+        g = lambda x: math.exp(log_kernel(x, float(lv_f(x))))  # the image value at x
+        inverter = _down_level_inverter(f, sigma, g, sup, value)
 
     return TransformedDensity(
         support=sup,
@@ -357,14 +359,15 @@ def _curvature_ratio(f: Density, n: int) -> np.ndarray:
     return r[np.isfinite(r)]
 
 
-def _down_level_inverter(f: Density, sigma, g):
-    """Level inversion of a monotone down image: solve g(x) = f^alpha/|f'| = y
-    in x, then map back through sigma.  Brackets come from a table of
-    (x, g(x)) on the source, sorted by value, built at the first inversion:
-    building it with the image would double the cost of down() for images
-    never inverted.  A level beyond the outermost table node is bracketed
-    against the source edge on that side, moved EDGE_SLACK inside, or past
-    the node by marching toward an infinite edge."""
+def _down_level_inverter(f: Density, sigma, g, sup: Support, value):
+    """Level inversion of a monotone down image (support sup, values
+    value): solve g(x) = f^alpha/|f'| = y in x, then map back through sigma.
+    Brackets come from a table of (x, g(x)) on the source, sorted by value,
+    built at the first inversion: building it with the image would double
+    the cost of down() for images never inverted.  A level beyond the
+    outermost table node is bracketed by marching from that node toward the
+    source edge on its side (`core._march`); a level beyond reach raises
+    TargetOutOfRange."""
 
     @functools.cache
     def table():
@@ -384,15 +387,18 @@ def _down_level_inverter(f: Density, sigma, g):
             bracket = (xs[j - 1], xs[j])
         else:
             k, inner = (0, 1) if j == 0 else (-1, -2)
-            step = xs[k] - xs[inner]
-            edge = f.support.upper if step > 0 else f.support.lower
-            if math.isfinite(edge):
-                far = edge - math.copysign(EDGE_SLACK * max(1.0, abs(edge)), step)
-            else:
-                far = _march(g, y, xs[k], step)
-            bracket = (xs[k], far)
-        x = invert_monotone(g, y, (min(bracket), max(bracket)), tol=1e-12)
-        return sigma(float(f.value(x)))
+            edge = f.support.upper if xs[k] > xs[inner] else f.support.lower
+            bracket = _march(g, y, xs[k], edge)
+            if bracket is None:
+                raise TargetOutOfRange(f"level {y} of a down image is beyond reach")
+        x = invert_monotone(g, y, bracket, tol=1e-12)
+        s = sigma(float(f.value(x)))
+        # where f(x) rounds onto its edge limit, s lands on the image's edge,
+        # where the image pulls its source level inside: s stands for y only
+        # if the image's value there is y
+        if not sup.contains(s) and not math.isclose(value(s), y, rel_tol=1e-12):
+            raise EdgeIllConditioned(f"level {y} of a down image is not resolved at its edge")
+        return s
 
     return inverter
 
@@ -545,12 +551,12 @@ def _anchor_and_cumulate(knots: np.ndarray, inner: np.ndarray, head: float, tail
 class _UpCoords:
     """Cumulative coordinate u(x) of an up transform and its inverse.
 
-    Built on the eager knots: _TABLE_N knots whose segment masses are
-    cumulated from the anchor with the image.  Inversions beyond them march
-    further knots, used only to bracket.  A side whose preimages exhaust the
-    float range records its reach; coordinates beyond reach on an unbounded
-    u-side have no source point, x_of_u gives None (the image value there
-    has decayed beyond double precision).
+    Built on _TABLE_N knots whose segment masses are cumulated from the
+    anchor with the image; nothing changes after construction.  An
+    inversion beyond the knots marches out from the outermost one
+    (`core._march`).  Where the march runs out of reach first on an
+    unbounded u-side, the coordinate has no source point and x_of_u gives
+    None (the image value there has decayed beyond double precision).
     """
 
     def __init__(self, f: Density, wf):
@@ -575,87 +581,8 @@ class _UpCoords:
         )
         edges = {"upper": f.support.upper, "lower": f.support.lower}
         self.anchor_x = edges.get(self.anchor, start)
-        self.knots = knots.tolist()  # eager: u_of_x starts from these only
+        self.knots = knots.tolist()
         self.u_knots = u_knots.tolist()
-        self.xs = list(self.knots)  # eager and marched: x_of_u brackets on these
-        self.us = list(self.u_knots)
-        self.lo_reach: Optional[float] = None  # u at the deepest reachable x above the table
-        self.hi_reach: Optional[float] = None  # u at the deepest reachable x below the table
-        self._iter_hi = 0
-        self._iter_lo = 0
-
-    # -- marching ----------------------------------------------------------
-    def _step(self, x_prev: float, direction: float, i: int) -> Optional[float]:
-        fsup = self.f.support
-        to_edge = (direction > 0 and math.isfinite(fsup.upper)) or (
-            direction < 0 and math.isfinite(fsup.lower)
-        )
-        if to_edge:
-            edge = fsup.upper if direction > 0 else fsup.lower
-            dist = abs(edge - x_prev)
-            dist_next = dist / 4.0 if (i < 40 or dist >= 1.0) else dist * dist
-            x_next = edge - math.copysign(dist_next, direction)
-            if direction > 0:
-                x_next = min(x_next, math.nextafter(edge, -math.inf))
-            else:
-                x_next = max(x_next, math.nextafter(edge, math.inf))
-        else:
-            step = max(1e-6, abs(x_prev)) * (0.5 * 2.0**i)
-            x_next = x_prev + direction * step
-        if x_next == x_prev or not math.isfinite(x_next):
-            return None
-        return x_next
-
-    def _extend(self, direction: float, n_steps: int = 4) -> bool:
-        """Append up to n_steps marched anchors on one side; False if the
-        side's reach is exhausted."""
-        if direction > 0:
-            if self.lo_reach is not None:
-                return False
-            x_prev, u_prev = self.xs[-1], self.us[-1]
-        else:
-            if self.hi_reach is not None:
-                return False
-            x_prev, u_prev = self.xs[0], self.us[0]
-        appended = False
-        base_i = self._iter_hi if direction > 0 else self._iter_lo
-        for i in range(base_i, base_i + n_steps):
-            x_next = self._step(x_prev, direction, i)
-            if x_next is None:
-                break
-            try:
-                with np.errstate(all="ignore"):
-                    probe = float(self.wf(x_next))
-            except (EdgeIllConditioned, DivergentIntegral):
-                probe = math.nan
-            if not math.isfinite(probe):
-                x_next = None
-                break
-            try:
-                u_next = self.u_of_x(x_next)
-            except (DivergentIntegral, EdgeIllConditioned):
-                x_next = None
-                break
-            if not math.isfinite(u_next) or abs(u_next) > _U_CAP:
-                x_next = None
-                break
-            if direction > 0:
-                self.xs.append(x_next)
-                self.us.append(u_next)
-                self._iter_hi = i + 1
-            else:
-                self.xs.insert(0, x_next)
-                self.us.insert(0, u_next)
-                self._iter_lo = i + 1
-            appended = True
-            x_prev, u_prev = x_next, u_next
-        if x_next is None:
-            if direction > 0:
-                self.lo_reach = u_prev
-            else:
-                self.hi_reach = u_prev
-            return appended
-        return True
 
     def _mass(self, lo: float, hi: float) -> float:
         if lo == hi:
@@ -664,14 +591,24 @@ class _UpCoords:
             return _wf_quad(self.wf, lo, hi).value  # unchecked: see u_of_x
         return _wf_integral(self.wf, lo, hi)
 
+    def _reached(self, x: float) -> float:
+        """u(x), or nan where x is beyond reach: the weighted density is not
+        finite there, its mass cannot be formed, or |u| passes _U_CAP."""
+        try:
+            if not math.isfinite(float(self.wf(x))):
+                return math.nan
+            u = self.u_of_x(x)
+        except (DivergentIntegral, EdgeIllConditioned):
+            return math.nan
+        return u if abs(u) <= _U_CAP else math.nan
+
     # -- public ------------------------------------------------------------
     def u_of_x(self, x: float) -> float:
-        """u at the nearest eager knot between x and the anchor, plus the
+        """u at the nearest knot between x and the anchor, plus the
         weighted mass between that knot and x; with no such knot (x beyond
         the table on the anchor side), the mass from x to the anchor.  Both
         terms have the sign of u, so u keeps full relative precision even
-        where it decays by hundreds of orders of magnitude.  Marched knots
-        never start a piece: near x ~ 1e162 they can sit 100x apart.
+        where it decays by hundreds of orders of magnitude.
 
         Every piece is checked against _STALL except the mass to an infinite
         anchor: where wf underflows on the way there, its error estimate is
@@ -690,30 +627,21 @@ class _UpCoords:
         return uk - self._mass(k, x)
 
     def x_of_u(self, u: float) -> Optional[float]:
-        for _ in range(400):
-            us = self.us
-            n = len(us)
-            rev = us[::-1]
-            j = int(np.searchsorted(rev, u))
-            k = n - j  # first index with u_knot < u
-            if 0 < k < n:
-                x_lo, x_hi = self.xs[k - 1], self.xs[k]
-                break
-            direction = -1.0 if k == 0 else +1.0
-            if not self._extend(direction):
-                # past the last knot toward an unbounded u-side: beyond reach;
-                # toward a bounded one: the source edge moved EDGE_SLACK inside
-                if math.isinf(self.sup.upper if direction < 0 else self.sup.lower):
-                    return None
-                e = self.f.support.lower if direction < 0 else self.f.support.upper
-                return e - direction * EDGE_SLACK * max(1.0, abs(e))
+        xs, us = self.knots, self.u_knots  # u falls as x grows
+        k = bisect.bisect_right(us, -u, key=operator.neg)  # first index with u_knot < u
+        if 0 < k < len(us):
+            bracket = (xs[k - 1], xs[k])
         else:
-            raise EdgeIllConditioned(f"could not bracket coordinate u = {u}")
-
-        def du(x):
-            return -float(self.wf(x))
-
-        return invert_monotone(self.u_of_x, u, (x_lo, x_hi), tol=1e-13, dg=du)
+            direction = -1.0 if k == 0 else +1.0
+            edge = self.f.support.lower if k == 0 else self.f.support.upper
+            bracket = _march(self._reached, u, xs[0] if k == 0 else xs[-1], edge)
+            if bracket is None:
+                # beyond reach toward an unbounded u-side; toward a bounded
+                # one, the source edge moved EDGE_SLACK inside
+                if math.isinf(self.sup.upper if k == 0 else self.sup.lower):
+                    return None
+                return edge - direction * EDGE_SLACK * max(1.0, abs(edge))
+        return invert_monotone(self.u_of_x, u, bracket, tol=1e-13, dg=lambda x: -float(self.wf(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,13 @@ class TestIntegrate:
     def test_constant_integrand(self):
         assert integrate(lambda x: 2.0, Support(0.0, 3.0)).value == pytest.approx(6.0, rel=1e-14)
 
+    def test_far_tail_map_follows_the_interval(self):
+        # (a, inf) is mapped by x = a + L t/(1-t) with L on the scale of a,
+        # so an interval far out takes a few hundred nodes at most
+        r = integrate(lambda x: 2 * x**-2, Support(1e89, math.inf), tol=1e-13, min_scale=0.0)
+        assert r.value == pytest.approx(2e-89, rel=1e-13)
+        assert r.evaluations <= 200
+
 
 # --------------------------------------------------------- invert_monotone
 class TestInvertMonotone:
@@ -366,3 +373,15 @@ class TestQuantiles:
         q, exact = (1.0 - 1e-6, 1e12) if not flip else (1e-6, -1e12)
         (x,) = quantiles(reflect(f) if flip else f, [q])
         assert x == pytest.approx(exact, rel=1e-3)
+
+    def test_upper_tail_by_complement(self):
+        # 1 - q is exact in floating point for q > 1/2; the exact quantiles
+        # of q are sqrt(2) erfinv(2q - 1) (mpmath, 40 digits) and -ln(1 - q)
+        q = 1.0 - 1e-9
+        g, e = quantiles(builtin("gauss"), [q])[0], quantiles(builtin("exp"), [q])[0]
+        assert g == pytest.approx(5.997807019601637, rel=1e-9)
+        assert e == pytest.approx(-math.log(1.0 - q), rel=1e-9)
+
+    def test_lower_tail(self):
+        (x,) = quantiles(builtin("gauss"), [1e-9])
+        assert x == pytest.approx(-5.99780701500769, rel=1e-10)

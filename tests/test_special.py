@@ -288,6 +288,11 @@ class TestGeneralizedTrig:
             y = arcsinh_gen(v, b, x)
             assert abs(sinh_gen(v, b, y) - x) < 1e-9 * max(1, x)
 
+    def test_sinh_roundtrip_far(self):
+        # the preimage lies far past any fixed bracket cap
+        y = arcsinh_gen(3, 2, 1e14)
+        assert sinh_gen(3, 2, y) == pytest.approx(1e14, rel=1e-9)
+
     def test_domain_errors(self):
         with pytest.raises(OutOfDomain):
             arcsin_gen(2, 2, 1.5)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from entroscope.core import Density, Support, builtin, integrate
-from entroscope.errors import EdgeIllConditioned, TargetOutOfRange
+from entroscope.errors import EdgeIllConditioned, EntroscopeError, TargetOutOfRange
 from entroscope.special import down_of_gg, gg_density, up_of_gg
 from entroscope.transforms import (
+    compose_downdown,
     double_down_admissible,
     down,
     down_support_length,
@@ -157,6 +158,34 @@ def test_up_far_side_marching():
     assert u.anchor == "lower"
     for s in (-0.5, -30.0, -1e4, -1e5, -1e7):
         assert u.log_value(s) == pytest.approx(s, rel=1e-12)
+
+
+def test_up_coordinates_stateless():
+    # a far coordinate comes out the same whatever was evaluated before it
+    def far(earlier):
+        u = up(builtin("exp"), 2.0)
+        for s in earlier:
+            u.log_value(s)
+        return u.log_value(-1e7)
+
+    fresh = far([])
+    assert far([-1e5, -3e4]) == fresh
+    assert far([-3e4, -1e5]) == fresh
+
+
+@pytest.mark.parametrize("alpha,beta", [(3.0, 3.0), (3.0, 1.5)])
+def test_double_down_preserves_mass(alpha, beta):
+    d = compose_downdown(builtin("exp"), alpha, beta)
+    assert abs(integrate(d, d.support, tol=1e-12).value - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta", [(3.0, 3.0), (1.5, 1.5), (3.0, 1.5)])
+def test_double_down_unresolved_edge_raises(alpha, beta):
+    # the first image of halfgauss is unbounded at its lower edge, where its
+    # coordinate cannot resolve the preimages of the second image's levels
+    d = compose_downdown(builtin("halfgauss"), alpha, beta)
+    with pytest.raises(EntroscopeError):
+        integrate(d, d.support, tol=1e-12)
 
 
 # derivatives of numeric images: derivative against a central difference of
