@@ -10,10 +10,20 @@ constantly.  Infinite endpoints are mapped to (0, 1) by x = a + L t/(1-t),
 L = 2^floor(log2 max(1, |a|)), and its mirror before the tanh-sinh rule is
 applied: the map's scale follows the interval, and a power of two scales
 it exactly.
+
+Each refinement level calls the integrand once, on an array that holds the
+level's nodes on both sides of the midpoint (the midpoint itself is a
+scalar call at level 0).  The abscissae and weight factors of each level
+are computed once, at unit half-width.  A side's sum stops at its first
+chunk of 8 terms below 1e-17 times the running sum, and the next level
+evaluates that side at most one chunk beyond it, so an integrand whose
+deep nodes are costly pays for at most 8 of them per side and level.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -109,112 +119,144 @@ _TMAX = 6.5          # truncation of the t-axis; handles x^(-s) edges up to s ~ 
 _PI_2 = math.pi / 2.0
 _HUGE = 1e50         # partial sums beyond this are treated as divergent
 _MAX_LEVEL = 10      # refinement levels (step h = 2^-level) before NonConvergent
-
-
-def _ts_nodes(h: float, odd_only: bool) -> np.ndarray:
-    """Positive t-abscissae for one refinement level."""
-    if odd_only:
-        ts = np.arange(h, _TMAX, 2.0 * h)
-    else:
-        ts = np.arange(0.0, _TMAX, h)
-    return ts
-
-
-def _eval_batch(fn: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array in one call; a constant result is broadcast."""
-    with np.errstate(all="ignore"):
-        out = np.asarray(fn(xs), dtype=float)
-    # np.broadcast_to costs ten times the shape test: keep it off the common path
-    return out if out.shape == xs.shape else np.broadcast_to(out, xs.shape)
-
-
-_TRUNC_EPS = 1e-17  # stop expanding a side once terms fall below eps * sum
+_TRUNC_EPS = 1e-17   # a side stops at its first chunk of terms below eps * sum
 _CHUNK = 8
 
 
-def _ts_level_sum(fn_left, fn_right, half: float, ts: np.ndarray, include_zero: bool):
-    """One tanh-sinh level: sum of weight * f over nodes at abscissae ts.
-
-    fn_left(delta) evaluates the integrand at distance delta from the lower
-    endpoint, fn_right(delta) at distance delta from the upper endpoint;
-    computing positions from the edge distance avoids catastrophic
-    cancellation for singular integrands.  Each side is expanded outward in
-    chunks and truncated once its terms are negligible, so deep nodes of a
-    decayed integrand are never evaluated (they can be very expensive for
-    transform-backed integrands).
-    """
+@functools.cache
+def _level_nodes(level: int):
+    """One level's abscissae t > 0 (multiples of h = 1 at level 0, odd
+    multiples of h = 2^-level after it) as a tuple, their edge distance
+    fractions 1 - tanh y = 2/(e^{2y} + 1), y = pi/2 sinh t, the weight
+    factors cosh t and cosh^2 y (kept apart, so that each weight is formed
+    as (half pi/2) cosh t / cosh^2 y in one order).  The midpoint t = 0 is
+    evaluated on its own."""
+    h = 2.0**-level
+    ts = np.arange(0.0, _TMAX, h) if level == 0 else np.arange(h, _TMAX, 2.0 * h)
     y = _PI_2 * np.sinh(ts)
-    # distance fraction from the nearer endpoint: (1 - tanh y) = 2 / (e^{2y} + 1)
     with np.errstate(over="ignore"):
-        dfrac = 2.0 / (np.exp(2.0 * y) + 1.0)
-        w = half * _PI_2 * np.cosh(ts) / np.cosh(y) ** 2
-    deltas = half * dfrac
+        arrays = [2.0 / (np.exp(2.0 * y) + 1.0), np.cosh(ts), np.cosh(y) ** 2]
+    arrays = [a[1:] if level == 0 else a for a in arrays]
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple((ts[1:] if level == 0 else ts).tolist()), *arrays
+
+
+def _side_sum(terms: np.ndarray, total: float, max_term: float):
+    """(terms used, total, largest term so far) after adding one side's
+    terms to the running sum `total` by chunks of _CHUNK: pairwise within
+    a chunk, in turn across chunks.  The side stops after its first chunk
+    whose largest term is at most _TRUNC_EPS max(|running sum|, largest
+    term so far) -- unless every term so far is 0: an integrand that
+    underflows near the midpoint must not stop a side before it reaches
+    the mass at the endpoint."""
+    n = len(terms)
+    if not n:
+        return 0, total, max_term
+    full = n - n % _CHUNK
+    parts = [(total,), np.add.reduce(terms[:full].reshape(-1, _CHUNK), axis=1)]
+    if full < n:
+        parts.append((np.add.reduce(terms[full:]),))
+    running = np.add.accumulate(np.concatenate(parts))[1:]
+    peaks = np.maximum.reduceat(np.abs(terms), np.arange(0, n, _CHUNK))
+    largest = np.maximum.accumulate(peaks)
+    np.maximum(largest, max_term, out=largest)
+    stop = (peaks <= _TRUNC_EPS * np.maximum(np.abs(running), largest)) & (largest > 0.0)
+    c = int(stop.argmax())
+    if not stop[c]:
+        c = len(stop) - 1
+    return min(n, (c + 1) * _CHUNK), float(running[c]), float(largest[c])
+
+
+def _ts_level_sum(g, edge_map, half: float, level: int, reach: list):
+    """One tanh-sinh level: sum of weight * integrand over its nodes.
+
+    edge_map(d, upper) gives the x at distance d from the upper (or lower)
+    end and the divisors of the Jacobian in the order they apply: working
+    from the edge distance avoids catastrophic cancellation for singular
+    integrands.  reach[side] (upper side first, updated in place) is the
+    outermost t the previous level used on that side; at most _CHUNK nodes
+    past it are evaluated, since deep nodes can be very expensive for
+    transform-backed integrands.
+    """
+    ts, dfrac, cosh_t, cosh2_y = _level_nodes(level)
     total = 0.0
     n_evals = 0
     edge_terms: list[float] = []
-    start = 0
-    if include_zero:
-        # t = 0 contributes once (midpoint)
-        v0 = float(fn_right(half))  # midpoint: distance `half` from either end
+    if level == 0:
+        # t = 0 contributes once: the midpoint, distance `half` from either end
+        x, jac = edge_map(half, True)
+        v0 = g(x)
+        for q in jac:
+            v0 = v0 / q
+        v0 = float(v0)
         if math.isinf(v0):
             raise DivergentIntegral("integrand not finite at interval midpoint")
         if math.isnan(v0):
             v0 = 0.0  # overflow-times-underflow product: no representable mass
-        total += w[0] * v0
+        total += half * _PI_2 * v0
         n_evals += 1
-        start = 1
-    live = (w[start:] > 0.0) & (deltas[start:] > 0.0)
-    idx = np.nonzero(live)[0] + start
-    if not idx.size:
+    caps = [bisect.bisect_right(ts, r) + _CHUNK for r in reach]
+    n = min(len(ts), max(caps))
+    w = half * _PI_2 * cosh_t[:n] / cosh2_y[:n]
+    deltas = half * dfrac[:n]
+    # live nodes (weight and distance not underflowed) are a prefix
+    live = n
+    if not (w[n - 1] > 0.0 and deltas[n - 1] > 0.0):
+        live = int(np.count_nonzero((w > 0.0) & (deltas > 0.0)))
+    counts = [min(c, live) for c in caps]
+    if not sum(counts):
         return total, n_evals, edge_terms
-    dd_all = deltas[idx]
-    ww_all = w[idx]
+    sides = [edge_map(deltas[:k], upper) for k, upper in zip(counts, (True, False))]
+    xs = np.concatenate([x for x, _ in sides])
+    vs = np.asarray(g(xs), dtype=float)
+    # np.broadcast_to costs ten times the shape test: keep it off the common path
+    vs = vs if vs.shape == xs.shape else np.broadcast_to(vs, xs.shape)
+    n_evals += len(xs)
     max_term = abs(total)
-    for fn in (fn_right, fn_left):
-        last3: list[float] = []
-        for c0 in range(0, len(dd_all), _CHUNK):
-            dd = dd_all[c0 : c0 + _CHUNK]
-            ww = ww_all[c0 : c0 + _CHUNK]
-            vs = _eval_batch(fn, dd)
-            with np.errstate(all="ignore"):
-                terms = ww * vs
+    for side, (k, (_, jac)) in enumerate(zip(counts, sides)):
+        v, vs = vs[:k], vs[k:]
+        for q in jac:
+            v = v / q
+        terms = w[:k] * v
+        bad = None
+        if not math.isfinite(np.add.reduce(terms)):
             bad = ~np.isfinite(terms)
-            if bad.any():
-                # weight underflow times a singular value gives nan; those
-                # nodes carry no mass for integrable edges -- but a genuine
-                # inf means the integrand outgrows the weight decay
-                if np.isinf(vs[bad]).any():
-                    raise DivergentIntegral(
-                        "integrand grows faster than the node weights decay"
-                    )
-                terms = np.where(bad, 0.0, terms)
-            total += float(terms.sum())
-            n_evals += len(dd)
-            chunk_max = float(np.abs(terms).max()) if len(terms) else 0.0
-            max_term = max(max_term, chunk_max)
-            last3 = [abs(float(t)) for t in terms[-3:]]
-            # an integrand that underflows to 0 near the midpoint must not
-            # stop a side before it reaches the mass at the endpoint
-            if max_term > 0.0 and chunk_max <= _TRUNC_EPS * max(abs(total), max_term):
-                break
+            terms = np.where(bad, 0.0, terms)
+        used, total, max_term = _side_sum(terms, total, max_term)
+        # weight underflow times a singular value gives nan; those nodes
+        # carry no mass for integrable edges -- but a genuine inf means the
+        # integrand outgrows the weight decay
+        if bad is not None and np.isinf(v[:used][bad[:used]]).any():
+            raise DivergentIntegral("integrand grows faster than the node weights decay")
+        if not used:
+            continue
+        reach[side] = ts[used - 1]
+        last3 = np.abs(terms[max(used - 3, (used - 1) // _CHUNK * _CHUNK) : used]).tolist()
         # keep the side whose outermost terms are largest: the divergence
         # heuristic watches for edges that fail to decay
-        if last3 and (not edge_terms or max(last3) > max(edge_terms)):
+        if not edge_terms or max(last3) > max(edge_terms):
             edge_terms = last3
     return total, n_evals, edge_terms
 
 
-def _tanh_sinh(fn_left, fn_right, half: float, tol: float, min_scale: float) -> QuadResult:
-    """Adaptive tanh-sinh on an interval of half-width `half`."""
+def _tanh_sinh(g, edge_map, half: float, tol: float, min_scale: float) -> QuadResult:
+    """Adaptive tanh-sinh on an interval of half-width `half`, whose ends
+    edge_map locates (see _ts_level_sum).  Each level makes one array call
+    to g for both sides (and level 0 a scalar call at the midpoint first),
+    on nodes cached per level (_level_nodes).  A side stops at its first
+    chunk of terms below _TRUNC_EPS times the running sum, and is evaluated
+    at most one chunk (_CHUNK nodes) past where it stopped at the previous
+    level; a side that has not stopped by then stops there."""
     h = 1.0
     s = 0.0
     n_evals = 0
     estimates: list[float] = []
     last_edge: list[float] = []
+    reach = [math.inf, math.inf]
     for level in range(_MAX_LEVEL + 1):
-        odd = level > 0
-        ts = _ts_nodes(h, odd_only=odd)
-        ds, ne, edge = _ts_level_sum(fn_left, fn_right, half, ts, include_zero=(level == 0))
+        with np.errstate(all="ignore"):
+            ds, ne, edge = _ts_level_sum(g, edge_map, half, level, reach)
         s += ds
         n_evals += ne
         est = h * s
@@ -268,28 +310,25 @@ def _tanh_sinh(fn_left, fn_right, half: float, tol: float, min_scale: float) -> 
 
 
 def _integrate_finite(g, a: float, b: float, tol: float, min_scale: float) -> QuadResult:
-    half = 0.5 * (b - a)
-    fn_left = lambda d: g(a + d)
-    fn_right = lambda d: g(b - d)
-    return _tanh_sinh(fn_left, fn_right, half, tol, min_scale)
+    def edge_map(d, upper):
+        return (b - d if upper else a + d), ()
+
+    return _tanh_sinh(g, edge_map, 0.5 * (b - a), tol, min_scale)
 
 
 def _integrate_upper_inf(g, a: float, tol: float, min_scale: float) -> QuadResult:
     L = math.ldexp(1.0, math.frexp(max(1.0, abs(a)))[1] - 1)
     if L != 1.0:  # x = a + L y: the map below then follows the scale of a
         return _integrate_upper_inf(lambda y: g(a + L * y) * L, 0.0, tol, min_scale)
-    # x = a + t/(1-t) maps t in (0,1); near t=1 use x = a + (1-d)/d
-    def gl(d):  # d = t, near 0: x near a
-        t = d
-        return g(a + t / (1.0 - t)) / (1.0 - t) ** 2
 
-    def gr(d):  # d = 1-t, near 0: x large
-        with np.errstate(all="ignore"):
-            x = a + (1.0 - d) / d
+    # x = a + t/(1-t) maps t in (0,1): t = d at the lower end, 1 - d at the upper
+    def edge_map(d, upper):
+        if upper:
             # divide twice: d**2 can underflow to 0 while g(x)/d/d stays finite
-            return g(x) / d / d
+            return a + (1.0 - d) / d, (d, d)
+        return a + d / (1.0 - d), ((1.0 - d) ** 2,)
 
-    return _tanh_sinh(gl, gr, 0.5, tol, min_scale)
+    return _tanh_sinh(g, edge_map, 0.5, tol, min_scale)
 
 
 def _integrate_lower_inf(g, b: float, tol: float, min_scale: float) -> QuadResult:
@@ -418,9 +457,10 @@ def invert_monotone(
 
 def _march(
     g: Callable[[float], float], target: float, x0: float, edge: float
-) -> Optional[tuple[float, float]]:
-    """A pair (x_prev, x_next) past x0 toward `edge` across which g passes
-    target, for g monotone on the way; g(x0) gives the side it starts on.
+) -> Optional[tuple[tuple[float, float], tuple[float, float]]]:
+    """Points (x_prev, g(x_prev)), (x_next, g(x_next)) past x0 toward
+    `edge` between which g passes target, for g monotone on the way; g(x0)
+    gives the side it starts on.  They are the ends for `_invert_known`.
 
     The step law: toward an infinite edge the i-th step (i = 0, 1, ...) is
     max(1e-6, |x|) 2^(i-1), so x grows faster than geometrically; toward a
@@ -433,7 +473,8 @@ def _march(
     direction = 1.0 if edge > x0 else -1.0
     x_prev = x0
     try:
-        side = float(g(x0)) - target
+        v_prev = float(g(x0))
+        side = v_prev - target
         for i in itertools.count():
             if math.isfinite(edge):
                 dist = abs(edge - x_prev)
@@ -448,10 +489,25 @@ def _march(
             if not math.isfinite(v):
                 return None
             if (v - target) * side <= 0.0:
-                return x_prev, x
-            x_prev = x
+                return (x_prev, v_prev), (x, v)
+            x_prev, v_prev = x, v
     except OverflowError:
         return None
+
+
+def _invert_known(
+    g: Callable[[float], float],
+    target: float,
+    ends: tuple[tuple[float, float], tuple[float, float]],
+    tol: float,
+    dg: Optional[Callable[[float], float]] = None,
+) -> float:
+    """invert_monotone on the bracket of `ends`, two points (x, g(x)) that a
+    table or a march has computed: the solver asks for g at both ends, and
+    each may cost a quadrature."""
+    known = dict(ends)
+    g_known = lambda x: known[x] if x in known else g(x)
+    return invert_monotone(g_known, target, (ends[0][0], ends[1][0]), tol=tol, dg=dg)
 
 
 # ---------------------------------------------------------------------------
@@ -863,19 +919,21 @@ def quantiles(f: Density, qs: Sequence[float]) -> np.ndarray:
             j = int(np.searchsorted(below, targ, side="right")) - 1
         j = min(max(j, 0), n - 1)
         a, b = edges[j], edges[j + 1]
-        base = above[j + 1] if upper else below[j]
+        cum = above if upper else below
+        base = cum[j + 1] if upper else cum[j]
 
         def frac(x):
             s, t = (x, b) if upper else (a, x)
             return base + integrate(f.value, Support(s, t), tol=1e-12).value if s < t else base
 
-        # an outer segment with an infinite edge is bracketed by marching
-        # out from its knot
-        bracket = (a, b)
+        # the table holds frac at both ends of a finite segment; an outer
+        # segment with an infinite edge is bracketed by marching out from
+        # its knot
+        ends = ((a, cum[j]), (b, cum[j + 1]))
         if math.isinf(a) or math.isinf(b):
-            bracket = _march(frac, targ, *((b, a) if math.isinf(a) else (a, b)))
-        if bracket is None:
+            ends = _march(frac, targ, *((b, a) if math.isinf(a) else (a, b)))
+        if ends is None:
             raise TargetOutOfRange(f"quantile {q} not reached before the support edge")
         dg = lambda x: (-1.0 if upper else 1.0) * f.value(x)
-        out[i] = invert_monotone(frac, targ, bracket, tol=_QUANTILE_TOL, dg=dg)
+        out[i] = _invert_known(frac, targ, ends, tol=_QUANTILE_TOL, dg=dg)
     return out

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 from scipy.special import gammaincc, gammainccinv
 
-from .core import Density, Support, _march, _pointwise, integrate, invert_monotone
+from .core import Density, Support, _invert_known, _march, _pointwise, integrate, invert_monotone
 from .errors import DivergentIntegral, InvalidParams, OutOfDomain, OutOfRange
 from .measures import _SHANNON_WINDOW, holder_conjugate
 
@@ -435,17 +435,17 @@ def sinh_gen(v: float, b: float, y: float) -> float:
     ylim = _arcsinh_limit(v, b)
     if y >= ylim:
         raise OutOfDomain(f"sinh_gen argument {y} beyond range limit {ylim}")
-    # cached: the bracket ends are evaluated again by the solver
+    # cached: the range test and the march both start from g(1)
     g = functools.cache(lambda t: arcsinh_gen(v, b, t))
 
     def dg(t):
         with np.errstate(all="ignore"):
             return (1.0 + t**b) ** (-1.0 / v)
 
-    bracket = (0.0, 1.0) if g(1.0) >= y else _march(g, y, 1.0, math.inf)
-    if bracket is None:
+    ends = ((0.0, 0.0), (1.0, g(1.0))) if g(1.0) >= y else _march(g, y, 1.0, math.inf)
+    if ends is None:
         raise OutOfDomain(f"sinh_gen argument {y} not reached by arcsinh_gen")
-    return invert_monotone(g, y, bracket, tol=_INV_TOL, dg=dg)
+    return _invert_known(g, y, ends, tol=_INV_TOL, dg=dg)
 
 
 # ---------------------------------------------------------------------------

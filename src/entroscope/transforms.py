@@ -41,11 +41,11 @@ from .core import (
     QuadResult,
     Support,
     _affine,
+    _invert_known,
     _log_pair,
     _march,
     _pointwise,
     integrate,
-    invert_monotone,
     reflect,
 )
 from .errors import (
@@ -384,14 +384,14 @@ def _down_level_inverter(f: Density, sigma, g, sup: Support, value):
         xs, gs = table()
         j = int(np.searchsorted(gs, y))
         if 0 < j < len(gs):
-            bracket = (xs[j - 1], xs[j])
+            ends = ((xs[j - 1], gs[j - 1]), (xs[j], gs[j]))
         else:
             k, inner = (0, 1) if j == 0 else (-1, -2)
             edge = f.support.upper if xs[k] > xs[inner] else f.support.lower
-            bracket = _march(g, y, xs[k], edge)
-            if bracket is None:
+            ends = _march(g, y, xs[k], edge)
+            if ends is None:
                 raise TargetOutOfRange(f"level {y} of a down image is beyond reach")
-        x = invert_monotone(g, y, bracket, tol=1e-12)
+        x = _invert_known(g, y, ends, tol=1e-12)
         s = sigma(float(f.value(x)))
         # where f(x) rounds onto its edge limit, s lands on the image's edge,
         # where the image pulls its source level inside: s stands for y only
@@ -630,18 +630,18 @@ class _UpCoords:
         xs, us = self.knots, self.u_knots  # u falls as x grows
         k = bisect.bisect_right(us, -u, key=operator.neg)  # first index with u_knot < u
         if 0 < k < len(us):
-            bracket = (xs[k - 1], xs[k])
+            ends = ((xs[k - 1], us[k - 1]), (xs[k], us[k]))
         else:
             direction = -1.0 if k == 0 else +1.0
             edge = self.f.support.lower if k == 0 else self.f.support.upper
-            bracket = _march(self._reached, u, xs[0] if k == 0 else xs[-1], edge)
-            if bracket is None:
+            ends = _march(self._reached, u, xs[0] if k == 0 else xs[-1], edge)
+            if ends is None:
                 # beyond reach toward an unbounded u-side; toward a bounded
                 # one, the source edge moved EDGE_SLACK inside
                 if math.isinf(self.sup.upper if k == 0 else self.sup.lower):
                     return None
                 return edge - direction * EDGE_SLACK * max(1.0, abs(edge))
-        return invert_monotone(self.u_of_x, u, bracket, tol=1e-13, dg=lambda x: -float(self.wf(x)))
+        return _invert_known(self.u_of_x, u, ends, tol=1e-13, dg=lambda x: -float(self.wf(x)))
 
 
 # ---------------------------------------------------------------------------

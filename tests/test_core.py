@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entroscope import core
 from entroscope.core import (
     Density,
     Support,
@@ -117,7 +118,7 @@ class TestIntegrate:
         r = info.value.result
         assert r.value == 1.0000000000000016
         assert r.error_estimate == pytest.approx(2.43e-14, rel=1e-2)
-        assert r.evaluations == 4457
+        assert r.evaluations == 4717
 
     def test_raising_integrand_called_once_on_an_array(self):
         # an exception from an array call propagates; the chunk is not
@@ -136,6 +137,71 @@ class TestIntegrate:
 
     def test_constant_integrand(self):
         assert integrate(lambda x: 2.0, Support(0.0, 3.0)).value == pytest.approx(6.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "g, support",
+        [
+            (lambda x: np.exp(-np.asarray(x)), Support(0.0, math.inf)),
+            (lambda x: np.asarray(x) ** -0.5, Support(0.0, 1.0)),
+        ],
+        ids=["exp", "inverse_sqrt"],
+    )
+    def test_one_array_call_per_level(self, monkeypatch, g, support):
+        # each level evaluates both sides in one array call (the midpoint
+        # in a scalar call before the first), and a side at most one chunk
+        # of nodes past where it stopped at the level before
+        shapes, sides = [], []
+
+        def counted(x):
+            shapes.append(np.shape(x))
+            return g(x)
+
+        def side_sum(terms, *args):
+            out = side_sum.inner(terms, *args)
+            sides.append((len(terms), out[0]))  # (evaluated, used)
+            return out
+
+        side_sum.inner = core._side_sum
+        monkeypatch.setattr(core, "_side_sum", side_sum)
+        integrate(counted, support)
+        assert shapes[0] == ()
+        levels = [sides[i : i + 2] for i in range(0, len(sides), 2)]
+        assert len(shapes) - 1 == len(levels) >= 3
+        for level, (shape, pair) in enumerate(zip(shapes[1:], levels)):
+            assert shape == (sum(evaluated for evaluated, _ in pair),)
+            if level == 0:
+                continue
+            ts, before = core._level_nodes(level)[0], core._level_nodes(level - 1)[0]
+            for (evaluated, _), (_, used) in zip(pair, levels[level - 1]):
+                stopped = before[used - 1]
+                assert sum(t > stopped for t in ts[:evaluated]) <= core._CHUNK
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=20),
+        st.floats(min_value=0.05, max_value=5.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.0, 1.0, -3.0]),
+    )
+    def test_side_sum_matches_the_chunk_loop(self, n, zeros, decay, seed, total):
+        # the vectorized truncation against the loop it replaced: add chunk
+        # by chunk, stop after the first chunk below eps * running sum
+        def chunk_loop(terms, total, max_term):
+            for c0 in range(0, len(terms), core._CHUNK):
+                chunk = terms[c0 : c0 + core._CHUNK]
+                total += float(chunk.sum())
+                chunk_max = float(np.abs(chunk).max())
+                max_term = max(max_term, chunk_max)
+                if max_term > 0.0 and chunk_max <= core._TRUNC_EPS * max(abs(total), max_term):
+                    return min(len(terms), c0 + core._CHUNK), total, max_term
+            return len(terms), total, max_term
+
+        rng = np.random.default_rng(seed)
+        terms = rng.standard_normal(n) * np.exp(-decay * np.arange(n) ** 1.5)
+        terms[: min(zeros, n)] = 0.0  # an integrand underflowed near the midpoint
+        expected = chunk_loop(terms, total, abs(total))
+        assert core._side_sum(terms, total, abs(total)) == expected
 
     def test_far_tail_map_follows_the_interval(self):
         # (a, inf) is mapped by x = a + L t/(1-t) with L on the scale of a,
@@ -381,6 +447,31 @@ class TestQuantiles:
         g, e = quantiles(builtin("gauss"), [q])[0], quantiles(builtin("exp"), [q])[0]
         assert g == pytest.approx(5.997807019601637, rel=1e-9)
         assert e == pytest.approx(-math.log(1.0 - q), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "spec, q", [("exp", 0.3), ("exp", 0.7), ("pareto:eta=1.5", 1.0 - 1e-6)]
+    )
+    def test_bracket_ends_not_integrated_again(self, monkeypatch, spec, q):
+        # the solve takes the fraction at both ends of its bracket from where
+        # it was computed: the table's masses for a finite segment, the
+        # march for the pair it returns
+        calls = []
+
+        def counted(g, support, *args, **kwargs):
+            calls.append((support.lower, support.upper, kwargs.get("tol")))
+            return counted.inner(g, support, *args, **kwargs)
+
+        counted.inner = core.integrate
+        monkeypatch.setattr(core, "integrate", counted)
+        quantiles(parse_density(spec), [q])
+        assert len(set(calls)) == len(calls)
+        if spec == "exp":
+            # 65 table segments, then 3 quadratures in the solve, none of
+            # them over a table segment; re-integrating the segment's end
+            # made it 4
+            table = {(lo, hi) for lo, hi, _ in calls[:65]}
+            assert len(calls) == 68
+            assert not table & {(lo, hi) for lo, hi, _ in calls[65:]}
 
     def test_lower_tail(self):
         (x,) = quantiles(builtin("gauss"), [1e-9])
