@@ -18,6 +18,16 @@ are computed once, at unit half-width.  A side's sum stops at its first
 chunk of 8 terms below 1e-17 times the running sum, and the next level
 evaluates that side at most one chunk beyond it, so an integrand whose
 deep nodes are costly pays for at most 8 of them per side and level.
+
+A cumulative coordinate (`_Cumulative`) is the mass u(x) of a weight w
+between x and an anchor, signed so that u' = -w.  A table of knots holds
+u, cumulated once from segment masses to 1e-13 relative, and u(x) adds
+one quadrature from the nearest knot toward the anchor.  The up
+transform's coordinate (w = f/U) and the quantiles of f (w = f, anchored
+at either edge) are such coordinates.  Every inversion past a table goes
+through `_solve`: it brackets the target between neighbouring entries, or
+marches out from the outermost one (`_march`), and hands invert_monotone
+the values at both ends, which the table or the march already holds.
 """
 
 from __future__ import annotations
@@ -456,11 +466,12 @@ def invert_monotone(
 
 
 def _march(
-    g: Callable[[float], float], target: float, x0: float, edge: float
+    g: Callable[[float], float], target: float, x0: float, g0: float, edge: float
 ) -> Optional[tuple[tuple[float, float], tuple[float, float]]]:
     """Points (x_prev, g(x_prev)), (x_next, g(x_next)) past x0 toward
-    `edge` between which g passes target, for g monotone on the way; g(x0)
-    gives the side it starts on.  They are the ends for `_invert_known`.
+    `edge` between which g passes target, for g monotone on the way.  The
+    start comes with its value g0 = g(x0), which a table holds, and which
+    gives the side the march starts on.
 
     The step law: toward an infinite edge the i-th step (i = 0, 1, ...) is
     max(1e-6, |x|) 2^(i-1), so x grows faster than geometrically; toward a
@@ -471,10 +482,9 @@ def _march(
     of floats before g passes target: the target is beyond reach.
     """
     direction = 1.0 if edge > x0 else -1.0
-    x_prev = x0
+    x_prev, v_prev = x0, float(g0)
+    side = v_prev - target
     try:
-        v_prev = float(g(x0))
-        side = v_prev - target
         for i in itertools.count():
             if math.isfinite(edge):
                 dist = abs(edge - x_prev)
@@ -495,19 +505,170 @@ def _march(
         return None
 
 
-def _invert_known(
+def _solve(
     g: Callable[[float], float],
     target: float,
-    ends: tuple[tuple[float, float], tuple[float, float]],
+    xs: Sequence[float],
+    gs: Sequence[float],
+    edges: tuple[float, float],
     tol: float,
     dg: Optional[Callable[[float], float]] = None,
-) -> float:
-    """invert_monotone on the bracket of `ends`, two points (x, g(x)) that a
-    table or a march has computed: the solver asks for g at both ends, and
-    each may cost a quadrature."""
+    reach: Optional[Callable[[float], float]] = None,
+) -> Optional[float]:
+    """x with g(x) = target, for g monotone and tabulated as gs at the
+    points xs: gs rises or falls along the table (falls when it has one
+    entry, as a cumulative coordinate does).
+
+    The target is bracketed between the two neighbouring entries whose
+    values straddle it.  Past the first (last) entry, `_march` goes out
+    from it toward edges[0] (edges[1]) on `reach`, g by default, which a
+    caller gives as nan where a point is beyond reach.  invert_monotone
+    then solves with the values at both ends known, since each may have
+    cost a quadrature.  None when the target is beyond reach, which each
+    caller reports in its own way.
+    """
+    s = 1.0 if gs[-1] > gs[0] else -1.0
+    k = bisect.bisect_left(gs, s * target, key=lambda v: s * v)
+    if 0 < k < len(gs):
+        ends = (xs[k - 1], gs[k - 1]), (xs[k], gs[k])
+    else:
+        i = 0 if k == 0 else -1
+        ends = _march(reach or g, target, xs[i], gs[i], edges[i])
+        if ends is None:
+            return None
     known = dict(ends)
     g_known = lambda x: known[x] if x in known else g(x)
     return invert_monotone(g_known, target, (ends[0][0], ends[1][0]), tol=tol, dg=dg)
+
+
+# ---------------------------------------------------------------------------
+# cumulative coordinates
+# ---------------------------------------------------------------------------
+
+_SEG_TOL = 1e-13  # relative tolerance of every segment mass, and of u in a solve
+_STALL = 1e-7  # relative error at which a segment-mass integral has stalled
+_U_CAP = 1e305  # |u| beyond which a side of a coordinate is treated as unbounded
+
+
+def _w_mass(w, lo: float, hi: float, checked: bool = True) -> float:
+    """Mass of w on (lo, hi) to _SEG_TOL, pure relative, or the last
+    estimate when it does not converge.  Checked, its error must stay
+    within _STALL of it: integrands behind a monotone inversion carry
+    ~1e-13 relative noise, below which the convergence criterion cannot
+    be met."""
+    try:
+        r = integrate(w, Support(lo, hi), tol=_SEG_TOL, min_scale=0.0)
+    except NonConvergent as exc:
+        r = exc.result
+    if checked and r.error_estimate > _STALL * max(1e-280, abs(r.value)):
+        raise EdgeIllConditioned(
+            f"weighted segment integral on ({lo}, {hi}) stalled at error {r.error_estimate:.2e}"
+        )
+    return r.value
+
+
+def _segment_masses(w, support: Support, knots: np.ndarray):
+    """(inner, head, tail): the masses of w between neighbouring knots, from
+    the lower edge to the first knot, and from the last knot to the upper
+    edge.  A divergent segment, or a stalled open one, has infinite mass."""
+
+    def seg(lo: float, hi: float, open_ended: bool) -> float:
+        try:
+            return _w_mass(w, lo, hi)
+        except (DivergentIntegral, EdgeIllConditioned) as exc:
+            if open_ended or isinstance(exc, DivergentIntegral):
+                return math.inf
+            raise
+
+    inner = np.array([seg(xa, xb, False) for xa, xb in zip(knots[:-1], knots[1:])])
+    return inner, seg(support.lower, knots[0], True), seg(knots[-1], support.upper, True)
+
+
+class _Cumulative:
+    """Cumulative coordinate u(x) of a weight w >= 0 on a support, and its
+    inverse: u(x) is the mass of w between x and an anchor, signed so that
+    u' = -w (positive below an upper anchor, negative above a lower one).
+
+    Built from knots and their segment masses (`_segment_masses`); nothing
+    changes after construction.  The anchor is the upper edge when the tail
+    mass is finite, else the lower edge when the head mass is finite, else
+    the median knot, unless the caller names one.  u is walked outward from
+    the anchor over the knots; a walk stops at the first knot whose |u|
+    passes _U_CAP, and such knots are dropped, the u-support `sup` being
+    unbounded on that side.
+    """
+
+    def __init__(self, w, support: Support, knots: np.ndarray, masses, anchor: str = ""):
+        inner, head, tail = masses
+        n = len(knots)
+        if not anchor:
+            finite = math.isfinite(tail), math.isfinite(head)
+            anchor = "upper" if finite[0] else "lower" if finite[1] else "median"
+        i0, u0 = {"upper": (n - 1, tail), "lower": (0, -head), "median": (n // 2, 0.0)}[anchor]
+        u = np.full(n, np.nan)
+        u[i0] = u0
+        for step in (-1, +1):
+            acc = u0
+            for j in range(i0 + step, n if step > 0 else -1, step):
+                acc -= step * inner[min(j, j - step)]  # the segment between j - step and j
+                if not math.isfinite(acc) or abs(acc) > _U_CAP:
+                    break
+                u[j] = acc
+        good = np.isfinite(u)
+        lo_u = float(u[-1] - tail) if good[-1] else -math.inf
+        hi_u = float(u[0] + head) if good[0] else math.inf
+        cap = lambda v: v if abs(v) <= _U_CAP else math.copysign(math.inf, v)
+        self.sup = Support(cap(lo_u), cap(hi_u))
+        self.w, self.support, self.anchor = w, support, anchor
+        self.anchor_x = float(knots[i0]) if anchor == "median" else getattr(support, anchor)
+        self.knots = knots[good].tolist()
+        self.u_knots = u[good].tolist()
+
+    def _mass(self, lo: float, hi: float) -> float:
+        if lo == hi:
+            return 0.0
+        # unchecked toward an infinite anchor: see u_of_x
+        return _w_mass(self.w, lo, hi, checked=math.isfinite(lo) and math.isfinite(hi))
+
+    def _reached(self, x: float) -> float:
+        """u(x), or nan where x is beyond reach: w is not finite there, its
+        mass cannot be formed, or |u| passes _U_CAP."""
+        try:
+            if not math.isfinite(float(self.w(x))):
+                return math.nan
+            u = self.u_of_x(x)
+        except (DivergentIntegral, EdgeIllConditioned):
+            return math.nan
+        return u if abs(u) <= _U_CAP else math.nan
+
+    def u_of_x(self, x: float) -> float:
+        """u at the nearest knot between x and the anchor, plus the mass
+        between that knot and x; with no such knot (x beyond the table on
+        the anchor side), the mass from x to the anchor.  Both terms have
+        the sign of u, so u keeps full relative precision even where it
+        decays by hundreds of orders of magnitude.
+
+        Every piece is checked against _STALL except the mass to an infinite
+        anchor: where w underflows on the way there, its error estimate is
+        no guide (8% on (5.2e161, inf) for an up image of pareto(eta=3) at
+        alpha = 3) while its value is right."""
+        ax = self.anchor_x
+        if x == ax:
+            return 0.0
+        xs, us = self.knots, self.u_knots
+        if x < ax:
+            j = bisect.bisect_left(xs, x)
+            k, uk = (xs[j], us[j]) if j < len(xs) else (ax, 0.0)
+            return uk + self._mass(x, k)
+        j = bisect.bisect_right(xs, x) - 1
+        k, uk = (xs[j], us[j]) if j >= 0 else (ax, 0.0)
+        return uk - self._mass(k, x)
+
+    def x_of_u(self, u: float) -> Optional[float]:
+        """The x with u(x) = u to _SEG_TOL relative, or None beyond reach."""
+        edges = (self.support.lower, self.support.upper)
+        dg = lambda x: -float(self.w(x))
+        return _solve(self.u_of_x, u, self.knots, self.u_knots, edges, _SEG_TOL, dg, self._reached)
 
 
 # ---------------------------------------------------------------------------
@@ -886,54 +1047,31 @@ def parse_density(spec: str) -> Density:
 # quantiles
 # ---------------------------------------------------------------------------
 
-_QUANTILE_TOL = 1e-10
-# relative tolerance of each quantile's cumulative fraction, not of x: where
-# f is small the bound on x is looser (pareto(eta=1.5) at 1 - 1e-6: 2e-4)
-
 
 def quantiles(f: Density, qs: Sequence[float]) -> np.ndarray:
     """Quantile coordinates of f at cumulative fractions qs (of f.mass).
 
-    A fraction q above 1/2 is found as the x whose mass above it is
-    (1 - q) times the total, so the upper tail keeps the relative precision
-    of the lower one.  Both sides sum masses from one segment table and
-    integrate from x to the segment edge on their side.
+    Both tails read one segment table of f on the `Support.clustered`
+    knots, through two cumulative coordinates: q <= 1/2 solves
+    u = -q mass for the one anchored at the lower edge, q > 1/2 solves
+    u = (1 - q) mass for the one anchored at the upper edge.  Each solve
+    holds u to 1e-13 relative (_SEG_TOL), the tolerance of the table's
+    masses, so either tail keeps the relative precision of its own mass.
     """
     qs = np.asarray(qs, dtype=float)
     if np.any((qs <= 0) | (qs >= 1)):
         raise InvalidParams("quantile fractions must lie strictly inside (0, 1)")
     sup = f.support
-    edges = np.concatenate([[sup.lower], np.unique(sup.clustered(64)), [sup.upper]])
-    masses = [integrate(f.value, Support(a, b), tol=1e-11).value for a, b in zip(edges, edges[1:])]
-    below = np.concatenate([[0.0], np.cumsum(masses)])  # mass below each edge
-    above = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])  # and above it
-    total = below[-1]
-    n = len(masses)
+    knots = np.unique(sup.clustered(64))
+    inner, head, tail = masses = _segment_masses(f.value, sup, knots)
+    total = head + float(np.sum(inner)) + tail
+    if not math.isfinite(total):
+        raise NonConvergent(f"the mass of {f.label!r} is not resolved on its segment table")
+    lower, upper = (_Cumulative(f.value, sup, knots, masses, a) for a in ("lower", "upper"))
     out = np.empty_like(qs)
     for i, q in enumerate(qs):
-        upper = q > 0.5
-        targ = ((1.0 - q) if upper else q) * total
-        if upper:
-            j = n - int(np.searchsorted(above[::-1], targ, side="right"))
-        else:
-            j = int(np.searchsorted(below, targ, side="right")) - 1
-        j = min(max(j, 0), n - 1)
-        a, b = edges[j], edges[j + 1]
-        cum = above if upper else below
-        base = cum[j + 1] if upper else cum[j]
-
-        def frac(x):
-            s, t = (x, b) if upper else (a, x)
-            return base + integrate(f.value, Support(s, t), tol=1e-12).value if s < t else base
-
-        # the table holds frac at both ends of a finite segment; an outer
-        # segment with an infinite edge is bracketed by marching out from
-        # its knot
-        ends = ((a, cum[j]), (b, cum[j + 1]))
-        if math.isinf(a) or math.isinf(b):
-            ends = _march(frac, targ, *((b, a) if math.isinf(a) else (a, b)))
-        if ends is None:
+        x = upper.x_of_u((1.0 - q) * total) if q > 0.5 else lower.x_of_u(-q * total)
+        if x is None:
             raise TargetOutOfRange(f"quantile {q} not reached before the support edge")
-        dg = lambda x: (-1.0 if upper else 1.0) * f.value(x)
-        out[i] = _invert_known(frac, targ, ends, tol=_QUANTILE_TOL, dg=dg)
+        out[i] = x
     return out

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 from scipy.special import gammaincc, gammainccinv
 
-from .core import Density, Support, _invert_known, _march, _pointwise, integrate, invert_monotone
+from .core import Density, Support, _pointwise, _solve, integrate
 from .errors import DivergentIntegral, InvalidParams, OutOfDomain, OutOfRange
 from .measures import _SHANNON_WINDOW, holder_conjugate
 
@@ -391,8 +391,6 @@ def sin_gen(v: float, b: float, y: float) -> float:
     y = min(max(y, 0.0), ymax)
     if y == 0.0:
         return 0.0
-    if math.isfinite(ymax) and y == ymax:
-        return 1.0
 
     def dg(t):
         base = 1.0 - t**b
@@ -400,7 +398,9 @@ def sin_gen(v: float, b: float, y: float) -> float:
             return math.inf
         return base ** (-1.0 / v)
 
-    return invert_monotone(lambda t: arcsin_gen(v, b, t), y, (0.0, 1.0), tol=_INV_TOL, dg=dg)
+    # both ends are known, the quarter period infinite when its integral diverges
+    g = lambda t: arcsin_gen(v, b, t)
+    return _solve(g, y, (0.0, 1.0), (0.0, ymax), (0.0, 1.0), _INV_TOL, dg)
 
 
 def arcsinh_gen(v: float, b: float, x: float) -> float:
@@ -435,17 +435,17 @@ def sinh_gen(v: float, b: float, y: float) -> float:
     ylim = _arcsinh_limit(v, b)
     if y >= ylim:
         raise OutOfDomain(f"sinh_gen argument {y} beyond range limit {ylim}")
-    # cached: the range test and the march both start from g(1)
-    g = functools.cache(lambda t: arcsinh_gen(v, b, t))
 
     def dg(t):
         with np.errstate(all="ignore"):
             return (1.0 + t**b) ** (-1.0 / v)
 
-    ends = ((0.0, 0.0), (1.0, g(1.0))) if g(1.0) >= y else _march(g, y, 1.0, math.inf)
-    if ends is None:
+    # past t = 1 the solve marches out from the value there
+    g = lambda t: arcsinh_gen(v, b, t)
+    x = _solve(g, y, (0.0, 1.0), (0.0, g(1.0)), (0.0, math.inf), _INV_TOL, dg)
+    if x is None:
         raise OutOfDomain(f"sinh_gen argument {y} not reached by arcsinh_gen")
-    return _invert_known(g, y, ends, tol=_INV_TOL, dg=dg)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ with log |D'| = (2 alpha - 2) log f - log |f'| + log |alpha - f f''/f'^2| and
 log |U'| = alpha log U - log f.  `_image_fields` lifts a kernel to the four
 pointwise fields: value = exp(log value), derivative = sign exp(log |D'|).
 Per point, only the source point is found numerically: for down through
-the level inverter of f, for up by inverting u, with u'(x) = -f(x)/U(x),
-anchored at the upper support edge (else the lower edge, else the median
-knot) and cumulated once over a table of knots (see `_UpCoords.u_of_x`).
+the level inverter of f, for up by inverting u.  u is the cumulative
+coordinate of the weight f/U in `core` (`core._Cumulative`), u'(x) =
+-f(x)/U(x), anchored at the upper support edge (else the lower edge, else
+the median knot) and cumulated once over a table of knots; both
+inversions go through the one table-bracketed solve, `core._solve`.
 
 Increasing densities are handled by reflecting x -> -x before transforming;
 the transforms are gauge-fixed only up to translation (and the reflection
@@ -26,10 +28,8 @@ just described), so comparisons between transformed densities use
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,14 +38,14 @@ import numpy as np
 from .core import (
     EDGE_SLACK,
     Density,
-    QuadResult,
     Support,
     _affine,
-    _invert_known,
+    _Cumulative,
     _log_pair,
-    _march,
     _pointwise,
-    integrate,
+    _segment_masses,
+    _solve,
+    integrate,  # not called here; bench/test_bench.py checks the tracer rebinds it
     reflect,
 )
 from .errors import (
@@ -55,7 +55,6 @@ from .errors import (
     InvalidParams,
     MissingDerivative,
     MissingSecondDerivative,
-    NonConvergent,
     NotDecreasing,
     OutOfDomain,
     TargetOutOfRange,
@@ -77,9 +76,6 @@ __all__ = [
 ]
 
 _TABLE_N = 160
-_U_CAP = 1e305  # cumulative weighted mass beyond which a side is treated as unbounded
-_SEG_TOL = 1e-13
-_STALL = 1e-7  # relative error at which a weighted-mass integral has stalled
 _ADMISSIBLE_GRID = 129  # probe points of double_down_admissible
 _ADMISSIBLE_MARGIN = 1e-9  # alpha must exceed the observed sup by this much
 
@@ -361,13 +357,12 @@ def _curvature_ratio(f: Density, n: int) -> np.ndarray:
 
 def _down_level_inverter(f: Density, sigma, g, sup: Support, value):
     """Level inversion of a monotone down image (support sup, values
-    value): solve g(x) = f^alpha/|f'| = y in x, then map back through sigma.
-    Brackets come from a table of (x, g(x)) on the source, sorted by value,
-    built at the first inversion: building it with the image would double
-    the cost of down() for images never inverted.  A level beyond the
-    outermost table node is bracketed by marching from that node toward the
-    source edge on its side (`core._march`); a level beyond reach raises
-    TargetOutOfRange."""
+    value): solve g(x) = f^alpha/|f'| = y in x (`core._solve`), then map
+    back through sigma.  The table of (x, g(x)) on the source, sorted by
+    value, is built at the first inversion: building it with the image
+    would double the cost of down() for images never inverted.  Past
+    either end of the table the solve marches toward the source edge on
+    that end's side; a level beyond reach raises TargetOutOfRange."""
 
     @functools.cache
     def table():
@@ -375,23 +370,17 @@ def _down_level_inverter(f: Density, sigma, g, sup: Support, value):
         gs = np.array([g(x) for x in xs])
         good = np.isfinite(gs)
         order = np.argsort(gs[good])
-        return xs[good][order], gs[good][order]
+        xs, gs = xs[good][order], gs[good][order]
+        lo, hi = f.support.lower, f.support.upper
+        return xs, gs, (hi if xs[0] > xs[1] else lo, hi if xs[-1] > xs[-2] else lo)
 
     def inverter(y: float) -> float:
         if not y > 0.0:
             # an underflowed value: its preimage is not representable
             raise TargetOutOfRange(f"level {y} of a down image cannot be inverted")
-        xs, gs = table()
-        j = int(np.searchsorted(gs, y))
-        if 0 < j < len(gs):
-            ends = ((xs[j - 1], gs[j - 1]), (xs[j], gs[j]))
-        else:
-            k, inner = (0, 1) if j == 0 else (-1, -2)
-            edge = f.support.upper if xs[k] > xs[inner] else f.support.lower
-            ends = _march(g, y, xs[k], edge)
-            if ends is None:
-                raise TargetOutOfRange(f"level {y} of a down image is beyond reach")
-        x = _invert_known(g, y, ends, tol=1e-12)
+        x = _solve(g, y, *table(), tol=1e-12)
+        if x is None:
+            raise TargetOutOfRange(f"level {y} of a down image is beyond reach")
         s = sigma(float(f.value(x)))
         # where f(x) rounds onto its edge limit, s lands on the image's edge,
         # where the image pulls its source level inside: s stands for y only
@@ -406,27 +395,6 @@ def _down_level_inverter(f: Density, sigma, g, sup: Support, value):
 # ---------------------------------------------------------------------------
 # up transformation
 # ---------------------------------------------------------------------------
-
-
-def _wf_quad(wf, lo: float, hi: float) -> QuadResult:
-    """Weighted mass on (lo, hi) to _SEG_TOL, pure relative, or the last
-    estimate when it does not converge."""
-    try:
-        return integrate(wf, Support(lo, hi), tol=_SEG_TOL, min_scale=0.0)
-    except NonConvergent as exc:
-        return exc.result
-
-
-def _wf_integral(wf, lo: float, hi: float) -> float:
-    """Weighted mass on (lo, hi), its error checked against _STALL:
-    integrands behind a monotone inversion carry ~1e-13 relative noise,
-    below which the convergence criterion cannot be met."""
-    r = _wf_quad(wf, lo, hi)
-    if r.error_estimate > _STALL * max(1e-280, abs(r.value)):
-        raise EdgeIllConditioned(
-            f"weighted segment integral on ({lo}, {hi}) stalled at error {r.error_estimate:.2e}"
-        )
-    return r.value
 
 
 def up(f: Density, alpha: float) -> TransformedDensity:
@@ -462,8 +430,24 @@ def up(f: Density, alpha: float) -> TransformedDensity:
         with np.errstate(all="ignore"):
             return np.exp(np.asarray(lv_f(x), dtype=float) - log_u(x))
 
-    coords = _UpCoords(f, wf)
+    knots = f.support.clustered(_TABLE_N)
+    if f.support.contains(0.0, slack=EDGE_SLACK):
+        knots = np.append(knots, 0.0)
+    knots = np.unique(knots)
+    coords = _Cumulative(wf, f.support, knots, _segment_masses(wf, f.support, knots))
     sigma, _ = _canonical(a)
+
+    def locate(u: float) -> Optional[float]:
+        """The source point of u.  Beyond reach toward an unbounded u-side
+        it is None (the image there has decayed beyond double precision);
+        toward a bounded one, the source edge moved EDGE_SLACK inside."""
+        x = coords.x_of_u(u)
+        if x is None:
+            below = u >= coords.u_knots[0]  # the solve marched toward the lower edge
+            if math.isfinite(coords.sup.upper if below else coords.sup.lower):
+                edge = f.support.lower if below else f.support.upper
+                return edge + (1.0 if below else -1.0) * EDGE_SLACK * max(1.0, abs(edge))
+        return x
 
     def sign_u(x: float) -> float:
         return 1.0 if a == 2.0 else float(np.sign((a - 2.0) * x))
@@ -473,7 +457,7 @@ def up(f: Density, alpha: float) -> TransformedDensity:
         return a * float(log_u(x)) - float(lv_f(x)), sign_u(x)
 
     value, log_value, derivative, log_abs_derivative = _image_fields(
-        coords.x_of_u, lambda x: float(log_u(x)), log_derivative
+        locate, lambda x: float(log_u(x)), log_derivative
     )
 
     # image monotonicity: the sign of U' is fixed when the source support
@@ -507,141 +491,6 @@ def up(f: Density, alpha: float) -> TransformedDensity:
         direction="up",
         anchor=coords.anchor,
     )
-
-
-def _up_knots(f: Density) -> np.ndarray:
-    xs = f.support.clustered(_TABLE_N)
-    if f.support.contains(0.0, slack=EDGE_SLACK):
-        xs = np.append(xs, 0.0)
-    return np.unique(xs)
-
-
-def _anchor_and_cumulate(knots: np.ndarray, inner: np.ndarray, head: float, tail: float):
-    """(anchor, knots, u, u-support, anchor knot) from the segment masses.
-
-    The anchor is the upper edge when the tail mass is finite (u > 0), else
-    the lower edge when the head mass is finite (u < 0), else the median
-    knot.  u is walked outward from the anchor index in both directions; a
-    walk stops at the first knot whose |u| passes _U_CAP, and such knots are
-    dropped, the u-support being unbounded on that side.
-    """
-    n = len(knots)
-    if math.isfinite(tail):
-        anchor, i0, u0 = "upper", n - 1, tail
-    elif math.isfinite(head):
-        anchor, i0, u0 = "lower", 0, -head
-    else:
-        anchor, i0, u0 = "median", n // 2, 0.0
-    u = np.full(n, np.nan)
-    u[i0] = u0
-    for step in (-1, +1):
-        acc = u0
-        for j in range(i0 + step, n if step > 0 else -1, step):
-            acc -= step * inner[min(j, j - step)]  # the segment between j - step and j
-            if not math.isfinite(acc) or abs(acc) > _U_CAP:
-                break
-            u[j] = acc
-    good = np.isfinite(u)
-    lo_u = float(u[-1] - tail) if good[-1] else -math.inf
-    hi_u = float(u[0] + head) if good[0] else math.inf
-    sup = Support(lo_u if lo_u >= -_U_CAP else -math.inf, hi_u if hi_u <= _U_CAP else math.inf)
-    return anchor, knots[good], u[good], sup, float(knots[i0])
-
-
-class _UpCoords:
-    """Cumulative coordinate u(x) of an up transform and its inverse.
-
-    Built on _TABLE_N knots whose segment masses are cumulated from the
-    anchor with the image; nothing changes after construction.  An
-    inversion beyond the knots marches out from the outermost one
-    (`core._march`).  Where the march runs out of reach first on an
-    unbounded u-side, the coordinate has no source point and x_of_u gives
-    None (the image value there has decayed beyond double precision).
-    """
-
-    def __init__(self, f: Density, wf):
-        self.f = f
-        self.wf = wf
-
-        def seg(lo: float, hi: float, open_ended: bool) -> float:
-            # a divergent segment, or a stalled open one, has infinite mass
-            try:
-                return _wf_integral(wf, lo, hi)
-            except (DivergentIntegral, EdgeIllConditioned) as exc:
-                if open_ended or isinstance(exc, DivergentIntegral):
-                    return math.inf
-                raise
-
-        knots = _up_knots(f)
-        inner = np.array([seg(xa, xb, False) for xa, xb in zip(knots[:-1], knots[1:])])
-        head = seg(f.support.lower, knots[0], True)
-        tail = seg(knots[-1], f.support.upper, True)
-        self.anchor, knots, u_knots, self.sup, start = _anchor_and_cumulate(
-            knots, inner, head, tail
-        )
-        edges = {"upper": f.support.upper, "lower": f.support.lower}
-        self.anchor_x = edges.get(self.anchor, start)
-        self.knots = knots.tolist()
-        self.u_knots = u_knots.tolist()
-
-    def _mass(self, lo: float, hi: float) -> float:
-        if lo == hi:
-            return 0.0
-        if math.isinf(lo) or math.isinf(hi):
-            return _wf_quad(self.wf, lo, hi).value  # unchecked: see u_of_x
-        return _wf_integral(self.wf, lo, hi)
-
-    def _reached(self, x: float) -> float:
-        """u(x), or nan where x is beyond reach: the weighted density is not
-        finite there, its mass cannot be formed, or |u| passes _U_CAP."""
-        try:
-            if not math.isfinite(float(self.wf(x))):
-                return math.nan
-            u = self.u_of_x(x)
-        except (DivergentIntegral, EdgeIllConditioned):
-            return math.nan
-        return u if abs(u) <= _U_CAP else math.nan
-
-    # -- public ------------------------------------------------------------
-    def u_of_x(self, x: float) -> float:
-        """u at the nearest knot between x and the anchor, plus the
-        weighted mass between that knot and x; with no such knot (x beyond
-        the table on the anchor side), the mass from x to the anchor.  Both
-        terms have the sign of u, so u keeps full relative precision even
-        where it decays by hundreds of orders of magnitude.
-
-        Every piece is checked against _STALL except the mass to an infinite
-        anchor: where wf underflows on the way there, its error estimate is
-        no guide (8% on (5.2e161, inf) for pareto(eta=3) at alpha = 3) while
-        its value is right."""
-        ax = self.anchor_x
-        if x == ax:
-            return 0.0
-        xs, us = self.knots, self.u_knots
-        if x < ax:
-            j = bisect.bisect_left(xs, x)
-            k, uk = (xs[j], us[j]) if j < len(xs) else (ax, 0.0)
-            return uk + self._mass(x, k)
-        j = bisect.bisect_right(xs, x) - 1
-        k, uk = (xs[j], us[j]) if j >= 0 else (ax, 0.0)
-        return uk - self._mass(k, x)
-
-    def x_of_u(self, u: float) -> Optional[float]:
-        xs, us = self.knots, self.u_knots  # u falls as x grows
-        k = bisect.bisect_right(us, -u, key=operator.neg)  # first index with u_knot < u
-        if 0 < k < len(us):
-            ends = ((xs[k - 1], us[k - 1]), (xs[k], us[k]))
-        else:
-            direction = -1.0 if k == 0 else +1.0
-            edge = self.f.support.lower if k == 0 else self.f.support.upper
-            ends = _march(self._reached, u, xs[0] if k == 0 else xs[-1], edge)
-            if ends is None:
-                # beyond reach toward an unbounded u-side; toward a bounded
-                # one, the source edge moved EDGE_SLACK inside
-                if math.isinf(self.sup.upper if k == 0 else self.sup.lower):
-                    return None
-                return edge - direction * EDGE_SLACK * max(1.0, abs(edge))
-        return _invert_known(self.u_of_x, u, ends, tol=1e-13, dg=lambda x: -float(self.wf(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from entroscope.core import (
 )
 from entroscope.errors import (
     DivergentIntegral,
+    EntroscopeError,
     InvalidParams,
     NonConvergent,
     NotMonotone,
@@ -466,13 +467,34 @@ class TestQuantiles:
         quantiles(parse_density(spec), [q])
         assert len(set(calls)) == len(calls)
         if spec == "exp":
-            # 65 table segments, then 3 quadratures in the solve, none of
-            # them over a table segment; re-integrating the segment's end
-            # made it 4
+            # 65 table segments, then 3 quadratures in the solve at q = 0.3
+            # and 4 at q = 0.7 (u to 1e-13 relative), none of them over a
+            # table segment
             table = {(lo, hi) for lo, hi, _ in calls[:65]}
-            assert len(calls) == 68
+            assert len(calls) == {0.3: 68, 0.7: 69}[q]
             assert not table & {(lo, hi) for lo, hi, _ in calls[65:]}
 
     def test_lower_tail(self):
         (x,) = quantiles(builtin("gauss"), [1e-9])
         assert x == pytest.approx(-5.99780701500769, rel=1e-10)
+
+    def test_tails_at_full_precision(self):
+        # both tails solve u to 1e-13 relative from their own edge; the gauss
+        # values are sqrt(2) erfinv(2q - 1) in mpmath at 40 digits for the
+        # float q
+        lo, hi = 1e-12, 1.0 - 1e-12
+        g = quantiles(builtin("gauss"), [lo, hi])
+        assert g[0] == pytest.approx(-7.034483825301132, rel=1e-12)
+        assert g[1] == pytest.approx(7.034486910047835, rel=1e-12)
+        e = quantiles(builtin("exp"), [lo, hi])
+        assert e[0] == pytest.approx(-math.log1p(-lo), rel=1e-12)
+        assert e[1] == pytest.approx(-math.log(1.0 - hi), rel=1e-12)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_unresolved_heavy_tail_raises(self, flip):
+        # pareto(eta=1.01): the open segment past the last knot does not
+        # converge, and the 1 - 1e-6 quantile lies near 1e600
+        f = builtin("pareto", {"eta": 1.01})
+        q = 1e-6 if flip else 1.0 - 1e-6
+        with pytest.raises(EntroscopeError):
+            quantiles(reflect(f) if flip else f, [q])

@@ -68,3 +68,29 @@ def test_oracle_imports_nothing_from_the_library():
         if level > 0 or name == "entroscope"
     ]
     assert not found, f"oracle.py imports {found}"
+
+
+def _package_imports(nodes) -> list[str]:
+    """The package-local modules that the relative imports among nodes
+    name: `from .errors import X` gives errors, `from . import special`
+    gives special."""
+    out = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            out += [node.module] if node.module else [alias.name for alias in node.names]
+    return out
+
+
+def test_core_imports_only_errors_at_module_level():
+    # core is the bottom layer: transforms and special import from it, so a
+    # module-level import back into the package would make a cycle; special
+    # is imported only inside _builtin_gg, when a gg density is built
+    tree = ast.parse((PACKAGE / "core.py").read_text())
+    assert _package_imports(tree.body) == ["errors"]
+    nested = {
+        (fn.name, name)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for name in _package_imports(ast.walk(fn))
+    }
+    assert nested == {("_builtin_gg", "special")}

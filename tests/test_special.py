@@ -272,6 +272,13 @@ class TestGeneralizedTrig:
                 y = arcsin_gen(v, b, x)
                 assert abs(sin_gen(v, b, y) - x) < 1e-10
 
+    @pytest.mark.parametrize("v, b", [(0.5, 2.0), (1.0, 3.0)])
+    def test_sine_past_infinite_quarter_period(self, v, b):
+        # 1/v >= 1: arcsin_gen diverges at 1, so the quarter period is
+        # infinite and every y >= 0 has a preimage in [0, 1)
+        for y in (0.1, 0.5, 2.0):
+            assert arcsin_gen(v, b, sin_gen(v, b, y)) == pytest.approx(y, rel=1e-10)
+
     def test_classical_sinh(self):
         # arcsinh_{2,2} is the classical arcsinh
         for x in (0.3, 1.0, 2.5):

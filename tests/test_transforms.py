@@ -129,6 +129,17 @@ def test_up_beyond_reach():
     assert u.derivative(-1e300) == 0.0
 
 
+@pytest.mark.parametrize(
+    "name, params, alpha",
+    [("pareto", {"eta": 3.0}, 1.5), ("pareto", {"eta": 3.0}, 3.0),
+     ("powerlaw", {"a": 2.0}, 0.5), ("powerlaw", {"a": 2.0}, 3.0)],
+)
+def test_up_preserves_mass(name, params, alpha):
+    f = builtin(name, params)
+    u = up(f, alpha)
+    assert integrate(u.value, u.support, tol=1e-10).value == pytest.approx(f.mass, abs=1e-9)
+
+
 def _cauchy() -> Density:
     return Density(
         support=Support(-math.inf, math.inf),
