@@ -721,12 +721,27 @@ class Density:
         return self.monotone_decreasing or self.monotone_increasing
 
     def invert_level(self, y: float) -> float:
-        """x with value(x) = y, for monotone densities."""
+        """x with value(x) = y, for monotone densities: a finite point of the
+        support (each edge within EDGE_SLACK max(1, |edge|)), or
+        TargetOutOfRange for a level that is not positive and finite, or
+        whose level inverter fails or lands off the support."""
+        if not 0.0 < y < math.inf:
+            raise TargetOutOfRange(f"level {y} of {self.label!r} is not positive and finite")
+        lo, hi = self.support.lower, self.support.upper
         if self.level_inverter is not None:
-            return self.level_inverter(y)
+            try:
+                x = float(self.level_inverter(y))
+            except (ArithmeticError, ValueError, TypeError) as exc:
+                raise TargetOutOfRange(f"level {y} of {self.label!r}: {exc}") from exc
+            # slack only off the support: this runs at every point of a down image
+            if math.isfinite(x) and (
+                lo <= x <= hi
+                or lo - EDGE_SLACK * max(1.0, abs(lo)) <= x <= hi + EDGE_SLACK * max(1.0, abs(hi))
+            ):
+                return x
+            raise TargetOutOfRange(f"level {y} of {self.label!r} maps to {x}, off the support")
         if not self.monotone:
             raise NotMonotone(f"density {self.label!r} is not monotone; cannot invert levels")
-        lo, hi = self.support.lower, self.support.upper
         if not math.isfinite(lo) or not math.isfinite(hi):
             raise EdgeIllConditioned(
                 f"density {self.label!r} has no level inverter and unbounded support"
@@ -1011,7 +1026,11 @@ def builtin(name: str, params: Optional[dict] = None) -> Density:
     extra = set(kw) - keys
     if extra:
         raise InvalidParams(f"unknown parameter(s) {sorted(extra)} for density {key!r}")
-    return factory(**{k: v if k == "mode" else float(v) for k, v in kw.items()})
+    try:
+        kw = {k: v if k == "mode" else float(v) for k, v in kw.items()}
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"non-numeric parameter for density {key!r}: {exc}") from exc
+    return factory(**kw)
 
 
 def parse_density(spec: str) -> Density:
@@ -1031,15 +1050,7 @@ def parse_density(spec: str) -> Density:
             if "=" not in item:
                 raise InvalidParams(f"malformed density parameter {item!r} in {spec!r}")
             k, v = item.split("=", 1)
-            k = k.strip().lower()
-            v = v.strip()
-            if k == "mode":
-                params[k] = v.lower()
-            else:
-                try:
-                    params[k] = float(v)
-                except ValueError as exc:
-                    raise InvalidParams(f"non-numeric value for {k!r} in {spec!r}") from exc
+            params[k.strip().lower()] = v.strip().lower()  # builtin converts the numbers
     return builtin(name, params)
 
 

@@ -18,7 +18,14 @@ from typing import Optional
 import numpy as np
 
 from .core import Density, QuadResult, _log_pair, integrate
-from .errors import DivergentIntegral, InvalidParams, MissingDerivative, OutOfDomain, Unbounded
+from .errors import (
+    DivergentIntegral,
+    EntroscopeError,
+    InvalidParams,
+    MissingDerivative,
+    OutOfDomain,
+    Unbounded,
+)
 
 __all__ = [
     "holder_conjugate",
@@ -242,7 +249,7 @@ def entropic_Sp(f: Density, p: float) -> float:
             x1 = f.invert_level(1.0)
             if f.support.contains(x1, slack=1e-12):
                 pts.add(float(x1))
-        except Exception:
+        except EntroscopeError:
             pass
 
     def integrand(x):
@@ -285,6 +292,9 @@ def evaluate_measure(measure_id: str, f: Density, **params) -> dict:
         val = params.get("lam", params.get("lambda")) if name == "lambda" else params.get(name)
         if val is None:
             raise InvalidParams(f"measure {measure_id!r} requires parameter {name!r}")
-        args.append(float(val))
+        try:
+            args.append(float(val))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"non-numeric {name!r} for measure {measure_id!r}: {exc}") from exc
     value = fn(f, *args)
     return {"measure": measure_id, "value": float(value), "error_estimate": _TOL * max(1.0, abs(value))}

@@ -9,19 +9,20 @@ construction modes are supported:
 * ``sym``   - symmetric density on (-edge, edge) with unit mass,
 * ``paper`` - bare restriction to (0, edge) carrying mass 1/2.
 
-Closed-form transform images below are parameterized by the actual
-amplitude of the input, so they are exact for every mode.
+Every member, mirror_gg's sign-flipped one included, comes from one kernel
+A (1 - sign (lambda-1) x^{p*})_+^{1/(lambda-1)}, and every Beta constant from
+scipy.special.  Closed-form transform images below are parameterized by the
+actual amplitude of the input, so they are exact for every mode.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import beta, gammaincc, gammainccinv
 from scipy.special import gamma as _gamma_fn
-from scipy.special import gammaincc, gammainccinv
 
 from .core import Density, Support, _pointwise, _solve, integrate
 from .errors import DivergentIntegral, InvalidParams, OutOfDomain, OutOfRange
@@ -48,12 +49,6 @@ _QUAD_TOL = 1e-12  # relative tolerance of arcsin_gen and arcsinh_gen
 _INV_TOL = 1e-11  # relative tolerance of sin_gen and sinh_gen
 _GAMMA_REL = 1e-10  # largest relative error bound inc_gamma_upper returns
 _EPS = np.finfo(float).eps
-
-
-def _beta(a: float, b: float) -> float:
-    """Beta function via the Gamma product; valid for non-pole arguments,
-    including the formal continuation to negative non-integers."""
-    return _gamma_fn(a) * _gamma_fn(b) / _gamma_fn(a + b)
 
 
 def exp_lambda(lam: float, x) -> float:
@@ -93,13 +88,18 @@ def _check_gg_domain(p: float, lam: float) -> None:
 def gg_normalization(p: float, lam: float) -> float:
     """Normalization constant a_{p,lambda} (Beta/Gamma closed form)."""
     _check_gg_domain(p, lam)
+    return _gg_constant(p, lam)
+
+
+def _gg_constant(p: float, lam: float) -> float:
+    """a_{p,lambda} unchecked, its Beta form continued formally to mirrored members."""
     if p == 0:
         return 1.0 / (2.0 * _gamma_fn(lam / (lam - 1.0)))
     ps = holder_conjugate(p)
     if abs(lam - 1.0) < _SHANNON_WINDOW:
         return ps / (2.0 * _gamma_fn(1.0 / ps))
     second = lam / abs(1.0 - lam) + (1.0 / p if 1.0 - lam > 0 else 0.0)
-    return ps * abs(1.0 - lam) ** (1.0 / ps) / (2.0 * _beta(1.0 / ps, second))
+    return ps * abs(1.0 - lam) ** (1.0 / ps) / (2.0 * beta(1.0 / ps, second))
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,9 @@ class GGParams:
         return gg_support_edge(self.p, self.lam)
 
 
-def _gg_halfline_callables(p: float, lam: float, amplitude: float):
-    """(value, derivative, second_derivative, level_inverter) on (0, edge)."""
+def _gg_halfline_callables(p: float, lam: float, amplitude: float, sign: float = 1.0):
+    """(value, f', f'', level inverter) of A (1 - sign (lambda-1) x^{p*})_+^{1/(lambda-1)}
+    on (0, edge): sign = 1 is g_{p,lambda}, sign = -1 its mirror for lambda < 1."""
     A = amplitude
     if p == 0:
         c = 1.0 / (lam - 1.0)
@@ -173,13 +174,14 @@ def _gg_halfline_callables(p: float, lam: float, amplitude: float):
         return val, der, sec, inv
 
     lm1 = lam - 1.0
+    c = sign * lm1  # B = 1 - c x^{p*}, e c = sign with e = 1/(lambda-1)
     m = (2.0 - lam) / lm1  # exponent of B in the derivative
 
-    if lm1 > 0:
-        edge = lm1 ** (-1.0 / ps)
+    if c > 0:
+        edge = c ** (-1.0 / ps)
 
         def _B(x):
-            # 1 - (lam-1) x^{p*} = -expm1(p* log(x/edge)): exact up to the
+            # 1 - c x^{p*} = -expm1(p* log(x/edge)): exact up to the
             # support edge, where the naive form cancels catastrophically
             with np.errstate(all="ignore"):
                 return -np.expm1(ps * (np.log(x) - math.log(edge)))
@@ -187,7 +189,7 @@ def _gg_halfline_callables(p: float, lam: float, amplitude: float):
     else:
 
         def _B(x):
-            return 1.0 - lm1 * x**ps
+            return 1.0 - c * x**ps
 
     def val(x):
         x = np.asarray(x, dtype=float)
@@ -202,7 +204,7 @@ def _gg_halfline_callables(p: float, lam: float, amplitude: float):
     elif m == 0:
         edge_der = lambda x: -A * ps * x ** (ps - 1.0)
     else:
-        edge_der = lambda x: np.full_like(x, -np.inf)
+        edge_der = lambda x: np.full_like(x, -sign * np.inf)
 
     def der(x):
         x = np.asarray(x, dtype=float)
@@ -210,7 +212,7 @@ def _gg_halfline_callables(p: float, lam: float, amplitude: float):
             b = _B(x)
             good = b > 0
             return np.where(
-                good, -A * ps * x ** (ps - 1.0) * np.where(good, b, 1.0) ** m, edge_der(x)
+                good, -sign * A * ps * x ** (ps - 1.0) * np.where(good, b, 1.0) ** m, edge_der(x)
             )
 
     def sec(x):
@@ -221,12 +223,13 @@ def _gg_halfline_callables(p: float, lam: float, amplitude: float):
             bb = np.where(good, b, 1.0)
             return np.where(
                 good,
-                -A * ps * x ** (ps - 2.0) * bb ** (m - 1.0) * ((ps - 1.0) * bb - (2.0 - lam) * ps * x**ps),
+                -sign * A * ps * x ** (ps - 2.0) * bb ** (m - 1.0)
+                * ((ps - 1.0) * bb - sign * (2.0 - lam) * ps * x**ps),
                 0.0,
             )
 
     def inv(y):
-        return ((1.0 - (y / A) ** lm1) / lm1) ** (1.0 / ps)
+        return ((1.0 - (y / A) ** lm1) / c) ** (1.0 / ps)
 
     return val, der, sec, inv
 
@@ -242,10 +245,9 @@ def gg_density(p: float, lam: float, mode: str = "half") -> Density:
     if mode not in ("half", "sym", "paper"):
         raise InvalidParams(f"gg mode must be half, sym, or paper; got {mode!r}")
     _check_gg_domain(p, lam)
-    a = gg_normalization(p, lam)
     edge = gg_support_edge(p, lam)
     if mode == "sym":
-        val_h, der_h, sec_h, _ = _gg_halfline_callables(p, lam, a)
+        val_h, der_h, sec_h, _ = _gg_halfline_callables(p, lam, gg_normalization(p, lam))
 
         def val(x):
             return val_h(np.abs(np.asarray(x, dtype=float)))
@@ -264,8 +266,7 @@ def gg_density(p: float, lam: float, mode: str = "half") -> Density:
             second_derivative=sec,
             label=f"gg(p={p:g},lambda={lam:g},sym)",
         )
-    amp = 2.0 * a if mode == "half" else a
-    mass = 1.0 if mode == "half" else 0.5
+    amp, mass = _gg_amplitude(p, lam, mode)
     val, der, sec, inv = _gg_halfline_callables(p, lam, amp)
     return Density(
         support=Support(0.0, edge),
@@ -284,7 +285,7 @@ def mirror_gg(p: float, lam: float) -> Density:
 
         a_{p,lambda} (1 - |lambda-1| t^{p*})_+^{1/(lambda-1)}  on (0, edge).
 
-    For lambda > 1 this is the ordinary restricted member (mass 1/2); for
+    For lambda > 1 this is the ordinary restricted member (paper mode); for
     lambda < 1 it is the formal mirrored-domain member, divergent at its
     support edge, with the Beta-formula constant continued formally.  With
     w = |lambda-1| t^{p*} the mass is A t_e B(1/p*, e+1) / p*, e = 1/(lambda-1),
@@ -298,42 +299,26 @@ def mirror_gg(p: float, lam: float) -> Density:
         # for p* < 0 the bracket 1 - |lambda-1| t^{p*} is negative on all of
         # (0, edge): the member vanishes and the mass formula does not apply
         raise OutOfDomain("mirror_gg requires p > 1 or p < 0 (p* > 0)")
-    second = lam / abs(1.0 - lam) + (1.0 / p if 1.0 - lam > 0 else 0.0)
-    A = ps * abs(1.0 - lam) ** (1.0 / ps) / (2.0 * _beta(1.0 / ps, second))
+    A = _gg_constant(p, lam)
     if not (math.isfinite(A) and A > 0):
         raise OutOfDomain(f"formal normalization constant undefined at (p, lambda) = ({p}, {lam})")
-    edge = abs(lam - 1.0) ** (-1.0 / ps)
-    c = abs(lam - 1.0)
     e = 1.0 / (lam - 1.0)
     if not e > -1.0:
         raise DivergentIntegral(
             f"mirror_gg mass diverges at its support edge for lambda = {lam} (e = {e:g} <= -1)"
         )
-
-    def val(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            b = 1.0 - c * t**ps
-            return A * np.where(b > 0, np.where(b > 0, b, 1.0) ** e, 0.0)
-
-    def der(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            b = 1.0 - c * t**ps
-            good = b > 0
-            return np.where(
-                good, -A * e * c * ps * t ** (ps - 1.0) * np.where(good, b, 1.0) ** (e - 1.0), 0.0
-            )
-
-    mass = A * edge * _beta(1.0 / ps, e + 1.0) / ps
+    val, der, sec, inv = _gg_halfline_callables(p, lam, A, 1.0 if lam > 1 else -1.0)
+    edge = abs(lam - 1.0) ** (-1.0 / ps)
     return Density(
         support=Support(0.0, edge),
         value=val,
         derivative=der,
+        second_derivative=sec,
         monotone_decreasing=lam > 1,
         monotone_increasing=lam < 1,
         label=f"mirror_gg(p={p:g},lambda={lam:g})",
-        mass=mass,
+        mass=A * edge * beta(1.0 / ps, e + 1.0) / ps,
+        level_inverter=inv,
     )
 
 
@@ -344,8 +329,8 @@ def mirror_gg(p: float, lam: float) -> Density:
 
 def arcsin_gen(v: float, b: float, x: float) -> float:
     """arcsin_{v,b}(x) = int_0^x (1 - t^b)^{-1/v} dt for x in [0, 1]."""
-    if not b > 0:
-        raise OutOfDomain("arcsin_gen requires b > 0")
+    if not b > 0 or v == 0:
+        raise OutOfDomain("arcsin_gen requires b > 0 and v != 0")
     if not 0.0 <= x <= 1.0:
         raise OutOfDomain(f"arcsin_gen argument must lie in [0, 1]; got {x}")
     if x == 0.0:
@@ -372,21 +357,17 @@ def arcsin_gen(v: float, b: float, x: float) -> float:
     return head + tail
 
 
-@functools.lru_cache(maxsize=256)
 def _arcsin_quarter(v: float, b: float) -> float:
-    """Cached quarter period arcsin_{v,b}(1), infinite when 1/v >= 1."""
-    try:
-        return arcsin_gen(v, b, 1.0)
-    except DivergentIntegral:
-        return math.inf
+    """Quarter period arcsin_{v,b}(1) = B(1/b, 1 - 1/v) / b, infinite when 1/v >= 1."""
+    return float(beta(1.0 / b, 1.0 - 1.0 / v)) / b if 1.0 / v < 1.0 else math.inf
 
 
 def sin_gen(v: float, b: float, y: float) -> float:
     """Principal-branch inverse of arcsin_gen: sin_{v,b}(y) in [0, 1]."""
-    if not b > 0:
-        raise OutOfDomain("sin_gen requires b > 0")
+    if not b > 0 or v == 0:
+        raise OutOfDomain("sin_gen requires b > 0 and v != 0")
     ymax = _arcsin_quarter(v, b)
-    if y < -_INV_TOL or (math.isfinite(ymax) and y > ymax * (1.0 + 1e-12) + _INV_TOL):
+    if y < -_INV_TOL or y > ymax * (1.0 + 1e-12) + _INV_TOL:
         raise OutOfDomain(f"sin_gen argument {y} outside principal branch [0, {ymax}]")
     y = min(max(y, 0.0), ymax)
     if y == 0.0:
@@ -405,8 +386,8 @@ def sin_gen(v: float, b: float, y: float) -> float:
 
 def arcsinh_gen(v: float, b: float, x: float) -> float:
     """arcsinh_{v,b}(x) = int_0^x (1 + t^b)^{-1/v} dt for x >= 0."""
-    if not b > 0:
-        raise OutOfDomain("arcsinh_gen requires b > 0")
+    if not b > 0 or v == 0:
+        raise OutOfDomain("arcsinh_gen requires b > 0 and v != 0")
     if x < 0:
         raise OutOfDomain("arcsinh_gen requires x >= 0")
     if x == 0.0:
@@ -420,14 +401,15 @@ def arcsinh_gen(v: float, b: float, x: float) -> float:
     return integrate(integrand, Support(0.0, x), tol=_QUAD_TOL).value
 
 
-@functools.lru_cache(maxsize=256)
 def _arcsinh_limit(v: float, b: float) -> float:
-    """Cached limit arcsinh_{v,b}(inf); finite iff b/v > 1."""
-    return arcsinh_gen(v, b, math.inf) if b / v > 1.0 else math.inf
+    """Limit arcsinh_{v,b}(inf) = B(1/b, 1/v - 1/b) / b, finite iff b/v > 1."""
+    return float(beta(1.0 / b, 1.0 / v - 1.0 / b)) / b if b / v > 1.0 else math.inf
 
 
 def sinh_gen(v: float, b: float, y: float) -> float:
     """Inverse of arcsinh_gen on its range."""
+    if not b > 0 or v == 0:
+        raise OutOfDomain("sinh_gen requires b > 0 and v != 0")
     if y < 0:
         raise OutOfDomain("sinh_gen requires y >= 0")
     if y == 0.0:
@@ -527,7 +509,6 @@ def down_of_gg(p: float, lam: float, alpha: float, mode: str = "half") -> Densit
     """
     if p == 0:
         raise OutOfDomain("closed-form down images require p != 0")
-    _check_gg_domain(p, lam)
     A, mass = _gg_amplitude(p, lam, mode)
     ps = holder_conjugate(p)
     lam1 = abs(lam - 1.0) < _SHANNON_WINDOW
@@ -621,8 +602,8 @@ def up_of_gg(p: float, lam: float, alpha: float, mode: str = "half"):
         b = (a2 / (alpha - 1.0)) * ps
         C = A * abs(a2) ** (1.0 / a2) * a2 / ((alpha - 1.0) * m ** ((alpha - 1.0) / a2))
         exq = a2 / (alpha - 1.0)
+        v = 1.0 - lam
         if lam > 1:
-            v = 1.0 - lam
             y_quarter = _arcsin_quarter(v, b)
             sup = Support(0.0, C * y_quarter)
 
@@ -631,7 +612,6 @@ def up_of_gg(p: float, lam: float, alpha: float, mode: str = "half"):
                 return sin_gen(v, b, y) ** exq / m
 
         else:
-            v = 1.0 - lam
             ylim = _arcsinh_limit(v, b)
             if math.isfinite(ylim):
                 sup = Support(0.0, C * ylim)

@@ -375,9 +375,6 @@ def _down_level_inverter(f: Density, sigma, g, sup: Support, value):
         return xs, gs, (hi if xs[0] > xs[1] else lo, hi if xs[-1] > xs[-2] else lo)
 
     def inverter(y: float) -> float:
-        if not y > 0.0:
-            # an underflowed value: its preimage is not representable
-            raise TargetOutOfRange(f"level {y} of a down image cannot be inverted")
         x = _solve(g, y, *table(), tol=1e-12)
         if x is None:
             raise TargetOutOfRange(f"level {y} of a down image is beyond reach")

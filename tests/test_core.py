@@ -296,6 +296,11 @@ class TestBuiltins:
     def test_unknown_key(self):
         with pytest.raises(InvalidParams):
             parse_density("exp:rate=1,scale=2")
+        # a non-numeric value is invalid too, given directly or parsed
+        with pytest.raises(InvalidParams):
+            builtin("exp", {"rate": "abc"})
+        with pytest.raises(InvalidParams):
+            parse_density("exp:rate=abc")
 
     def test_case_insensitive(self):
         f = parse_density("EXP:Rate=2")
@@ -323,6 +328,20 @@ class TestBuiltins:
         f = builtin("halfgauss", {"sigma": 1})
         y = f(0.7)
         assert abs(f.invert_level(y) - 0.7) < 1e-10
+
+    @pytest.mark.parametrize(
+        "name, params, y",
+        [
+            ("exp", {}, 0.0),  # not a positive level
+            ("halfgauss", {}, 1.0),  # above sup f = sqrt(2/pi)
+            ("pareto", {"eta": 3}, -1.0),  # the closed form would be complex
+            ("exp", {}, 10.0),  # the closed form gives x < 0
+            ("gg", {"p": 2, "lambda": 0.7}, 1.0),  # the closed form gives nan
+        ],
+    )
+    def test_level_outside_range_raises(self, name, params, y):
+        with pytest.raises(TargetOutOfRange):
+            builtin(name, params).invert_level(y)
 
 
 # ------------------------------------------------------------------ rescale

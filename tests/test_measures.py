@@ -279,3 +279,5 @@ class TestEvaluateMeasure:
 
         with pytest.raises(InvalidParams):
             evaluate_measure("nope", EXP)
+        with pytest.raises(InvalidParams):
+            evaluate_measure("sigma", EXP, p="abc")

@@ -12,6 +12,8 @@ from entroscope.core import Support, integrate
 from entroscope.errors import DivergentIntegral, OutOfDomain, OutOfRange
 from entroscope.special import (
     GGParams,
+    _arcsin_quarter,
+    _arcsinh_limit,
     arcsin_gen,
     arcsinh_gen,
     exp_lambda,
@@ -106,7 +108,9 @@ class TestGGNormalization:
         assert abs(gg_normalization(2, 0.5) - math.sqrt(2) / math.pi) < 1e-13
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, -1.0, -2.0])
-    @pytest.mark.parametrize("lam", [0.6, 1.0, 1.5, 2.0, 3.0])
+    # 0.999 and 1.001 lie in the band where Gamma(a + b) of the Beta
+    # constant overflows
+    @pytest.mark.parametrize("lam", [0.6, 1.0, 1.5, 2.0, 3.0, 0.999, 1.001])
     def test_matches_quadrature_grid(self, p, lam):
         ps = math.inf if p == 1 else p / (p - 1)
         if not lam > 1 - ps:
@@ -233,6 +237,25 @@ class TestGGDensity:
             ref = mp.quad(weighted, [0, 0.5, 1])
         assert m.mass == pytest.approx(float(ref), rel=1e-13)
 
+    def test_mirror_gg_is_paper_mode_for_lam_gt1(self):
+        # one kernel: the same value, f', f'' and level inverter, bit for bit
+        m, g = mirror_gg(2, 1.5), gg_density(2, 1.5, mode="paper")
+        xs = np.linspace(0.01, 0.99, 25) * g.support.upper
+        for field in ("value", "derivative", "second_derivative"):
+            assert np.array_equal(getattr(m, field)(xs), getattr(g, field)(xs))
+        for y in g(xs):
+            assert m.invert_level(y) == g.invert_level(y)
+
+    @pytest.mark.parametrize("p,lam", [(2, -0.2), (4, -0.3), (-1, -1)])
+    def test_mirror_gg_second_derivative_and_levels(self, p, lam):
+        m = mirror_gg(p, lam)
+        assert m.monotone_increasing
+        for t in np.array([0.2, 0.35, 0.5, 0.65, 0.8]) * m.support.upper:
+            h = 3e-6 * t
+            fd = (m.d(t + h) - m.d(t - h)) / (2 * h)
+            assert abs(fd - m.dd(t)) <= 1e-8 * abs(m.dd(t))
+            assert abs(m.invert_level(m(t)) - t) <= 1e-13 * max(1.0, t)
+
     @pytest.mark.parametrize("lam", [0.5, 0.0])
     def test_mirror_gg_divergent_mass(self, lam):
         # e = 1/(lambda - 1) <= -1: the edge divergence is not integrable
@@ -305,6 +328,18 @@ class TestGeneralizedTrig:
             arcsin_gen(2, 2, 1.5)
         with pytest.raises(OutOfDomain):
             arcsin_gen(2, -1, 0.5)
+        for fn in (arcsin_gen, sin_gen, arcsinh_gen, sinh_gen):
+            with pytest.raises(OutOfDomain):
+                fn(0.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize("v, b", [(2.0, 2.0), (3.0, 4.0), (-1.0, 1.5), (-0.5, 3.0)])
+    def test_quarter_period_and_limit_closed_forms(self, v, b):
+        # B(1/b, 1 - 1/v)/b and B(1/b, 1/v - 1/b)/b against the quadratures
+        assert _arcsin_quarter(v, b) == pytest.approx(arcsin_gen(v, b, 1.0), rel=1e-12)
+        if b / v > 1.0:
+            assert _arcsinh_limit(v, b) == pytest.approx(arcsinh_gen(v, b, math.inf), rel=1e-12)
+        else:
+            assert _arcsinh_limit(v, b) == math.inf
 
 
 # ------------------------------------------------------- incomplete Gamma

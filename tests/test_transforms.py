@@ -7,9 +7,10 @@ import pytest
 
 from entroscope.core import Density, Support, builtin, integrate
 from entroscope.errors import EdgeIllConditioned, EntroscopeError, TargetOutOfRange
-from entroscope.special import down_of_gg, gg_density, up_of_gg
+from entroscope.special import down_of_gg, gg_density, mirror_gg, up_of_gg
 from entroscope.transforms import (
     compose_downdown,
+    compose_updown,
     double_down_admissible,
     down,
     down_support_length,
@@ -190,6 +191,12 @@ def test_double_down_preserves_mass(alpha, beta):
     assert abs(integrate(d, d.support, tol=1e-12).value - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha,beta", [(3.0, 3.0), (3.0, 1.5)])
+def test_updown_preserves_mass(alpha, beta):
+    d = compose_updown(builtin("pareto", {"eta": 3.0}), alpha, beta)
+    assert abs(integrate(d, d.support, tol=1e-12).value - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("alpha,beta", [(3.0, 3.0), (1.5, 1.5), (3.0, 1.5)])
 def test_double_down_unresolved_edge_raises(alpha, beta):
     # the first image of halfgauss is unbounded at its lower edge, where its
@@ -256,6 +263,11 @@ def test_double_down_admissible_threshold():
     f = builtin("exp")
     assert not double_down_admissible(f, 1.0 + 1e-9)
     assert double_down_admissible(f, 1.0 + 2e-9)
+
+
+def test_double_down_admissible_mirror_gg():
+    # mirror_gg carries f'' from the kernel it shares with gg_density
+    assert double_down_admissible(mirror_gg(2, 1.5), 3.0).admissible
 
 
 # up(down(f)) is f again up to the gauge; bounds are the round trip's
