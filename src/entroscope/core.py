@@ -24,7 +24,14 @@ between x and an anchor, signed so that u' = -w.  A table of knots holds
 u, cumulated once from segment masses to 1e-13 relative, and u(x) adds
 one quadrature from the nearest knot toward the anchor.  The up
 transform's coordinate (w = f/U) and the quantiles of f (w = f, anchored
-at either edge) are such coordinates.  Every inversion past a table goes
+at either edge) are such coordinates.  A table's segments between knots
+are one batched tanh-sinh pass (`_integrate_many`): each segment is a row
+that follows the rule above, and each level makes one integrand call on
+the nodes of every row still open.  A row that leaves clean convergence
+(a term that is not finite, a partial sum past 1e50, a last chunk that is
+not negligible, or no convergence by the last level) is run again alone
+through `integrate`, whose checks decide it, as are the head and tail
+segments, which may be infinite.  Every inversion past a table goes
 through `_solve`: it brackets the target between neighbouring entries, or
 marches out from the outermost one (`_march`), and hands invert_monotone
 the values at both ends, which the table or the march already holds.
@@ -319,6 +326,101 @@ def _tanh_sinh(g, edge_map, half: float, tol: float, min_scale: float) -> QuadRe
     )
 
 
+def _integrate_many(g, los: np.ndarray, his: np.ndarray, tol: float):
+    """(values, errors) of the integrals of g over the finite intervals
+    (los[i], his[i]), each by the rule of `_tanh_sinh` at min_scale = 0:
+    the same nodes, per-side reach and truncation, and stop test, so each
+    row's value and evaluations are those of its own `integrate`.  The
+    rows' state lives in arrays, and each level makes one call to g on the
+    nodes of every row still open (level 0 adds the midpoints).
+
+    A row that leaves clean convergence comes back as nan, for the caller
+    to run through `integrate`, whose checks then decide it: a midpoint or
+    term that is not finite, |estimate| past _HUGE, a last chunk not
+    negligible against 1e3 tol |estimate| (a superset of the edge test of
+    `_tanh_sinh`), no convergence by _MAX_LEVEL, or a call to g that raises
+    DivergentIntegral or EdgeIllConditioned (every open row)."""
+    values, errors = np.full(len(los), math.nan), np.full(len(los), math.nan)
+    rows = np.arange(len(los))
+    lo, hi = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+    half = 0.5 * (hi - lo)
+    s, edge = np.zeros(len(rows)), np.zeros(len(rows))
+    reach = np.full((2, len(rows)), math.inf)  # upper side first, as in _ts_level_sum
+
+    def side_sums(terms, k, total, max_term):
+        """_side_sum on every row at once, row i using its first k[i] terms:
+        (used, total, largest term, peak of the last chunk used)."""
+        r, nch = len(k), -(-terms.shape[1] // _CHUNK)
+        t3 = np.zeros((r, nch * _CHUNK))
+        t3[:, : terms.shape[1]] = terms
+        t3 = t3.reshape(r, nch, _CHUNK)
+        sums = np.add.reduce(t3, axis=2)  # pairwise over 8 terms, as _side_sum's full chunks
+        # np.add.reduce sums fewer than 8 terms in turn: so does a row's partial chunk
+        ri, last = np.arange(r), np.minimum(k // _CHUNK, nch - 1)
+        part = ri[k % _CHUNK > 0]
+        sums[part, last[part]] = np.add.accumulate(t3[part, last[part]], axis=1)[:, -1]
+        running = np.add.accumulate(np.column_stack([total, sums]), axis=1)
+        peaks = np.abs(t3).max(axis=2)
+        largest = np.maximum.accumulate(np.column_stack([max_term, peaks]), axis=1)
+        nk = -(-k // _CHUNK)
+        stop = (peaks <= _TRUNC_EPS * np.maximum(np.abs(running[:, 1:]), largest[:, 1:])) & (
+            largest[:, 1:] > 0.0
+        ) & (np.arange(nch) < nk[:, None])
+        c = np.where(stop.any(axis=1), stop.argmax(axis=1), nk - 1)
+        return np.minimum(k, (c + 1) * _CHUNK), running[ri, c + 1], largest[ri, c + 1], peaks[ri, c]
+
+    for level in range(_MAX_LEVEL + 1):
+        if not len(rows):
+            break
+        ts, dfrac, cosh_t, cosh2_y = _level_nodes(level)
+        ts = np.array(ts)
+        caps = np.searchsorted(ts, reach, side="right") + _CHUNK
+        n = min(len(ts), int(caps.max()))
+        w = (half * _PI_2)[:, None] * cosh_t[:n] / cosh2_y[:n]
+        deltas = half[:, None] * dfrac[:n]
+        counts = np.minimum(caps, np.count_nonzero((w > 0.0) & (deltas > 0.0), axis=1))
+        masks = np.arange(n) < counts[:, :, None]
+        parts = [(hi[:, None] - deltas)[masks[0]], (lo[:, None] + deltas)[masks[1]]]
+        if level == 0:
+            parts.insert(0, hi - half)
+        xs = np.concatenate(parts)
+        with np.errstate(all="ignore"):
+            try:
+                vs = np.asarray(g(xs), dtype=float) if len(xs) else xs
+            except (DivergentIntegral, EdgeIllConditioned):
+                break  # they decide a segment one by one: hand back every open row
+            vs = vs if vs.shape == xs.shape else np.broadcast_to(vs, xs.shape)
+            total = np.zeros(len(rows))
+            if level == 0:
+                total, vs = half * _PI_2 * vs[: len(rows)], vs[len(rows) :]
+            bad = ~np.isfinite(total)
+            max_term = np.abs(total)
+            level_edge = np.full(len(rows), -1.0)
+            for side, mask in enumerate(masks):
+                v, m = np.zeros(mask.shape), int(counts[side].sum())
+                v[mask], vs = vs[:m], vs[m:]
+                terms = w * v
+                bad |= ~np.isfinite(terms).all(axis=1)
+                used, total, max_term, peak = side_sums(terms, counts[side], total, max_term)
+                reach[side] = np.where(used > 0, ts[used - 1], reach[side])
+                level_edge = np.where(used > 0, np.maximum(level_edge, peak), level_edge)
+            s += total
+            est = 2.0**-level * s
+            edge = np.where(level_edge >= 0.0, level_edge, edge)
+            drop = bad | (np.abs(est) > _HUGE)
+            if level >= 2:
+                err = np.abs(est - prev)
+                scale = np.where(est == 0.0, 1.0, np.abs(est))
+                done = ~drop & (err <= tol * scale)
+                clean = done & ~(edge > 1e3 * tol * scale)
+                values[rows[clean]], errors[rows[clean]] = est[clean], err[clean]
+                drop |= done
+        keep = ~drop
+        rows, lo, hi, half, s, edge, reach = (a[..., keep] for a in (rows, lo, hi, half, s, edge, reach))
+        prev = est[keep]
+    return values, errors
+
+
 def _integrate_finite(g, a: float, b: float, tol: float, min_scale: float) -> QuadResult:
     def edge_map(d, upper):
         return (b - d if upper else a + d), ()
@@ -570,7 +672,12 @@ def _w_mass(w, lo: float, hi: float, checked: bool = True) -> float:
 def _segment_masses(w, support: Support, knots: np.ndarray):
     """(inner, head, tail): the masses of w between neighbouring knots, from
     the lower edge to the first knot, and from the last knot to the upper
-    edge.  A divergent segment, or a stalled open one, has infinite mass."""
+    edge.  A divergent segment, or a stalled open one, has infinite mass.
+
+    The segments between knots are one `_integrate_many` pass; a row it
+    hands back, or whose error would fail _w_mass's stall check, runs
+    alone through _w_mass, as do the head and tail, which may be
+    infinite."""
 
     def seg(lo: float, hi: float, open_ended: bool) -> float:
         try:
@@ -580,7 +687,9 @@ def _segment_masses(w, support: Support, knots: np.ndarray):
                 return math.inf
             raise
 
-    inner = np.array([seg(xa, xb, False) for xa, xb in zip(knots[:-1], knots[1:])])
+    inner, err = _integrate_many(w, knots[:-1], knots[1:], _SEG_TOL)
+    for i in np.flatnonzero(~(err <= _STALL * np.maximum(1e-280, np.abs(inner)))):
+        inner[i] = seg(knots[i], knots[i + 1], False)
     return inner, seg(support.lower, knots[0], True), seg(knots[-1], support.upper, True)
 
 

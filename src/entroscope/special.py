@@ -229,7 +229,10 @@ def _gg_halfline_callables(p: float, lam: float, amplitude: float, sign: float =
             )
 
     def inv(y):
-        return ((1.0 - (y / A) ** lm1) / c) ** (1.0 / ps)
+        b = (1.0 - (y / A) ** lm1) / c
+        if not b >= 0.0:  # a fractional power of b < 0 would be nan, with a warning
+            raise ValueError(f"level {y} outside the value range")
+        return b ** (1.0 / ps)
 
     return val, der, sec, inv
 

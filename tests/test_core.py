@@ -6,13 +6,14 @@ under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroscope import core
+from entroscope import core, transforms
 from entroscope.core import (
     Density,
     Support,
@@ -27,6 +28,7 @@ from entroscope.core import (
 )
 from entroscope.errors import (
     DivergentIntegral,
+    EdgeIllConditioned,
     EntroscopeError,
     InvalidParams,
     NonConvergent,
@@ -34,7 +36,7 @@ from entroscope.errors import (
     TargetOutOfRange,
     UnknownDensity,
 )
-from entroscope.transforms import down
+from entroscope.transforms import down, up
 
 
 # ----------------------------------------------------------------- oracles
@@ -343,6 +345,15 @@ class TestBuiltins:
         with pytest.raises(TargetOutOfRange):
             builtin(name, params).invert_level(y)
 
+    def test_gg_level_above_amplitude_is_quiet(self):
+        # the closed-form inverter checks its range before it takes a
+        # fractional power, which numpy would warn about
+        f = builtin("gg", {"p": 2, "lambda": 0.7})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TargetOutOfRange):
+                f.invert_level(1.0)
+
 
 # ------------------------------------------------------------------ rescale
 class TestRescale:
@@ -474,22 +485,34 @@ class TestQuantiles:
     def test_bracket_ends_not_integrated_again(self, monkeypatch, spec, q):
         # the solve takes the fraction at both ends of its bracket from where
         # it was computed: the table's masses for a finite segment, the
-        # march for the pair it returns
-        calls = []
+        # march for the pair it returns.  A quadrature is an `integrate`
+        # call or a row that the batched pass settles (a row it hands back
+        # is integrated again by `integrate`, and counted there).
+        calls, settled = [], []
 
         def counted(g, support, *args, **kwargs):
             calls.append((support.lower, support.upper, kwargs.get("tol")))
             return counted.inner(g, support, *args, **kwargs)
 
-        counted.inner = core.integrate
+        def batched(g, los, his, tol):
+            values, errors = batched.inner(g, los, his, tol)
+            rows = [(a, b, tol) for a, b, v in zip(los, his, values) if not math.isnan(v)]
+            settled.extend(rows)
+            calls.extend(rows)
+            return values, errors
+
+        counted.inner, batched.inner = core.integrate, core._integrate_many
         monkeypatch.setattr(core, "integrate", counted)
+        monkeypatch.setattr(core, "_integrate_many", batched)
         quantiles(parse_density(spec), [q])
         assert len(set(calls)) == len(calls)
         if spec == "exp":
-            # 65 table segments, then 3 quadratures in the solve at q = 0.3
-            # and 4 at q = 0.7 (u to 1e-13 relative), none of them over a
-            # table segment
+            # 65 table segments (the 63 between knots in one batched pass,
+            # then the head and tail by `integrate`), then 3 quadratures in
+            # the solve at q = 0.3 and 4 at q = 0.7 (u to 1e-13 relative),
+            # none of them over a table segment
             table = {(lo, hi) for lo, hi, _ in calls[:65]}
+            assert calls[:63] == settled
             assert len(calls) == {0.3: 68, 0.7: 69}[q]
             assert not table & {(lo, hi) for lo, hi, _ in calls[65:]}
 
@@ -517,3 +540,169 @@ class TestQuantiles:
         q = 1e-6 if flip else 1.0 - 1e-6
         with pytest.raises(EntroscopeError):
             quantiles(reflect(f) if flip else f, [q])
+
+
+# ---------------------------------------------------------- segment tables
+
+
+def _masses_one_by_one(w, support, knots):
+    """The segment table with one `_w_mass` quadrature per segment: the
+    per-interval path that the batched pass must reproduce."""
+
+    def seg(lo, hi, open_ended):
+        try:
+            return core._w_mass(w, lo, hi)
+        except (DivergentIntegral, EdgeIllConditioned) as exc:
+            if open_ended or isinstance(exc, DivergentIntegral):
+                return math.inf
+            raise
+
+    inner = np.array([seg(a, b, False) for a, b in zip(knots[:-1], knots[1:])])
+    return inner, seg(support.lower, knots[0], True), seg(knots[-1], support.upper, True)
+
+
+def _table(monkeypatch, spec, alpha=None):
+    """(weight, support, knots) of the segment table that up(spec, alpha)
+    builds for its weight f/U, or that quantiles builds for f itself."""
+    f = parse_density(spec)
+    if alpha is None:
+        return f.value, f.support, np.unique(f.support.clustered(64))
+    seen = []
+    real = transforms._segment_masses
+    with monkeypatch.context() as m:
+        m.setattr(transforms, "_segment_masses", lambda *table: seen.append(table) or real(*table))
+        up(f, alpha)
+    return seen[0]
+
+
+def _assert_within_ulps(got, want, ulps=4):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= ulps * np.spacing(np.abs(want[fin])))
+
+
+# a weight on (0, 2) per exit of the batched pass, each forced on known
+# segments between the knots KNOTS
+KNOTS = np.unique(Support(0.0, 2.0).clustered(16))
+_C = float(KNOTS[7])
+
+
+def _pole(x):
+    # a term is not finite where a node rounds onto the knot; the mass diverges
+    return 1.0 / np.abs(np.asarray(x, dtype=float) - _C)
+
+
+def _step(x):
+    # no convergence by the last level: the segment's integral stalls
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 0.5 * (KNOTS[3] + KNOTS[4]) + 1e-3 * math.pi, 1.0, 2.0)
+
+
+def _nan_band(x):
+    # nan where the weight has underflowed anyway: no mass is lost
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        v = np.where(x > _C, np.exp(-1.0 / (x - _C)), 1.0)
+    return np.where((x > _C) & (x < _C + 1e-3), np.nan, v)
+
+
+def _raising(x):
+    # a weight that reports its own divergence on (KNOTS[10], KNOTS[11])
+    x = np.asarray(x, dtype=float)
+    if np.any((x > KNOTS[10]) & (x < KNOTS[11])):
+        raise DivergentIntegral("weight not integrable here")
+    return np.ones_like(x)
+
+
+class TestSegmentMasses:
+    @pytest.mark.parametrize(
+        "spec, alpha",
+        [("exp", 3.0), ("pareto:eta=3.5", 2.0), ("gauss", None)],
+        ids=["up(exp,3)", "up(pareto:eta=3.5,2)", "quantiles(gauss)"],
+    )
+    def test_batched_equals_one_by_one(self, monkeypatch, spec, alpha):
+        table = _table(monkeypatch, spec, alpha)
+        inner, head, tail = core._segment_masses(*table)
+        ref_inner, ref_head, ref_tail = _masses_one_by_one(*table)
+        _assert_within_ulps(np.append(inner, [head, tail]), np.append(ref_inner, [ref_head, ref_tail]))
+        # up(pareto:eta=3.5, 2): the weight x^{-eta} e^x passes 1e50 on the
+        # 8 outermost segments, whose partial sums then count as divergent
+        outer = list(range(len(inner) - 8, len(inner))) if "pareto" in spec else []
+        assert np.flatnonzero(np.isinf(inner)).tolist() == outer
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=12, unique=True),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=-0.9, max_value=2.0),
+    )
+    def test_each_row_is_its_own_quadrature(self, points, k, p):
+        # row by row, the batched pass makes the nodes, sums and stop
+        # decisions of one `integrate` call on its interval, to the bit: on
+        # (0, b) for x^p e^{kx}, whose terms near a singular edge at 0 stay
+        # comparable within a chunk, and on the smooth (b, b + 1)
+        b = np.array(sorted(points))
+        los, his = np.append(np.zeros(len(b)), b), np.append(b, b + 1.0)
+
+        def g(x):
+            x = np.asarray(x, dtype=float)
+            return x**p * np.exp(k * x)
+
+        values, errors = core._integrate_many(g, los, his, core._SEG_TOL)
+        assert np.isfinite(values[len(b) :]).all()
+        for lo, hi, v, e in zip(los, his, values, errors):
+            if math.isnan(v):
+                continue  # handed back
+            r = integrate(g, Support(lo, hi), tol=core._SEG_TOL, min_scale=0.0)
+            assert (v, e) == (r.value, r.error_estimate)
+
+    @pytest.mark.parametrize(
+        "w, handed_back",
+        [(_pole, [6, 7]), (_step, [3]), (_nan_band, [7]), (_raising, list(range(15)))],
+        ids=["pole", "stall", "nan", "raising"],
+    )
+    def test_rows_leaving_clean_convergence_run_alone(self, w, handed_back):
+        values, _ = core._integrate_many(w, KNOTS[:-1], KNOTS[1:], core._SEG_TOL)
+        assert np.flatnonzero(np.isnan(values)).tolist() == handed_back
+        support = Support(0.0, 2.0)
+        if w is _step:
+            # the closed segment's EdgeIllConditioned propagates, as one by one
+            with pytest.raises(EdgeIllConditioned, match="stalled") as ref:
+                _masses_one_by_one(w, support, KNOTS)
+            with pytest.raises(EdgeIllConditioned) as got:
+                core._segment_masses(w, support, KNOTS)
+            assert str(got.value) == str(ref.value)
+            return
+        inner, head, tail = core._segment_masses(w, support, KNOTS)
+        ref_inner, ref_head, ref_tail = _masses_one_by_one(w, support, KNOTS)
+        _assert_within_ulps(np.append(inner, [head, tail]), np.append(ref_inner, [ref_head, ref_tail]))
+        inf = {_pole: [6, 7], _nan_band: [], _raising: [10]}[w]
+        assert np.flatnonzero(np.isinf(inner)).tolist() == inf
+
+    def test_one_integrand_call_per_level(self, monkeypatch):
+        # up(exp,3)'s 159 inner segments take one call per level between
+        # them; the head and tail are two `integrate` calls of their own,
+        # and the evaluations are those of one quadrature per segment
+        w, support, knots = _table(monkeypatch, "exp", 3.0)
+        sizes, alone = [], []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return w(x)
+
+        def integrate_alone(*args, **kwargs):
+            n0 = len(sizes)
+            out = integrate_alone.inner(*args, **kwargs)
+            alone.append(len(sizes) - n0)
+            return out
+
+        integrate_alone.inner = core.integrate
+        monkeypatch.setattr(core, "integrate", integrate_alone)
+        core._segment_masses(counted, support, knots)
+        batched, evals = len(sizes) - sum(alone), sum(sizes)
+        assert len(alone) == 2
+        assert batched <= core._MAX_LEVEL + 1
+        sizes.clear()
+        _masses_one_by_one(counted, support, knots)
+        assert sum(sizes) == evals

@@ -133,7 +133,8 @@ def test_up_beyond_reach():
 @pytest.mark.parametrize(
     "name, params, alpha",
     [("pareto", {"eta": 3.0}, 1.5), ("pareto", {"eta": 3.0}, 3.0),
-     ("powerlaw", {"a": 2.0}, 0.5), ("powerlaw", {"a": 2.0}, 3.0)],
+     ("powerlaw", {"a": 2.0}, 0.5), ("powerlaw", {"a": 2.0}, 3.0),
+     ("pareto", {"eta": 3.5}, 0.5), ("powerlaw", {"a": 2.0}, 2.0), ("exp", {}, 0.5)],
 )
 def test_up_preserves_mass(name, params, alpha):
     f = builtin(name, params)
