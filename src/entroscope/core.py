@@ -138,6 +138,7 @@ _HUGE = 1e50         # partial sums beyond this are treated as divergent
 _MAX_LEVEL = 10      # refinement levels (step h = 2^-level) before NonConvergent
 _TRUNC_EPS = 1e-17   # a side stops at its first chunk of terms below eps * sum
 _CHUNK = 8
+_SHORT_SIDE = 64     # terms up to which a side sums in Python floats (measured crossover)
 
 
 @functools.cache
@@ -161,28 +162,47 @@ def _level_nodes(level: int):
 
 def _side_sum(terms: np.ndarray, total: float, max_term: float):
     """(terms used, total, largest term so far) after adding one side's
-    terms to the running sum `total` by chunks of _CHUNK: pairwise within
-    a chunk, in turn across chunks.  The side stops after its first chunk
-    whose largest term is at most _TRUNC_EPS max(|running sum|, largest
-    term so far) -- unless every term so far is 0: an integrand that
-    underflows near the midpoint must not stop a side before it reaches
-    the mass at the endpoint."""
+    finite terms to the running sum `total` by chunks of _CHUNK, in turn
+    across chunks.  A full chunk sums as np.add.reduce does, pairwise:
+    ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)); a partial chunk sums in turn, as
+    np.add.reduce does below 8 terms.  The side stops after its first
+    chunk whose largest term is at most _TRUNC_EPS max(|running sum|,
+    largest term so far) -- unless every term so far is 0: an integrand
+    that underflows near the midpoint must not stop a side before it
+    reaches the mass at the endpoint.
+
+    Up to _SHORT_SIDE terms, the common case, the sums run in Python
+    floats; a longer side (an integral that does not settle) takes the
+    same sums in numpy, whose fixed cost is then the smaller."""
     n = len(terms)
-    if not n:
-        return 0, total, max_term
-    full = n - n % _CHUNK
-    parts = [(total,), np.add.reduce(terms[:full].reshape(-1, _CHUNK), axis=1)]
-    if full < n:
-        parts.append((np.add.reduce(terms[full:]),))
-    running = np.add.accumulate(np.concatenate(parts))[1:]
-    peaks = np.maximum.reduceat(np.abs(terms), np.arange(0, n, _CHUNK))
-    largest = np.maximum.accumulate(peaks)
-    np.maximum(largest, max_term, out=largest)
-    stop = (peaks <= _TRUNC_EPS * np.maximum(np.abs(running), largest)) & (largest > 0.0)
-    c = int(stop.argmax())
-    if not stop[c]:
-        c = len(stop) - 1
-    return min(n, (c + 1) * _CHUNK), float(running[c]), float(largest[c])
+    if n > _SHORT_SIDE:
+        full = n - n % _CHUNK
+        parts = [(total,), np.add.reduce(terms[:full].reshape(-1, _CHUNK), axis=1)]
+        if full < n:
+            parts.append((np.add.reduce(terms[full:]),))
+        running = np.add.accumulate(np.concatenate(parts))[1:]
+        peaks = np.maximum.reduceat(np.abs(terms), np.arange(0, n, _CHUNK))
+        largest = np.maximum.accumulate(peaks)
+        np.maximum(largest, max_term, out=largest)
+        stop = (peaks <= _TRUNC_EPS * np.maximum(np.abs(running), largest)) & (largest > 0.0)
+        c = int(stop.argmax()) if stop.any() else len(stop) - 1
+        return min(n, (c + 1) * _CHUNK), float(running[c]), float(largest[c])
+    vals = terms.tolist()
+    for c in range(0, n, _CHUNK):
+        chunk = vals[c : c + _CHUNK]
+        if len(chunk) == _CHUNK:
+            a0, a1, a2, a3, a4, a5, a6, a7 = chunk
+            total += ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+        else:
+            part = chunk[0]
+            for v in chunk[1:]:
+                part += v
+            total += part
+        peak = max(map(abs, chunk))
+        max_term = max(max_term, peak)
+        if peak <= _TRUNC_EPS * max(abs(total), max_term) and max_term > 0.0:
+            return min(n, c + _CHUNK), total, max_term
+    return n, total, max_term
 
 
 def _ts_level_sum(g, edge_map, half: float, level: int, reach: list):

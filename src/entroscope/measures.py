@@ -1,9 +1,18 @@
 """Informational functionals of a density: moments, entropies, Fisher-type.
 
-Every measure is a pure quadrature over the density's declared support,
-run to the fixed relative tolerance _TOL = 1e-10.  Supports containing the
-origin are split there before integrating, since |x|^p weights and
-symmetrized densities are kinked or singular at 0.
+Each moment and entropy is an expectation E[h] under the density, written
+as its h: of the coordinate t (|t|^p, log|t|, e^{-pt}) or of the log value
+(f^{lambda-1}, -log f, |log f|^p).  One hook, `_expect`, integrates h f
+by tanh-sinh to the fixed relative tolerance _TOL = 1e-10.  For a down or
+up image it integrates by pullback to the source: the transforms preserve
+mass, D(s(x)) |s'(x)| = f(x), so E[h] is int h(s(x)) f(x) dx, or
+int h(log D(x)) f(x) dx, over the source support, with s and log D the
+image's maps at x.  No quadrature node inverts anything; a split point
+given in the image coordinate costs one inversion.
+A plain density is its own source.  Supports containing the origin are
+split there, since |x|^p weights and symmetrized densities are kinked or
+singular at 0.  The Fisher-type functionals integrate over the density's
+own support, through its pointwise values.
 
 Negative moment orders are accepted (they arise in the mirrored parameter
 domain); a divergent integral raises DivergentIntegral rather than
@@ -17,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Density, QuadResult, _log_pair, integrate
+from .core import Density, _log_pair, integrate
 from .errors import (
     DivergentIntegral,
     EntroscopeError,
@@ -66,9 +75,41 @@ def _split_points(f: Density) -> tuple:
     return (0.0,) if f.support.contains(0.0) else ()
 
 
-def _quad(f: Density, integrand, points: Optional[tuple] = None) -> QuadResult:
+def _expect(f: Density, h, points: Optional[tuple] = None, coordinate: bool = False) -> float:
+    """int h f over the support of f: h(log |t|, sign t) of the coordinate
+    t when `coordinate`, else h(log f(t)) of the log value.
+
+    An image (a TransformedDensity with its maps) is integrated as an
+    expectation under its source f_src: mass is preserved, so this is
+    int h(m(x)) f_src(x) dx over the source support, m the image's
+    log_coordinate_at or log_value_at.  A plain density is its own source
+    under the identity map.  The split points are given in f's coordinate (by
+    default 0 when inside the support); each is taken to the source by the
+    image's locate, one inversion per point and none per quadrature node,
+    and the source's own 0 is added."""
     pts = _split_points(f) if points is None else points
-    return integrate(integrand, f.support, tol=_TOL, points=pts)
+    plain = getattr(f, "locate", None) is None
+    src = f if plain else f.source
+    cuts = set(_split_points(src))
+    for t in pts:
+        x = t if plain else f.locate(t)
+        if x is not None:
+            cuts.add(float(x))
+
+    # integrate calls this under np.errstate(all="ignore"), and a term that
+    # is nan (0 times an infinite h where the source vanishes) carries no mass
+    def integrand(x):
+        fs = np.asarray(src.value(x), dtype=float)
+        if not coordinate:
+            return h(np.log(fs) if plain else f.log_value_at(x)) * fs
+        if plain:
+            return h(np.log(np.abs(x)), np.sign(x)) * fs
+        log_t, sign = f.log_coordinate_at(x)
+        # an image coordinate that rounds onto t = 0, a split point, has no
+        # usable log|t| (h may be log-singular there): nan, no mass
+        return h(np.where(log_t > -np.inf, log_t, np.nan), sign) * fs
+
+    return integrate(integrand, src.support, tol=_TOL, points=tuple(sorted(cuts))).value
 
 
 def typical_deviation(f: Density, p: float) -> float:
@@ -82,56 +123,40 @@ def typical_deviation(f: Density, p: float) -> float:
         lo, hi = f.support.lower, f.support.upper
         return max(abs(lo), abs(hi))
     if p == 0:
-        r = _quad(f, lambda x: f.value(x) * np.log(np.abs(np.asarray(x, dtype=float))))
-        return math.exp(r.value)
-    r = _quad(f, lambda x: np.abs(np.asarray(x, dtype=float)) ** p * f.value(x))
-    if r.value <= 0:
+        return math.exp(_expect(f, lambda lt, _: lt, coordinate=True))
+    v = _expect(f, lambda lt, _: np.exp(p * lt), coordinate=True)
+    if v <= 0:
         raise DivergentIntegral(f"absolute moment of order {p} is not positive")
-    return r.value ** (1.0 / p)
+    return v ** (1.0 / p)
 
 
 def log_moment(f: Density, p: float) -> float:
     """sigma_p^(L) = int f |log|x||^p dx (the integral itself, no 1/p root)."""
     if p < 0:
         raise InvalidParams("log_moment requires p >= 0")
-    pts = set(_split_points(f))
-    for s in (-1.0, 1.0):  # |log|x|| vanishes non-smoothly at |x| = 1
-        if f.support.contains(s):
-            pts.add(s)
-    r = _quad(
-        f,
-        lambda x: f.value(x) * np.abs(np.log(np.abs(np.asarray(x, dtype=float)))) ** p,
-        points=tuple(sorted(pts)),
-    )
-    return r.value
+    # |log|x|| vanishes non-smoothly at |x| = 1
+    pts = set(_split_points(f)) | {s for s in (-1.0, 1.0) if f.support.contains(s)}
+    return _expect(f, lambda lt, _: np.abs(lt) ** p, tuple(sorted(pts)), coordinate=True)
 
 
 def exp_moment(f: Density, p: float) -> float:
     """sigma_p^(E) = <e^{-p x}>^{1/p}."""
     if p == 0:
         raise InvalidParams("exp_moment requires p != 0")
-    r = _quad(f, lambda x: np.exp(-p * np.asarray(x, dtype=float)) * f.value(x))
-    return r.value ** (1.0 / p)
+    h = lambda lt, sign: np.exp(-p * sign * np.exp(lt))
+    return _expect(f, h, coordinate=True) ** (1.0 / p)
 
 
 def renyi_power(f: Density, lam: float) -> float:
     """Rényi entropy power N_lambda = (int f^lambda)^{1/(1-lambda)}; N_1 = e^S."""
     if abs(lam - 1.0) < _SHANNON_WINDOW:
         return math.exp(shannon(f))
-    r = _quad(f, lambda x: f.value(x) ** lam)
-    return r.value ** (1.0 / (1.0 - lam))
+    return _expect(f, lambda lv: np.exp((lam - 1.0) * lv)) ** (1.0 / (1.0 - lam))
 
 
 def shannon(f: Density) -> float:
     """Shannon entropy S = -int f log f."""
-
-    def integrand(x):
-        v = np.asarray(f.value(x), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(v > 0.0, -v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
-        return out
-
-    return _quad(f, integrand).value
+    return _expect(f, lambda lv: -lv)
 
 
 def tsallis(f: Density, lam: float) -> float:
@@ -162,7 +187,7 @@ def fisher_integral(f: Density, p: float, lam: float) -> float:
         # genuine zeros of f (log = -inf) contribute nothing
         return np.where(np.isneginf(lv), 0.0, out)
 
-    return _quad(f, integrand).value
+    return integrate(integrand, f.support, tol=_TOL, points=_split_points(f)).value
 
 
 def fisher(f: Density, p: float, lam: float) -> float:
@@ -251,15 +276,7 @@ def entropic_Sp(f: Density, p: float) -> float:
                 pts.add(float(x1))
         except EntroscopeError:
             pass
-
-    def integrand(x):
-        v = np.asarray(f.value(x), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lg = np.where(v > 0.0, np.log(np.where(v > 0.0, v, 1.0)), 0.0)
-        return v * np.abs(lg) ** p
-
-    r = _quad(f, integrand, points=tuple(sorted(pts)))
-    return r.value ** (1.0 / p)
+    return _expect(f, lambda lv: np.abs(lv) ** p, tuple(sorted(pts))) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------- registry

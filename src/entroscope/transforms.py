@@ -19,6 +19,9 @@ coordinate of the weight f/U in `core` (`core._Cumulative`), u'(x) =
 -f(x)/U(x), anchored at the upper support edge (else the lower edge, else
 the median knot) and cumulated once over a table of knots; both
 inversions go through the one table-bracketed solve, `core._solve`.
+Measures need neither: an image also carries its maps at source points
+(coordinate and log value, see TransformedDensity), and moments and
+entropies integrate against the source through them.
 
 Increasing densities are handled by reflecting x -> -x before transforming;
 the transforms are gauge-fixed only up to translation (and the reflection
@@ -31,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -83,12 +86,23 @@ _ADMISSIBLE_MARGIN = 1e-9  # alpha must exceed the observed sup by this much
 @dataclass(frozen=True, eq=False)
 class TransformedDensity(Density):
     """A density produced by a down or up transform, evaluated lazily from
-    its kernel at the source point of each coordinate."""
+    its kernel at the source point of each coordinate.
+
+    It carries its maps from the source: log_coordinate_at gives
+    (log |t|, sign t) of the image coordinate t, and log_value_at the log
+    image value, at source points x (vectorized over x, no inversion);
+    locate gives the source point of an image coordinate (one inversion;
+    None beyond reach).  Since the transforms preserve mass,
+    D(s(x)) |s'(x)| = f(x), each moment and entropy of the image is an
+    expectation under the source through these maps."""
 
     source: Optional[Density] = None
     alpha: float = 0.0
     direction: str = ""
     anchor: str = ""
+    log_coordinate_at: Optional[Callable] = None
+    log_value_at: Optional[Callable] = None
+    locate: Optional[Callable[[float], Optional[float]]] = None
 
 
 @dataclass(frozen=True)
@@ -281,10 +295,23 @@ def down(f: Density, alpha: float) -> TransformedDensity:
 
     lv_f, ld_f = _log_pair(f)
 
-    def log_kernel(x: float, log_y: float) -> float:
-        """log D = alpha log y - log |f'(x)| at a source point x of level y;
-        nan where log |f'| is unknown."""
-        return a * log_y - float(ld_f(x))
+    def log_kernel(x, log_y):
+        """log D = alpha log y - log |f'(x)| at source points x of level y
+        (scalars or arrays); nan where log |f'| is unknown."""
+        return a * log_y - ld_f(x)
+
+    def log_coordinate_at(x):
+        """(log |s|, sign s) of s = sigma_alpha(f(x)) from log f at source
+        points x: s itself passes the largest double where f is small."""
+        log_y = np.asarray(lv_f(x), dtype=float)
+        with np.errstate(all="ignore"):
+            if a == 2.0:
+                return np.log(np.abs(log_y)), -np.sign(log_y)
+            return (2.0 - a) * log_y - math.log(abs(a - 2.0)), np.sign(a - 2.0)
+
+    def log_value_at(x):
+        with np.errstate(all="ignore"):
+            return log_kernel(x, np.asarray(lv_f(x), dtype=float))
 
     def locate(s: float) -> tuple[float, float]:
         """(x, log y): the source point of s and its level y.  y is pulled
@@ -316,11 +343,11 @@ def down(f: Density, alpha: float) -> TransformedDensity:
             return log_mag, float(np.sign(dv) * np.sign(m))
 
     value, log_value, der, log_der = _image_fields(
-        locate, lambda point: log_kernel(*point), log_derivative
+        locate, lambda point: float(log_kernel(*point)), log_derivative
     )
     inverter = None
     if mono_dec or mono_inc:
-        g = lambda x: math.exp(log_kernel(x, float(lv_f(x))))  # the image value at x
+        g = lambda x: math.exp(float(log_kernel(x, float(lv_f(x)))))  # the image value at x
         inverter = _down_level_inverter(f, sigma, g, sup, value)
 
     return TransformedDensity(
@@ -338,6 +365,9 @@ def down(f: Density, alpha: float) -> TransformedDensity:
         alpha=a,
         direction="down",
         anchor="canonical",
+        log_coordinate_at=log_coordinate_at,
+        log_value_at=log_value_at,
+        locate=lambda s: locate(s)[0],
     )
 
 
@@ -446,6 +476,14 @@ def up(f: Density, alpha: float) -> TransformedDensity:
                 return edge + (1.0 if below else -1.0) * EDGE_SLACK * max(1.0, abs(edge))
         return x
 
+    def log_coordinate_at(x):
+        """(log |u|, sign u) at source points x, one cumulative step per
+        point (u_of_x)."""
+        x = np.asarray(x, dtype=float)
+        u = np.reshape([coords.u_of_x(xi) for xi in x.ravel().tolist()], x.shape)
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(u)), np.sign(u)
+
     def sign_u(x: float) -> float:
         return 1.0 if a == 2.0 else float(np.sign((a - 2.0) * x))
 
@@ -487,6 +525,9 @@ def up(f: Density, alpha: float) -> TransformedDensity:
         alpha=a,
         direction="up",
         anchor=coords.anchor,
+        log_coordinate_at=log_coordinate_at,
+        log_value_at=log_u,
+        locate=locate,
     )
 
 

@@ -206,6 +206,43 @@ class TestIntegrate:
         expected = chunk_loop(terms, total, abs(total))
         assert core._side_sum(terms, total, abs(total)) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=-40, max_value=8)),
+            max_size=90,
+        ),
+        st.sampled_from([0.0, -0.0, 1.0, -3.5, 1e-20, 7e8]),
+        st.sampled_from([0.0, 0.5, 1e-30, 1e9]),
+    )
+    def test_side_sum_bit_identical_to_numpy(self, mantissas, total, max_term):
+        # the Python-float side sum (up to _SHORT_SIDE terms) against the
+        # numpy form: np.add.reduce over full 8-term chunks (pairwise) and
+        # over a partial chunk (in turn), np.add.accumulate across chunks
+        def numpy_side_sum(terms, total, max_term):
+            n = len(terms)
+            if not n:
+                return 0, total, max_term
+            full = n - n % core._CHUNK
+            parts = [(total,), np.add.reduce(terms[:full].reshape(-1, core._CHUNK), axis=1)]
+            if full < n:
+                parts.append((np.add.reduce(terms[full:]),))
+            running = np.add.accumulate(np.concatenate(parts))[1:]
+            peaks = np.maximum.reduceat(np.abs(terms), np.arange(0, n, core._CHUNK))
+            largest = np.maximum.accumulate(peaks)
+            np.maximum(largest, max_term, out=largest)
+            stop = (peaks <= core._TRUNC_EPS * np.maximum(np.abs(running), largest)) & (largest > 0.0)
+            c = int(stop.argmax())
+            if not stop[c]:
+                c = len(stop) - 1
+            return min(n, (c + 1) * core._CHUNK), float(running[c]), float(largest[c])
+
+        terms = np.array([m * 10.0**e for m, e in mantissas], dtype=float)
+        got = core._side_sum(terms, total, max_term)
+        ref = numpy_side_sum(terms, total, max_term)
+        assert got[0] == ref[0]
+        assert [float(v).hex() for v in got[1:]] == [float(v).hex() for v in ref[1:]]
+
     def test_far_tail_map_follows_the_interval(self):
         # (a, inf) is mapped by x = a + L t/(1-t) with L on the scale of a,
         # so an interval far out takes a few hundred nodes at most
