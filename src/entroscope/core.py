@@ -11,13 +11,16 @@ L = 2^floor(log2 max(1, |a|)), and its mirror before the tanh-sinh rule is
 applied: the map's scale follows the interval, and a power of two scales
 it exactly.
 
-Each refinement level calls the integrand once, on an array that holds the
-level's nodes on both sides of the midpoint (the midpoint itself is a
-scalar call at level 0).  The abscissae and weight factors of each level
-are computed once, at unit half-width.  A side's sum stops at its first
-chunk of 8 terms below 1e-17 times the running sum, and the next level
-evaluates that side at most one chunk beyond it, so an integrand whose
-deep nodes are costly pays for at most 8 of them per side and level.
+The integrand is always called on a 1-d array.  Its first call holds the
+midpoint and the nodes of levels 0-3 on both sides, where most integrals
+settle; each level from 4 on makes one call of its own.  The abscissae
+and weight factors of each level are computed once, at unit half-width.
+A side's sum stops at its first chunk of 8 terms below 1e-17 times the
+running sum, and the next level uses that side at most one chunk beyond
+it, so from level 4 on an integrand whose deep nodes are costly pays for
+at most 8 of them per side and level.  Levels 0-3 are summed from the
+first call's values under the same rule, so they give the sums of one
+call per level.
 
 A cumulative coordinate (`_Cumulative`) is the mass u(x) of a weight w
 between x and an anchor, signed so that u' = -w.  A table of knots holds
@@ -35,6 +38,8 @@ segments, which may be infinite.  Every inversion past a table goes
 through `_solve`: it brackets the target between neighbouring entries, or
 marches out from the outermost one (`_march`), and hands invert_monotone
 the values at both ends, which the table or the march already holds.
+With a derivative, invert_monotone's first iterate is the cubic Hermite
+inverse of that bracket, and Newton steps go on from it.
 """
 
 from __future__ import annotations
@@ -139,6 +144,7 @@ _MAX_LEVEL = 10      # refinement levels (step h = 2^-level) before NonConvergen
 _TRUNC_EPS = 1e-17   # a side stops at its first chunk of terms below eps * sum
 _CHUNK = 8
 _SHORT_SIDE = 64     # terms up to which a side sums in Python floats (measured crossover)
+_FIRST_LEVELS = 4    # levels 0-3, whose nodes the first integrand call evaluates together
 
 
 @functools.cache
@@ -148,7 +154,7 @@ def _level_nodes(level: int):
     fractions 1 - tanh y = 2/(e^{2y} + 1), y = pi/2 sinh t, the weight
     factors cosh t and cosh^2 y (kept apart, so that each weight is formed
     as (half pi/2) cosh t / cosh^2 y in one order).  The midpoint t = 0 is
-    evaluated on its own."""
+    not among them: its weight is half pi/2 at level 0."""
     h = 2.0**-level
     ts = np.arange(0.0, _TMAX, h) if level == 0 else np.arange(h, _TMAX, 2.0 * h)
     y = _PI_2 * np.sinh(ts)
@@ -160,16 +166,28 @@ def _level_nodes(level: int):
     return tuple((ts[1:] if level == 0 else ts).tolist()), *arrays
 
 
+@functools.cache
+def _first_levels():
+    """The edge distance fractions and weight factors of _level_nodes for
+    levels 0 to _FIRST_LEVELS - 1, laid end to end, and the offset at which
+    each level starts (with the total length last)."""
+    levels = [_level_nodes(k)[1:] for k in range(_FIRST_LEVELS)]
+    arrays = [np.concatenate(parts) for parts in zip(*levels)]
+    for a in arrays:
+        a.flags.writeable = False
+    return *arrays, np.cumsum([0] + [len(d) for d, _, _ in levels]).tolist()
+
+
 def _side_sum(terms: np.ndarray, total: float, max_term: float):
     """(terms used, total, largest term so far) after adding one side's
     finite terms to the running sum `total` by chunks of _CHUNK, in turn
     across chunks.  A full chunk sums as np.add.reduce does, pairwise:
     ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)); a partial chunk sums in turn, as
-    np.add.reduce does below 8 terms.  The side stops after its first
-    chunk whose largest term is at most _TRUNC_EPS max(|running sum|,
-    largest term so far) -- unless every term so far is 0: an integrand
-    that underflows near the midpoint must not stop a side before it
-    reaches the mass at the endpoint.
+    np.add.reduce does below 8 terms; and, as there, a chunk's sum is
+    never -0.0.  The side stops after its first chunk whose largest term is
+    at most _TRUNC_EPS max(|running sum|, largest term so far) -- unless
+    every term so far is 0: an integrand that underflows near the midpoint
+    must not stop a side before it reaches the mass at the endpoint.
 
     Up to _SHORT_SIDE terms, the common case, the sums run in Python
     floats; a longer side (an integral that does not settle) takes the
@@ -192,12 +210,13 @@ def _side_sum(terms: np.ndarray, total: float, max_term: float):
         chunk = vals[c : c + _CHUNK]
         if len(chunk) == _CHUNK:
             a0, a1, a2, a3, a4, a5, a6, a7 = chunk
-            total += ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+            part = ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
         else:
             part = chunk[0]
             for v in chunk[1:]:
                 part += v
-            total += part
+        # np.add.reduce starts from +0.0: a chunk of -0.0 sums to +0.0
+        total += part + 0.0
         peak = max(map(abs, chunk))
         max_term = max(max_term, peak)
         if peak <= _TRUNC_EPS * max(abs(total), max_term) and max_term > 0.0:
@@ -205,34 +224,24 @@ def _side_sum(terms: np.ndarray, total: float, max_term: float):
     return n, total, max_term
 
 
-def _ts_level_sum(g, edge_map, half: float, level: int, reach: list):
-    """One tanh-sinh level: sum of weight * integrand over its nodes.
+def _ts_level_sum(g, edge_map, half: float, level: int, reach: list, total: float, first=None):
+    """One tanh-sinh level: `total` plus the sum of weight * integrand over
+    its nodes, the evaluations it made, and the outermost terms it used.
 
     edge_map(d, upper) gives the x at distance d from the upper (or lower)
     end and the divisors of the Jacobian in the order they apply: working
     from the edge distance avoids catastrophic cancellation for singular
     integrands.  reach[side] (upper side first, updated in place) is the
     outermost t the previous level used on that side; at most _CHUNK nodes
-    past it are evaluated, since deep nodes can be very expensive for
-    transform-backed integrands.
+    past it are used, since deep nodes can be very expensive for
+    transform-backed integrands.  `first` holds this level's node values
+    (divided by the Jacobian) on the live nodes of each side, from the first
+    call of `_tanh_sinh`; without it, the level calls g once on the nodes it
+    uses.
     """
     ts, dfrac, cosh_t, cosh2_y = _level_nodes(level)
-    total = 0.0
     n_evals = 0
     edge_terms: list[float] = []
-    if level == 0:
-        # t = 0 contributes once: the midpoint, distance `half` from either end
-        x, jac = edge_map(half, True)
-        v0 = g(x)
-        for q in jac:
-            v0 = v0 / q
-        v0 = float(v0)
-        if math.isinf(v0):
-            raise DivergentIntegral("integrand not finite at interval midpoint")
-        if math.isnan(v0):
-            v0 = 0.0  # overflow-times-underflow product: no representable mass
-        total += half * _PI_2 * v0
-        n_evals += 1
     caps = [bisect.bisect_right(ts, r) + _CHUNK for r in reach]
     n = min(len(ts), max(caps))
     w = half * _PI_2 * cosh_t[:n] / cosh2_y[:n]
@@ -244,17 +253,13 @@ def _ts_level_sum(g, edge_map, half: float, level: int, reach: list):
     counts = [min(c, live) for c in caps]
     if not sum(counts):
         return total, n_evals, edge_terms
-    sides = [edge_map(deltas[:k], upper) for k, upper in zip(counts, (True, False))]
-    xs = np.concatenate([x for x, _ in sides])
-    vs = np.asarray(g(xs), dtype=float)
-    # np.broadcast_to costs ten times the shape test: keep it off the common path
-    vs = vs if vs.shape == xs.shape else np.broadcast_to(vs, xs.shape)
-    n_evals += len(xs)
+    if first is not None:
+        values = [v[:k] for v, k in zip(first, counts)]
+    else:
+        sides = [edge_map(deltas[:k], upper) for k, upper in zip(counts, (True, False))]
+        values, n_evals = _node_values(g, sides)
     max_term = abs(total)
-    for side, (k, (_, jac)) in enumerate(zip(counts, sides)):
-        v, vs = vs[:k], vs[k:]
-        for q in jac:
-            v = v / q
+    for side, (k, v) in enumerate(zip(counts, values)):
         terms = w[:k] * v
         bad = None
         if not math.isfinite(np.add.reduce(terms)):
@@ -277,23 +282,76 @@ def _ts_level_sum(g, edge_map, half: float, level: int, reach: list):
     return total, n_evals, edge_terms
 
 
+def _node_values(g, sides):
+    """One call to g on the points of every (x, Jacobian divisors) pair in
+    `sides`: the values on each, divided by its divisors, and the count of
+    points."""
+    xs = np.concatenate([x for x, _ in sides])
+    vs = np.asarray(g(xs), dtype=float)
+    # np.broadcast_to costs ten times the shape test: keep it off the common path
+    vs = vs if vs.shape == xs.shape else np.broadcast_to(vs, xs.shape)
+    values = []
+    for x, jac in sides:
+        v, vs = vs[: len(x)], vs[len(x) :]
+        for q in jac:
+            v = v / q
+        values.append(v)
+    return values, len(xs)
+
+
+def _first_call(g, edge_map, half: float):
+    """The first call of `_tanh_sinh`: g once on the midpoint and on the
+    live nodes of levels 0 to _FIRST_LEVELS - 1 on both sides.  Returns the
+    midpoint value, per level the node values of each side (upper first,
+    divided by the Jacobian, on that level's live nodes), and the count of
+    points."""
+    dfrac, cosh_t, cosh2_y, starts = _first_levels()
+    deltas = half * dfrac
+    live = ((half * _PI_2 * cosh_t / cosh2_y) > 0.0) & (deltas > 0.0)
+    starts = [0, *np.cumsum(np.add.reduceat(live, starts[:-1])).tolist()]
+    deltas = deltas[live]
+    # the midpoint is the upper side's point at distance `half`
+    sides = [edge_map(np.append(half, deltas), True), edge_map(deltas, False)]
+    (upper, lower), n_evals = _node_values(g, sides)
+    levels = [(upper[1 + a : 1 + b], lower[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+    return float(upper[0]), levels, n_evals
+
+
 def _tanh_sinh(g, edge_map, half: float, tol: float, min_scale: float) -> QuadResult:
     """Adaptive tanh-sinh on an interval of half-width `half`, whose ends
-    edge_map locates (see _ts_level_sum).  Each level makes one array call
-    to g for both sides (and level 0 a scalar call at the midpoint first),
-    on nodes cached per level (_level_nodes).  A side stops at its first
-    chunk of terms below _TRUNC_EPS times the running sum, and is evaluated
-    at most one chunk (_CHUNK nodes) past where it stopped at the previous
-    level; a side that has not stopped by then stops there."""
+    edge_map locates (see _ts_level_sum), on nodes cached per level
+    (_level_nodes).  A side stops at its first chunk of terms below
+    _TRUNC_EPS times the running sum, and is used at most one chunk
+    (_CHUNK nodes) past where it stopped at the previous level; a side that
+    has not stopped by then stops there.
+
+    The first call to g holds the midpoint and the live nodes of levels 0
+    to 3 on both sides (`_first_call`); each level from 4 on makes one call
+    of its own.  Levels 0-3 are then summed one by one from those values,
+    with the same reach caps, midpoint, overflow, divergence and stop tests
+    as if each had made its own call, so the value and error are those of
+    one call per level.  Some of the first call's nodes go unused: those of
+    levels 1-3 past a side's reach cap, and all of level 3 when the rule
+    stops at level 2 (or every level past one that raises).  They are
+    counted in `evaluations`, which is the number of points given to g."""
     h = 1.0
     s = 0.0
-    n_evals = 0
     estimates: list[float] = []
     last_edge: list[float] = []
     reach = [math.inf, math.inf]
+    with np.errstate(all="ignore"):
+        v0, first, n_evals = _first_call(g, edge_map, half)
+    if math.isinf(v0):
+        raise DivergentIntegral("integrand not finite at interval midpoint")
+    if math.isnan(v0):
+        v0 = 0.0  # overflow-times-underflow product: no representable mass
     for level in range(_MAX_LEVEL + 1):
+        # t = 0 contributes once, at level 0: the midpoint, `half` from either end
+        total = half * _PI_2 * v0 if level == 0 else 0.0
         with np.errstate(all="ignore"):
-            ds, ne, edge = _ts_level_sum(g, edge_map, half, level, reach)
+            ds, ne, edge = _ts_level_sum(
+                g, edge_map, half, level, reach, total, first[level] if level < _FIRST_LEVELS else None
+            )
         s += ds
         n_evals += ne
         est = h * s
@@ -349,10 +407,12 @@ def _tanh_sinh(g, edge_map, half: float, tol: float, min_scale: float) -> QuadRe
 def _integrate_many(g, los: np.ndarray, his: np.ndarray, tol: float):
     """(values, errors) of the integrals of g over the finite intervals
     (los[i], his[i]), each by the rule of `_tanh_sinh` at min_scale = 0:
-    the same nodes, per-side reach and truncation, and stop test, so each
-    row's value and evaluations are those of its own `integrate`.  The
-    rows' state lives in arrays, and each level makes one call to g on the
-    nodes of every row still open (level 0 adds the midpoints).
+    the same first call (the midpoint and the live nodes of levels 0-3),
+    nodes, per-side reach and truncation, and stop test, so each row's
+    value and evaluations are those of its own `integrate`.  The rows'
+    state lives in arrays.  The first call to g holds the first call of
+    every row; each level from 4 on makes one call on the nodes of every
+    row still open.
 
     A row that leaves clean convergence comes back as nan, for the caller
     to run through `integrate`, whose checks then decide it: a midpoint or
@@ -389,6 +449,18 @@ def _integrate_many(g, los: np.ndarray, his: np.ndarray, tol: float):
         c = np.where(stop.any(axis=1), stop.argmax(axis=1), nk - 1)
         return np.minimum(k, (c + 1) * _CHUNK), running[ri, c + 1], largest[ri, c + 1], peaks[ri, c]
 
+    def call(mids, deltas, masks):
+        """g once on the midpoints `mids` and, per side, on the nodes at
+        distances `deltas` that masks[side] selects: the midpoint values and
+        the (side, row, node) values, 0 off the masks."""
+        xs = np.concatenate([mids, (hi[:, None] - deltas)[masks[0]], (lo[:, None] + deltas)[masks[1]]])
+        vs = np.asarray(g(xs), dtype=float) if len(xs) else xs
+        vs = vs if vs.shape == xs.shape else np.broadcast_to(vs, xs.shape)
+        v = np.zeros(masks.shape)
+        v[masks] = vs[len(mids) :]
+        return vs[: len(mids)], v
+
+    first_dfrac, first_cosh_t, first_cosh2_y, starts = _first_levels()
     for level in range(_MAX_LEVEL + 1):
         if not len(rows):
             break
@@ -400,25 +472,23 @@ def _integrate_many(g, los: np.ndarray, his: np.ndarray, tol: float):
         deltas = half[:, None] * dfrac[:n]
         counts = np.minimum(caps, np.count_nonzero((w > 0.0) & (deltas > 0.0), axis=1))
         masks = np.arange(n) < counts[:, :, None]
-        parts = [(hi[:, None] - deltas)[masks[0]], (lo[:, None] + deltas)[masks[1]]]
-        if level == 0:
-            parts.insert(0, hi - half)
-        xs = np.concatenate(parts)
         with np.errstate(all="ignore"):
             try:
-                vs = np.asarray(g(xs), dtype=float) if len(xs) else xs
+                if level == 0:  # the first call of `_tanh_sinh`, for every row
+                    d = half[:, None] * first_dfrac
+                    live = ((half * _PI_2)[:, None] * first_cosh_t / first_cosh2_y > 0.0) & (d > 0.0)
+                    mids, first = call(hi - half, d, np.broadcast_to(live, (2, *live.shape)))
+                if level < _FIRST_LEVELS:
+                    nodes = np.where(masks, first[..., starts[level] : starts[level] + n], 0.0)
+                else:
+                    nodes = call(np.empty(0), deltas, masks)[1]
             except (DivergentIntegral, EdgeIllConditioned):
                 break  # they decide a segment one by one: hand back every open row
-            vs = vs if vs.shape == xs.shape else np.broadcast_to(vs, xs.shape)
-            total = np.zeros(len(rows))
-            if level == 0:
-                total, vs = half * _PI_2 * vs[: len(rows)], vs[len(rows) :]
+            total = half * _PI_2 * mids if level == 0 else np.zeros(len(rows))
             bad = ~np.isfinite(total)
             max_term = np.abs(total)
             level_edge = np.full(len(rows), -1.0)
-            for side, mask in enumerate(masks):
-                v, m = np.zeros(mask.shape), int(counts[side].sum())
-                v[mask], vs = vs[:m], vs[m:]
+            for side, v in enumerate(nodes):
                 terms = w * v
                 bad |= ~np.isfinite(terms).all(axis=1)
                 used, total, max_term, peak = side_sums(terms, counts[side], total, max_term)
@@ -437,6 +507,7 @@ def _integrate_many(g, los: np.ndarray, his: np.ndarray, tol: float):
                 drop |= done
         keep = ~drop
         rows, lo, hi, half, s, edge, reach = (a[..., keep] for a in (rows, lo, hi, half, s, edge, reach))
+        first = first[:, keep] if level < _FIRST_LEVELS - 1 else None
         prev = est[keep]
     return values, errors
 
@@ -464,8 +535,7 @@ def _integrate_upper_inf(g, a: float, tol: float, min_scale: float) -> QuadResul
 
 
 def _integrate_lower_inf(g, b: float, tol: float, min_scale: float) -> QuadResult:
-    h = lambda x: g(2.0 * b - x) if np.isscalar(x) else g(2.0 * b - np.asarray(x))
-    return _integrate_upper_inf(h, b, tol, min_scale)
+    return _integrate_upper_inf(lambda x: g(2.0 * b - x), b, tol, min_scale)
 
 
 def integrate(
@@ -481,6 +551,11 @@ def integrate(
     `points` lists interior coordinates where the integrand is singular or
     kinked; the domain is split there (tanh-sinh clusters only at interval
     endpoints, so interior singularities must become endpoints).
+
+    g is called on 1-d arrays of points, first on the midpoint and the
+    nodes of levels 0-3 of each interval at once (`_tanh_sinh`), and
+    `evaluations` counts every point given to it, those of the first call
+    that the rule stops before using included.
 
     Raises NonConvergent if the error estimate of an interval stays above
     tol * max(min_scale, |value|) after _MAX_LEVEL levels (its `result`
@@ -520,6 +595,22 @@ def integrate(
 _MAX_ITER = 200  # bracketing steps of invert_monotone
 
 
+def _hermite_inverse(a: float, fa: float, b: float, fb: float, dg) -> float:
+    """The root of the cubic Hermite interpolant of x as a function of the
+    residual f = g - target through (fa, a) and (fb, b), with slopes 1/dg
+    at both ends; nan where a slope is not usable (dg 0 or nan, or of the
+    wrong sign).  An infinite dg is a slope of 0."""
+    da, db = float(dg(a)), float(dg(b))
+    if da == 0.0 or db == 0.0:
+        return math.nan
+    t = fa / (fa - fb)  # the root's fraction of the way from fa to fb
+    ma, mb = (fb - fa) / da, (fb - fa) / db  # dx/dt at both ends
+    if not (ma * (b - a) >= 0.0 and mb * (b - a) >= 0.0):
+        return math.nan
+    u = 1.0 - t
+    return a + (b - a) * (t * t * (3.0 - 2.0 * t)) + t * u * (u * ma - t * mb)
+
+
 def invert_monotone(
     g: Callable[[float], float],
     target: float,
@@ -529,10 +620,16 @@ def invert_monotone(
 ) -> float:
     """Solve g(x) = target for strictly monotone g on `bracket`.
 
-    Bracketing bisection refined by secant (or Newton when dg is given);
-    iterates never leave the bracket.  Raises TargetOutOfRange when the
-    target is not between g(endpoints) and NotMonotone when an interior
-    evaluation falls outside the value range of the current bracket.
+    Bracketing bisection refined by secant, or by Newton when dg is given;
+    iterates never leave the bracket.  With dg, the first iterate is the
+    cubic Hermite inverse of the bracket (`_hermite_inverse`): it takes
+    g's values at both ends, which a caller like `_solve` already holds,
+    and dg there.  The first Newton or secant step starts from the bracket
+    end with the smaller residual, or from that iterate once there is one,
+    and each later step from the last iterate.  Raises TargetOutOfRange
+    when the target is not between g(endpoints) and NotMonotone when an
+    interior evaluation falls outside the value range of the current
+    bracket.
     """
     a, b = bracket
     if a > b:
@@ -553,11 +650,10 @@ def invert_monotone(
             f"target {target} outside values g(bracket) = ({fa + target}, {fb + target})"
         )
     noise = 1e-9 * (1.0 + abs(fa) + abs(fb))
-    x_prev, f_prev = a, fa
-    x_cur, f_cur = b, fb
+    (x_prev, f_prev), (x_cur, f_cur) = ((b, fb), (a, fa)) if abs(fa) < abs(fb) else ((a, fa), (b, fb))
+    x_new = math.nan if dg is None else _hermite_inverse(a, fa, b, fb, dg)
     for _ in range(_MAX_ITER):
-        x_new = math.nan
-        if dg is not None:
+        if dg is not None and not (a < x_new < b):
             d = dg(x_cur)
             if d != 0 and math.isfinite(d):
                 x_new = x_cur - f_cur / d
@@ -584,6 +680,7 @@ def invert_monotone(
         x_cur, f_cur = x_new, f_new
         if b - a <= tol * max(abs(a), abs(b)):
             return 0.5 * (a + b)
+        x_new = math.nan
     return 0.5 * (a + b)
 
 
@@ -646,8 +743,9 @@ def _solve(
     from it toward edges[0] (edges[1]) on `reach`, g by default, which a
     caller gives as nan where a point is beyond reach.  invert_monotone
     then solves with the values at both ends known, since each may have
-    cost a quadrature.  None when the target is beyond reach, which each
-    caller reports in its own way.
+    cost a quadrature; with dg, they and dg at both ends give its first
+    iterate, the cubic Hermite inverse of the bracket.  None when the
+    target is beyond reach, which each caller reports in its own way.
     """
     s = 1.0 if gs[-1] > gs[0] else -1.0
     k = bisect.bisect_left(gs, s * target, key=lambda v: s * v)

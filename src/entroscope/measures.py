@@ -12,7 +12,9 @@ given in the image coordinate costs one inversion.
 A plain density is its own source.  Supports containing the origin are
 split there, since |x|^p weights and symmetrized densities are kinked or
 singular at 0.  The Fisher-type functionals integrate over the density's
-own support, through its pointwise values.
+own support, through its pointwise values; of a down or up image they
+raise MissingDerivative, since pointwise values would invert at every
+node, and their pullback is not implemented.
 
 Negative moment orders are accepted (they arise in the mirrored parameter
 domain); a divergent integral raises DivergentIntegral rather than
@@ -175,6 +177,12 @@ def fisher_integral(f: Density, p: float, lam: float) -> float:
     """
     if f.derivative is None:
         raise MissingDerivative("fisher functionals require an analytic derivative")
+    if getattr(f, "locate", None) is not None:
+        # through pointwise values every node would cost an inversion; the
+        # pullback to the source needs the zero split of alpha - f f''/f'^2
+        raise MissingDerivative(
+            f"fisher functionals of the image {f.label!r} need its pullback, not implemented"
+        )
 
     lv_fn, ld_fn = _log_pair(f)
 

@@ -5,12 +5,13 @@ fixed-point iterations, finite differences) rather than by the code paths
 under test.
 """
 
+import bisect
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entroscope import core, transforms
@@ -54,6 +55,79 @@ def fixed_point_oracle():
     for _ in range(500):
         x = 1.0 - math.sin(x)
     return x
+
+
+def _one_call_per_level(g, edge_map, half, tol, min_scale):
+    """The tanh-sinh rule of `core._tanh_sinh` with one call to g per level
+    and the midpoint in a scalar call before level 0: the same nodes, reach
+    caps, side sums and tests, level by level.  Returns a QuadResult or
+    raises as integrate does."""
+    s, h, estimates, last_edge, reach = 0.0, 1.0, [], [], [math.inf, math.inf]
+    for level in range(core._MAX_LEVEL + 1):
+        ts, dfrac, cosh_t, cosh2_y = core._level_nodes(level)
+        total, edge_terms = 0.0, []
+        with np.errstate(all="ignore"):
+            if level == 0:
+                x, jac = edge_map(half, True)
+                v0 = g(x)
+                for q in jac:
+                    v0 = v0 / q
+                v0 = float(v0)
+                if math.isinf(v0):
+                    raise DivergentIntegral("midpoint")
+                total += half * core._PI_2 * (0.0 if math.isnan(v0) else v0)
+            caps = [bisect.bisect_right(ts, r) + core._CHUNK for r in reach]
+            n = min(len(ts), max(caps))
+            w = half * core._PI_2 * cosh_t[:n] / cosh2_y[:n]
+            deltas = half * dfrac[:n]
+            live = int(np.count_nonzero((w > 0.0) & (deltas > 0.0)))
+            counts = [min(c, live) for c in caps]
+            if sum(counts):
+                sides = [edge_map(deltas[:c], upper) for c, upper in zip(counts, (True, False))]
+                vs = np.asarray(g(np.concatenate([x for x, _ in sides])), dtype=float)
+                vs = np.broadcast_to(vs, (sum(counts),))
+                max_term = abs(total)
+                for side, (c, (_, jac)) in enumerate(zip(counts, sides)):
+                    v, vs = vs[:c], vs[c:]
+                    for q in jac:
+                        v = v / q
+                    terms = w[:c] * v
+                    bad = ~np.isfinite(terms)
+                    terms = np.where(bad, 0.0, terms)
+                    used, total, max_term = core._side_sum(terms, total, max_term)
+                    if np.isinf(v[:used][bad[:used]]).any():
+                        raise DivergentIntegral("weights")
+                    if used:
+                        reach[side] = ts[used - 1]
+                        first = max(used - 3, (used - 1) // core._CHUNK * core._CHUNK)
+                        last3 = np.abs(terms[first:used]).tolist()
+                        if not edge_terms or max(last3) > max(edge_terms):
+                            edge_terms = last3
+        s += total
+        est = h * s
+        last_edge = edge_terms or last_edge
+        estimates.append(est)
+        if abs(est) > core._HUGE:
+            raise DivergentIntegral("overflow")
+        if level >= 2:
+            err = abs(estimates[-1] - estimates[-2])
+            scale = max(min_scale, abs(est)) or 1.0
+            if err <= tol * scale:
+                if last_edge and max(last_edge) > 1e3 * tol * scale and last_edge == sorted(last_edge):
+                    raise DivergentIntegral("edge")
+                return core.QuadResult(est, err, 0)
+        h *= 0.5
+    err = abs(estimates[-1] - estimates[-2])
+    scale = max(1.0, abs(estimates[-1]))
+    if err > 1e-6 * scale:
+        d1, d2, d3 = (abs(estimates[i] - estimates[i - 1]) for i in (-1, -2, -3))
+        if abs(estimates[-1]) > abs(estimates[-2]) >= abs(estimates[-3]) and d1 >= d2:
+            raise DivergentIntegral("growing")
+        if d3 > 0 and d2 > 0 and d1 / d3 > 0.5 and d1 / d2 > 0.7:
+            raise DivergentIntegral("logarithmic")
+        if last_edge and last_edge == sorted(last_edge) and max(last_edge) > err:
+            raise DivergentIntegral("edge")
+    raise NonConvergent("last level", core.QuadResult(estimates[-1], err, 0))
 
 
 # --------------------------------------------------------------- integrate
@@ -146,13 +220,17 @@ class TestIntegrate:
         [
             (lambda x: np.exp(-np.asarray(x)), Support(0.0, math.inf)),
             (lambda x: np.asarray(x) ** -0.5, Support(0.0, 1.0)),
+            # e^{100 x}: the lower side stops after one chunk at level 2, so
+            # the reach cap leaves level 3's outermost live node unused there
+            (lambda x: np.exp(100.0 * np.asarray(x)), Support(0.0, 1.0)),
         ],
-        ids=["exp", "inverse_sqrt"],
+        ids=["exp", "inverse_sqrt", "steep"],
     )
     def test_one_array_call_per_level(self, monkeypatch, g, support):
-        # each level evaluates both sides in one array call (the midpoint
-        # in a scalar call before the first), and a side at most one chunk
-        # of nodes past where it stopped at the level before
+        # the first call holds the midpoint and the live nodes of levels 0-3
+        # on both sides; each later level makes one call of its own.  Every
+        # level uses a side at most one chunk of nodes past where it stopped
+        # at the level before
         shapes, sides = [], []
 
         def counted(x):
@@ -161,23 +239,76 @@ class TestIntegrate:
 
         def side_sum(terms, *args):
             out = side_sum.inner(terms, *args)
-            sides.append((len(terms), out[0]))  # (evaluated, used)
+            sides.append((len(terms), out[0]))  # (taken under the reach cap, used)
             return out
 
         side_sum.inner = core._side_sum
         monkeypatch.setattr(core, "_side_sum", side_sum)
         integrate(counted, support)
-        assert shapes[0] == ()
+        half = 0.5  # of (0, 1), and of the map of (0, inf) onto it
+        live = 0
+        for level in range(core._FIRST_LEVELS):
+            _, dfrac, cosh_t, cosh2_y = core._level_nodes(level)
+            live += np.count_nonzero((half * core._PI_2 * cosh_t / cosh2_y > 0.0) & (half * dfrac > 0.0))
+        assert shapes[0] == (1 + 2 * live,)
         levels = [sides[i : i + 2] for i in range(0, len(sides), 2)]
-        assert len(shapes) - 1 == len(levels) >= 3
-        for level, (shape, pair) in enumerate(zip(shapes[1:], levels)):
+        assert len(levels) >= 3
+        assert len(shapes) == 1 + max(0, len(levels) - core._FIRST_LEVELS)
+        for shape, pair in zip(shapes[1:], levels[core._FIRST_LEVELS :]):
             assert shape == (sum(evaluated for evaluated, _ in pair),)
-            if level == 0:
-                continue
+        for level, pair in enumerate(levels[1:], start=1):
             ts, before = core._level_nodes(level)[0], core._level_nodes(level - 1)[0]
             for (evaluated, _), (_, used) in zip(pair, levels[level - 1]):
                 stopped = before[used - 1]
                 assert sum(t > stopped for t in ts[:evaluated]) <= core._CHUNK
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["finite", "upper_inf"]),
+        st.floats(min_value=0.01, max_value=50.0),
+        st.floats(min_value=-1.2, max_value=3.0),
+        st.floats(min_value=-4.0, max_value=4.0),
+        st.sampled_from([1e-6, 1e-10, 1e-13]),
+        st.sampled_from([0.0, 1.0]),
+    )
+    def test_integrate_equals_one_call_per_level(self, kind, b, p, k, tol, min_scale):
+        # integrate, with levels 0-3 evaluated in one call, against the
+        # level-by-level rule with one call per level (the midpoint in a
+        # scalar call first), kept here as the reference: the same value and
+        # error to the bit, or the same error class; on (0, b) and (b, inf)
+        # for x^p e^{kx} (e^{-|k| x} on (b, inf)), which may diverge at 0
+        k = k if kind == "finite" else -abs(k) - 0.05
+
+        def g(x):
+            x = np.asarray(x, dtype=float)
+            return x**p * np.exp(k * x)
+
+        if kind == "finite":
+            support, half = Support(0.0, b), 0.5 * b
+            edge_map = lambda d, upper: ((b - d if upper else 0.0 + d), ())
+            ref_g = g
+        else:
+            # the map of integrate's (b, inf): x = b + L t/(1 - t), L a power of two
+            support, half = Support(b, math.inf), 0.5
+            L = math.ldexp(1.0, math.frexp(max(1.0, b))[1] - 1)
+            ref_g = (lambda y: g(b + L * y) * L) if L != 1.0 else g
+            a = 0.0 if L != 1.0 else b
+
+            def edge_map(d, upper):
+                if upper:
+                    return a + (1.0 - d) / d, (d, d)
+                return a + d / (1.0 - d), ((1.0 - d) ** 2,)
+
+        def outcome(run):
+            try:
+                r = run()
+            except (DivergentIntegral, NonConvergent) as exc:
+                return type(exc).__name__
+            return r.value.hex(), r.error_estimate.hex()
+
+        got = outcome(lambda: integrate(g, support, tol=tol, min_scale=min_scale))
+        ref = outcome(lambda: _one_call_per_level(ref_g, edge_map, half, tol, min_scale))
+        assert got == ref
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -215,6 +346,9 @@ class TestIntegrate:
         st.sampled_from([0.0, -0.0, 1.0, -3.5, 1e-20, 7e8]),
         st.sampled_from([0.0, 0.5, 1e-30, 1e9]),
     )
+    # np.add.reduce([-0.0]) is +0.0, so the running sum -0.0 becomes +0.0
+    @example(mantissas=[(-0.0, 0)], total=-0.0, max_term=0.0)
+    @example(mantissas=[(-0.0, 0)] * 8, total=-0.0, max_term=0.0)
     def test_side_sum_bit_identical_to_numpy(self, mantissas, total, max_term):
         # the Python-float side sum (up to _SHORT_SIDE terms) against the
         # numpy form: np.add.reduce over full 8-term chunks (pairwise) and
@@ -545,12 +679,12 @@ class TestQuantiles:
         assert len(set(calls)) == len(calls)
         if spec == "exp":
             # 65 table segments (the 63 between knots in one batched pass,
-            # then the head and tail by `integrate`), then 3 quadratures in
-            # the solve at q = 0.3 and 4 at q = 0.7 (u to 1e-13 relative),
-            # none of them over a table segment
+            # then the head and tail by `integrate`), then 2 quadratures in
+            # the solve at q = 0.3 and 3 at q = 0.7 (u to 1e-13 relative,
+            # from the Hermite seed on), none of them over a table segment
             table = {(lo, hi) for lo, hi, _ in calls[:65]}
             assert calls[:63] == settled
-            assert len(calls) == {0.3: 68, 0.7: 69}[q]
+            assert len(calls) == {0.3: 67, 0.7: 68}[q]
             assert not table & {(lo, hi) for lo, hi, _ in calls[65:]}
 
     def test_lower_tail(self):
@@ -716,6 +850,26 @@ class TestSegmentMasses:
         _assert_within_ulps(np.append(inner, [head, tail]), np.append(ref_inner, [ref_head, ref_tail]))
         inf = {_pole: [6, 7], _nan_band: [], _raising: [10]}[w]
         assert np.flatnonzero(np.isinf(inner)).tolist() == inf
+
+    @pytest.mark.parametrize("spec, alpha", [("exp", 3.0), ("pareto:eta=3.5", 2.0)])
+    def test_hermite_seed_quadratures_per_solve(self, monkeypatch, spec, alpha):
+        # x_of_u at 30% of the way along 40 segments of the up coordinate's
+        # table: the first iterate, the cubic Hermite inverse of the bracket
+        # from its ends' values and slopes, leaves about one Newton step.
+        # 2.65 and 2.68 quadratures per solve, where Newton steps from a
+        # bracket end alone take 3.83 and 3.48
+        w, support, knots = _table(monkeypatch, spec, alpha)
+        coords = core._Cumulative(w, support, knots, core._segment_masses(w, support, knots))
+        uk = coords.u_knots
+        us = [uk[i] + 0.3 * (uk[i + 1] - uk[i]) for i in np.linspace(0, len(uk) - 2, 40).astype(int)]
+        quadratures = []
+        real = core.integrate
+        monkeypatch.setattr(core, "integrate", lambda *a, **k: quadratures.append(1) or real(*a, **k))
+        xs = [coords.x_of_u(u) for u in us]
+        assert len(quadratures) / len(us) <= 2.8
+        monkeypatch.setattr(core, "integrate", real)
+        for x, u in zip(xs, us):
+            assert coords.u_of_x(x) == pytest.approx(u, rel=1e-11)
 
     def test_one_integrand_call_per_level(self, monkeypatch):
         # up(exp,3)'s 159 inner segments take one call per level between

@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 from entroscope import core, measures, parse_density
 from entroscope.core import integrate
-from entroscope.errors import DivergentIntegral, EdgeIllConditioned, EntroscopeError
+from entroscope.errors import DivergentIntegral, EdgeIllConditioned, EntroscopeError, MissingDerivative
 from entroscope.measures import (
     entropic_Sp,
     exp_moment,
+    fisher,
     fisher_integral,
+    fisher_zero,
     log_moment,
     renyi_power,
     shannon,
@@ -320,13 +322,30 @@ FUZZ_SPECS = [
     st.sampled_from(FUZZ_SPECS),
     st.sampled_from([down, up]),
     st.sampled_from([0.5, 1.5, 2.0, 2.5, 3.0, 4.0]),
-    st.sampled_from(["sigma", "renyi", "shannon"]),
+    st.sampled_from(["sigma", "renyi", "shannon", "fisher", "fisherZero"]),
     st.floats(min_value=0.25, max_value=3.0),
 )
 def test_finite_value_or_entroscope_error(spec, transform, alpha, measure, order):
-    fn = {"sigma": typical_deviation, "renyi": renyi_power, "shannon": lambda d, _: shannon(d)}[measure]
+    fn = {
+        "sigma": typical_deviation,
+        "renyi": renyi_power,
+        "shannon": lambda d, _: shannon(d),
+        "fisher": lambda d, q: fisher(d, q, 1.0 + q),
+        "fisherZero": fisher_zero,
+    }[measure]
     try:
         value = fn(transform(parse_density(spec), alpha), order)
     except EntroscopeError:
         return
     assert math.isfinite(value)
+
+
+@pytest.mark.parametrize("transform", [down, up])
+@pytest.mark.parametrize("measure", [lambda d: fisher(d, 2.0, 1.0), lambda d: fisher_zero(d, 1.0)])
+def test_fisher_of_an_image_raises_before_any_quadrature(monkeypatch, transform, measure):
+    # through pointwise values every node would invert; until the pullback
+    # lands, the image's Fisher functionals say so without integrating
+    d = transform(parse_density("exp"), 3.0)
+    monkeypatch.setattr(measures, "integrate", lambda *a, **k: pytest.fail("integrated"))
+    with pytest.raises(MissingDerivative, match="pullback"):
+        measure(d)

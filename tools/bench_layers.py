@@ -1,0 +1,173 @@
+"""Per-layer counts and pass times of one pass over each benchmark workload.
+
+    python3 tools/bench_layers.py --seed 101 --out BENCH.json [--passes 3]
+
+For each workload of `bench/run.py` it builds the inputs from
+`bench.items.generate` (value items take their image coordinates from the
+cached references in `.bench_cache/`, computed once by the oracle, as
+`bench/run.py` does), runs one counted pass through `bench.worker.Runner`,
+then times uninstrumented passes.  It writes, per workload:
+
+- L1 quadrature: scalar quadratures (`core._tanh_sinh` runs), their
+  integrand calls and evaluations, all of them and (`*_ok`) those of the
+  quadratures that returned a value; and the same for the batched segment
+  pass (`core._integrate_many`);
+- L2 inversion: `_Cumulative.x_of_u` solves and the scalar quadratures
+  each one makes;
+- pass time: the median wall time of `--passes` uninstrumented passes, in
+  ms, after one untimed warm-up pass.
+
+Counts do not depend on the machine; pass times do.  The counters wrap
+module attributes for the counted pass only and restore them after it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import statistics
+import sys
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+from bench import run as bench_run  # noqa: E402
+from bench.items import WORKLOADS  # noqa: E402
+from bench.worker import Runner  # noqa: E402
+from entroscope import core  # noqa: E402
+
+
+class Counters:
+    """Counting wrappers around the quadrature and inversion entry points."""
+
+    def __init__(self):
+        self.n = dict.fromkeys(
+            ("quadratures", "integrand_calls", "evaluations", "quadratures_ok", "integrand_calls_ok",
+             "evaluations_ok", "batched_passes", "batched_calls", "batched_evaluations", "x_of_u",
+             "x_of_u_quadratures"), 0)
+        self._saved = []
+
+    @staticmethod
+    def _counted(g, tally: list):
+        def wrapped(x):
+            tally[0] += 1
+            tally[1] += int(np.size(x))
+            return g(x)
+
+        return wrapped
+
+    def install(self) -> None:
+        n = self.n
+        tanh_sinh, many = core._tanh_sinh, core._integrate_many
+        x_of_u = core._Cumulative.x_of_u
+
+        def add(tally, calls, evals):
+            n[calls] += tally[0]
+            n[evals] += tally[1]
+
+        def counted_tanh_sinh(g, *args):
+            # a tally per quadrature: an integrand may run quadratures of its own
+            n["quadratures"] += 1
+            tally = [0, 0]
+            try:
+                out = tanh_sinh(self._counted(g, tally), *args)
+            finally:
+                add(tally, "integrand_calls", "evaluations")
+            n["quadratures_ok"] += 1
+            add(tally, "integrand_calls_ok", "evaluations_ok")
+            return out
+
+        def counted_many(g, *args):
+            n["batched_passes"] += 1
+            tally = [0, 0]
+            try:
+                return many(self._counted(g, tally), *args)
+            finally:
+                add(tally, "batched_calls", "batched_evaluations")
+
+        def counted_x_of_u(coords, u):
+            n["x_of_u"] += 1
+            q0 = n["quadratures"]
+            try:
+                return x_of_u(coords, u)
+            finally:
+                n["x_of_u_quadratures"] += n["quadratures"] - q0
+
+        for owner, name, fn in ((core, "_tanh_sinh", counted_tanh_sinh),
+                                (core, "_integrate_many", counted_many),
+                                (core._Cumulative, "x_of_u", counted_x_of_u)):
+            self._saved.append((owner, name, getattr(owner, name)))
+            setattr(owner, name, fn)
+
+    def uninstall(self) -> None:
+        while self._saved:
+            setattr(*self._saved.pop())
+
+
+def measure(workload: str, seed: int, passes: int) -> dict:
+    cache = ROOT / ".bench_cache"
+    cache.mkdir(exist_ok=True)
+    refs = bench_run._references(workload, seed, cache)
+    items = [{k: v for k, v in it.items() if k != "expect"} for it in refs["items"]]
+    runner = Runner(items)
+    counters = Counters()
+    counters.install()
+    try:
+        outcomes, _, _ = runner.run_pass()
+    finally:
+        counters.uninstall()
+    runner.run_pass()  # warm-up: lazy tables and caches, as in the benchmark's later passes
+    times = []
+    for _ in range(passes):
+        gc.collect()
+        t0 = time.perf_counter()
+        runner.run_pass()
+        times.append(1e3 * (time.perf_counter() - t0))
+    n = counters.n
+    return {
+        "items": len(items),
+        "failed_items": sum(oc != "ok" for oc in outcomes),
+        "L1": {
+            "quadratures": n["quadratures"],
+            "integrand_calls": n["integrand_calls"],
+            "evaluations": n["evaluations"],
+            "quadratures_ok": n["quadratures_ok"],
+            "integrand_calls_ok": n["integrand_calls_ok"],
+            "evaluations_ok": n["evaluations_ok"],
+            "batched_passes": n["batched_passes"],
+            "batched_integrand_calls": n["batched_calls"],
+            "batched_evaluations": n["batched_evaluations"],
+        },
+        "L2": {
+            "x_of_u": n["x_of_u"],
+            "quadratures_per_x_of_u": n["x_of_u_quadratures"] / n["x_of_u"] if n["x_of_u"] else None,
+        },
+        "pass_ms": statistics.median(times),
+        "pass_ms_all": times,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seed", type=int, default=101)
+    ap.add_argument("--passes", type=int, default=3)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    warnings.simplefilter("ignore", RuntimeWarning)  # as in the benchmark's worker
+    result = {"seed": args.seed, "workloads": {w: measure(w, args.seed, args.passes) for w in WORKLOADS}}
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    for w, r in result["workloads"].items():
+        print(w, json.dumps({k: r[k] for k in ("L1", "L2", "pass_ms")}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
