@@ -18,9 +18,11 @@ and weight factors of each level are computed once, at unit half-width.
 A side's sum stops at its first chunk of 8 terms below 1e-17 times the
 running sum, and the next level uses that side at most one chunk beyond
 it, so from level 4 on an integrand whose deep nodes are costly pays for
-at most 8 of them per side and level.  Levels 0-3 are summed from the
-first call's values under the same rule, so they give the sums of one
-call per level.
+at most 8 of them per side and level.  The first call's terms go into one
+zero-padded table of 8-term chunks, and three numpy reductions give every
+chunk's sums and peak; levels 0-3 then scan at most 4 chunks per side in
+Python under the same rule, so they give the sums of one call per level.
+Levels from 4 on sum their own terms (`_side_sum`).
 
 A cumulative coordinate (`_Cumulative`) is the mass u(x) of a weight w
 between x and an anchor, signed so that u' = -w.  A table of knots holds
@@ -49,7 +51,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -224,9 +226,11 @@ def _side_sum(terms: np.ndarray, total: float, max_term: float):
     return n, total, max_term
 
 
-def _ts_level_sum(g, edge_map, half: float, level: int, reach: list, total: float, first=None):
-    """One tanh-sinh level: `total` plus the sum of weight * integrand over
-    its nodes, the evaluations it made, and the outermost terms it used.
+def _ts_level_sum(g, edge_map, half: float, level: int, reach: list, total: float):
+    """One tanh-sinh level from level _FIRST_LEVELS on: `total` plus the sum
+    of weight * integrand over its nodes, the evaluations it made, and the
+    outermost terms it used.  The level calls g once on the nodes it uses,
+    and `_side_sum` adds each side.
 
     edge_map(d, upper) gives the x at distance d from the upper (or lower)
     end and the divisors of the Jacobian in the order they apply: working
@@ -234,13 +238,9 @@ def _ts_level_sum(g, edge_map, half: float, level: int, reach: list, total: floa
     integrands.  reach[side] (upper side first, updated in place) is the
     outermost t the previous level used on that side; at most _CHUNK nodes
     past it are used, since deep nodes can be very expensive for
-    transform-backed integrands.  `first` holds this level's node values
-    (divided by the Jacobian) on the live nodes of each side, from the first
-    call of `_tanh_sinh`; without it, the level calls g once on the nodes it
-    uses.
+    transform-backed integrands.
     """
     ts, dfrac, cosh_t, cosh2_y = _level_nodes(level)
-    n_evals = 0
     edge_terms: list[float] = []
     caps = [bisect.bisect_right(ts, r) + _CHUNK for r in reach]
     n = min(len(ts), max(caps))
@@ -252,12 +252,9 @@ def _ts_level_sum(g, edge_map, half: float, level: int, reach: list, total: floa
         live = int(np.count_nonzero((w > 0.0) & (deltas > 0.0)))
     counts = [min(c, live) for c in caps]
     if not sum(counts):
-        return total, n_evals, edge_terms
-    if first is not None:
-        values = [v[:k] for v, k in zip(first, counts)]
-    else:
-        sides = [edge_map(deltas[:k], upper) for k, upper in zip(counts, (True, False))]
-        values, n_evals = _node_values(g, sides)
+        return total, 0, edge_terms
+    sides = [edge_map(deltas[:k], upper) for k, upper in zip(counts, (True, False))]
+    values, n_evals = _node_values(g, sides)
     max_term = abs(total)
     for side, (k, v) in enumerate(zip(counts, values)):
         terms = w[:k] * v
@@ -299,22 +296,141 @@ def _node_values(g, sides):
     return values, len(xs)
 
 
+@functools.cache
+def _chunk_layout(lives: tuple):
+    """Where the terms of `_chunk_table` go, for lives[level] live nodes on
+    each side of each level: the flat position in the zero-padded (chunks x
+    _CHUNK) table of every term (upper side first, levels in turn within a
+    side), the table's size, and per level and side (base, c0): the index of
+    its first term and of its first chunk.  Each level's side starts a new
+    chunk, so its chunks are those of `_side_sum` on its terms."""
+    dest, slots, chunk = [], [[None, None] for _ in lives], 0
+    for side in range(2):
+        for level, n in enumerate(lives):
+            slots[level][side] = (len(dest), chunk)
+            dest += range(chunk * _CHUNK, chunk * _CHUNK + n)
+            chunk += -(-n // _CHUNK)
+    dest = np.array(dest, dtype=np.intp)
+    dest.flags.writeable = False
+    return dest, chunk * _CHUNK, tuple(map(tuple, slots))
+
+
+class _ChunkTable(NamedTuple):
+    """One quadrature's terms on the first call's nodes, by chunk: per
+    chunk its pairwise sum (that of a full chunk in `_side_sum`), its sum in
+    turn (that of a partial chunk) and its largest |term|; the terms (not
+    finite ones zeroed), the positions of the inf values among them, and
+    the live counts and slots of `_chunk_layout`."""
+
+    sums: list
+    seqs: list
+    peaks: list
+    terms: list
+    infs: list
+    lives: tuple
+    slots: tuple
+
+
+def _chunk_table(values: np.ndarray, w: np.ndarray, lives: tuple) -> _ChunkTable:
+    """The terms w * values of both sides (values holds the upper side's
+    len(w) values, then the lower side's), and their chunk sums in three
+    numpy reductions over the zero-padded table of `_chunk_layout`."""
+    terms = (values.reshape(2, -1) * w).ravel()
+    infs = []
+    if not math.isfinite(np.add.reduce(terms)):
+        infs = np.flatnonzero(np.isinf(values)).tolist()
+        terms = np.where(np.isfinite(terms), terms, 0.0)
+    dest, size, slots = _chunk_layout(lives)
+    table = np.zeros(size)
+    table[dest] = terms
+    table = table.reshape(-1, _CHUNK)
+    return _ChunkTable(
+        np.add.reduce(table, axis=1).tolist(),  # pairwise, from +0.0
+        # in turn, with the padding's +0.0 last: a partial chunk of -0.0 sums to +0.0
+        np.add.accumulate(table, axis=1)[:, -1].tolist(),
+        np.maximum.reduce(np.abs(table), axis=1).tolist(),
+        terms.tolist(),
+        infs,
+        lives,
+        slots,
+    )
+
+
+def _table_side_sum(tab: _ChunkTable, level: int, side: int, k: int, total: float, max_term: float):
+    """`_side_sum` of the first k terms of one level and side of the chunk
+    table, chunk by chunk from its sums: the same (used, total, largest
+    term), bit for bit.  A chunk cut short by k (a reach cap) is summed in
+    turn from the terms.  Raises DivergentIntegral if an inf value lies
+    among the terms used."""
+    base, c0 = tab.slots[level][side]
+    live, used = tab.lives[level], k
+    for c in range(0, k, _CHUNK):
+        if c + _CHUNK <= k:
+            part, peak = tab.sums[c0], tab.peaks[c0]
+        elif k == live:
+            part, peak = tab.seqs[c0], tab.peaks[c0]
+        else:
+            chunk = tab.terms[base + c : base + k]
+            part = chunk[0]
+            for v in chunk[1:]:
+                part += v
+            part += 0.0
+            peak = max(map(abs, chunk))
+        c0 += 1
+        total += part
+        if peak > max_term:
+            max_term = peak
+        if peak <= _TRUNC_EPS * max(abs(total), max_term) and max_term > 0.0:
+            used = min(k, c + _CHUNK)
+            break
+    # weight underflow times a singular value gives nan; those nodes carry no
+    # mass for integrable edges -- but a genuine inf means the integrand
+    # outgrows the weight decay
+    if tab.infs and any(base <= i < base + used for i in tab.infs):
+        raise DivergentIntegral("integrand grows faster than the node weights decay")
+    return used, total, max_term
+
+
+def _first_level_sum(tab: _ChunkTable, level: int, reach: list, total: float):
+    """Level `level` < _FIRST_LEVELS of the rule of `_ts_level_sum`, read
+    from the first call's chunk table: `total` plus the level's sum, and the
+    outermost terms it used.  The same reach caps, and `_table_side_sum` in
+    place of `_side_sum`, so the same sums bit for bit."""
+    ts = _level_nodes(level)[0]
+    live, edge_terms = tab.lives[level], []
+    max_term = abs(total)
+    for side, r in enumerate(reach):
+        k = min(bisect.bisect_right(ts, r) + _CHUNK, live)
+        used, total, max_term = _table_side_sum(tab, level, side, k, total, max_term)
+        if not used:
+            continue
+        reach[side] = ts[used - 1]
+        base = tab.slots[level][side][0]
+        last3 = list(map(abs, tab.terms[base + max(used - 3, (used - 1) // _CHUNK * _CHUNK) : base + used]))
+        # keep the side whose outermost terms are largest: the divergence
+        # heuristic watches for edges that fail to decay
+        if not edge_terms or max(last3) > max(edge_terms):
+            edge_terms = last3
+    return total, edge_terms
+
+
 def _first_call(g, edge_map, half: float):
     """The first call of `_tanh_sinh`: g once on the midpoint and on the
     live nodes of levels 0 to _FIRST_LEVELS - 1 on both sides.  Returns the
-    midpoint value, per level the node values of each side (upper first,
-    divided by the Jacobian, on that level's live nodes), and the count of
-    points."""
+    midpoint value, the `_chunk_table` of the weight * value terms of those
+    nodes, from which levels 0 to _FIRST_LEVELS - 1 are summed, and the
+    count of points."""
     dfrac, cosh_t, cosh2_y, starts = _first_levels()
     deltas = half * dfrac
-    live = ((half * _PI_2 * cosh_t / cosh2_y) > 0.0) & (deltas > 0.0)
-    starts = [0, *np.cumsum(np.add.reduceat(live, starts[:-1])).tolist()]
+    w = half * _PI_2 * cosh_t / cosh2_y
+    live = (w > 0.0) & (deltas > 0.0)
+    lives = tuple(np.add.reduceat(live, starts[:-1]).tolist())
     deltas = deltas[live]
     # the midpoint is the upper side's point at distance `half`
     sides = [edge_map(np.append(half, deltas), True), edge_map(deltas, False)]
     (upper, lower), n_evals = _node_values(g, sides)
-    levels = [(upper[1 + a : 1 + b], lower[a:b]) for a, b in zip(starts[:-1], starts[1:])]
-    return float(upper[0]), levels, n_evals
+    tab = _chunk_table(np.concatenate((upper[1:], lower)), w[live], lives)
+    return float(upper[0]), tab, n_evals
 
 
 def _tanh_sinh(g, edge_map, half: float, tol: float, min_scale: float) -> QuadResult:
@@ -326,8 +442,9 @@ def _tanh_sinh(g, edge_map, half: float, tol: float, min_scale: float) -> QuadRe
     has not stopped by then stops there.
 
     The first call to g holds the midpoint and the live nodes of levels 0
-    to 3 on both sides (`_first_call`); each level from 4 on makes one call
-    of its own.  Levels 0-3 are then summed one by one from those values,
+    to 3 on both sides, and builds their chunk table (`_first_call`); each
+    level from 4 on makes one call of its own (`_ts_level_sum`).  Levels 0-3
+    are summed one by one from the table's chunk sums (`_first_level_sum`),
     with the same reach caps, midpoint, overflow, divergence and stop tests
     as if each had made its own call, so the value and error are those of
     one call per level.  Some of the first call's nodes go unused: those of
@@ -340,7 +457,7 @@ def _tanh_sinh(g, edge_map, half: float, tol: float, min_scale: float) -> QuadRe
     last_edge: list[float] = []
     reach = [math.inf, math.inf]
     with np.errstate(all="ignore"):
-        v0, first, n_evals = _first_call(g, edge_map, half)
+        v0, tab, n_evals = _first_call(g, edge_map, half)
     if math.isinf(v0):
         raise DivergentIntegral("integrand not finite at interval midpoint")
     if math.isnan(v0):
@@ -348,12 +465,13 @@ def _tanh_sinh(g, edge_map, half: float, tol: float, min_scale: float) -> QuadRe
     for level in range(_MAX_LEVEL + 1):
         # t = 0 contributes once, at level 0: the midpoint, `half` from either end
         total = half * _PI_2 * v0 if level == 0 else 0.0
-        with np.errstate(all="ignore"):
-            ds, ne, edge = _ts_level_sum(
-                g, edge_map, half, level, reach, total, first[level] if level < _FIRST_LEVELS else None
-            )
+        if level < _FIRST_LEVELS:
+            ds, edge = _first_level_sum(tab, level, reach, total)
+        else:
+            with np.errstate(all="ignore"):
+                ds, ne, edge = _ts_level_sum(g, edge_map, half, level, reach, total)
+            n_evals += ne
         s += ds
-        n_evals += ne
         est = h * s
         if edge:
             last_edge = edge

@@ -25,7 +25,7 @@ from scipy.special import beta, gammaincc, gammainccinv
 from scipy.special import gamma as _gamma_fn
 
 from .core import Density, Support, _pointwise, _solve, integrate
-from .errors import DivergentIntegral, InvalidParams, OutOfDomain, OutOfRange
+from .errors import DivergentIntegral, EdgeIllConditioned, InvalidParams, OutOfDomain, OutOfRange
 from .measures import _SHANNON_WINDOW, holder_conjugate
 
 __all__ = [
@@ -630,7 +630,11 @@ def up_of_gg(p: float, lam: float, alpha: float, mode: str = "half"):
                     return sinh_gen(v, b, -s / C) ** exq / m
 
     def val(s: float) -> float:
-        return pref * x_of_s(s) ** (1.0 / (2.0 - alpha))
+        x = x_of_s(s)
+        if x == 0.0 and alpha > 2.0:
+            # x -> 0 at the upper edge, where the value x^(1/(2-alpha)) grows without bound
+            raise EdgeIllConditioned(f"up_of_gg value not formed at {s!r}: x rounds to 0 at the edge {sup.upper!r}")
+        return pref * x ** (1.0 / (2.0 - alpha))
 
     return Density(
         support=sup,

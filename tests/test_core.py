@@ -228,21 +228,27 @@ class TestIntegrate:
     )
     def test_one_array_call_per_level(self, monkeypatch, g, support):
         # the first call holds the midpoint and the live nodes of levels 0-3
-        # on both sides; each later level makes one call of its own.  Every
-        # level uses a side at most one chunk of nodes past where it stopped
-        # at the level before
+        # on both sides, whose levels are summed from its chunk table; each
+        # later level makes one call of its own.  Every level uses a side at
+        # most one chunk of nodes past where it stopped at the level before
         shapes, sides = [], []
 
         def counted(x):
             shapes.append(np.shape(x))
             return g(x)
 
-        def side_sum(terms, *args):
-            out = side_sum.inner(terms, *args)
-            sides.append((len(terms), out[0]))  # (taken under the reach cap, used)
+        def table_side_sum(tab, level, side, k, *args):
+            out = table_side_sum.inner(tab, level, side, k, *args)
+            sides.append((k, out[0]))  # (taken under the reach cap, used)
             return out
 
-        side_sum.inner = core._side_sum
+        def side_sum(terms, *args):
+            out = side_sum.inner(terms, *args)
+            sides.append((len(terms), out[0]))
+            return out
+
+        table_side_sum.inner, side_sum.inner = core._table_side_sum, core._side_sum
+        monkeypatch.setattr(core, "_table_side_sum", table_side_sum)
         monkeypatch.setattr(core, "_side_sum", side_sum)
         integrate(counted, support)
         half = 0.5  # of (0, 1), and of the map of (0, inf) onto it
@@ -376,6 +382,60 @@ class TestIntegrate:
         ref = numpy_side_sum(terms, total, max_term)
         assert got[0] == ref[0]
         assert [float(v).hex() for v in got[1:]] == [float(v).hex() for v in ref[1:]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=-40, max_value=8)).map(
+                    lambda me: me[0] * 10.0 ** me[1]
+                ),
+                st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        # 3e300 makes a term overflow to inf where its value is finite
+        st.sampled_from([1.0, 0.37, 3e300]),
+        st.sampled_from([0.0, -0.0, 1.0, -3.5, 1e-20, 7e8]),
+        st.sampled_from([0.0, 0.5, 1e-30, 1e9]),
+    )
+    # chunks of -0.0, whole and cut short by k (a reach cap)
+    @example(values=[-0.0] * 11, weight=1.0, total=-0.0, max_term=0.0)
+    # nan terms are zeroed; an inf value raises only inside the used prefix
+    @example(values=[1.0, math.nan, 0.5] + [1e-30] * 8 + [math.inf, 2.0], weight=1.0, total=0.0, max_term=0.0)
+    @example(values=[1.0, 2.0, -math.inf, 0.5] + [0.0] * 9, weight=0.37, total=1.0, max_term=1.0)
+    def test_chunk_table_scan_equals_side_sum(self, values, weight, total, max_term):
+        # the scan of levels 0-3, from the chunk sums of the first call's
+        # table, against _side_sum on the same terms (not finite ones zeroed)
+        # for every k <= L, bit for bit: the k that cut a chunk short are the
+        # reach caps that make it sum that chunk from its terms.  The level
+        # sits between two others on both sides (the lower side reversed), so
+        # the table's offsets are exercised too
+        v = np.array(values, dtype=float)
+        L = len(v)
+        lives = (5, L, 2)
+        filler = [np.full(5, 0.25), np.full(2, 0.125)]
+        w = np.concatenate([np.ones(5), np.full(L, weight), np.ones(2)])
+        with np.errstate(all="ignore"):  # as in the first call of _tanh_sinh
+            tab = core._chunk_table(
+                np.concatenate([filler[0], v, filler[1], filler[0], v[::-1], filler[1]]), w, lives
+            )
+        for side, u in enumerate([v, v[::-1]]):
+            with np.errstate(all="ignore"):
+                terms = weight * u
+            terms = np.where(np.isfinite(terms), terms, 0.0)
+            base = tab.slots[1][side][0]
+            assert [t.hex() for t in tab.terms[base : base + L]] == [t.hex() for t in terms.tolist()]
+            for k in range(L + 1):
+                used, ref_total, ref_max = core._side_sum(terms[:k], total, max_term)
+                if np.isinf(u[:used]).any():
+                    with pytest.raises(DivergentIntegral):
+                        core._table_side_sum(tab, 1, side, k, total, max_term)
+                    continue
+                got = core._table_side_sum(tab, 1, side, k, total, max_term)
+                assert got[0] == used
+                assert [float(x).hex() for x in got[1:]] == [ref_total.hex(), ref_max.hex()]
 
     def test_far_tail_map_follows_the_interval(self):
         # (a, inf) is mapped by x = a + L t/(1-t) with L on the scale of a,

@@ -340,6 +340,26 @@ def test_finite_value_or_entroscope_error(spec, transform, alpha, measure, order
     assert math.isfinite(value)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2.0, 0.7), (4.0, 0.85), (3.0, 1.0), (2.0, 1.5), (1.5, 3.0)]),
+    st.sampled_from([down_of_gg, up_of_gg]),
+    st.sampled_from([-1.0, 0.5, 3.0, 4.0]),
+    st.sampled_from(["sigma", "renyi", "shannon"]),
+    st.floats(min_value=0.25, max_value=3.0),
+)
+def test_closed_form_finite_value_or_entroscope_error(member, closed_form, alpha, measure, order):
+    # the closed-form images, whose nodes may round onto an edge: where x
+    # rounds to 0, up_of_gg's value x^(1/(2-alpha)) at alpha > 2 has no
+    # finite value to give
+    fn = {"sigma": typical_deviation, "renyi": renyi_power, "shannon": lambda d, _: shannon(d)}[measure]
+    try:
+        value = fn(closed_form(*member, alpha), order)
+    except EntroscopeError:
+        return
+    assert math.isfinite(value)
+
+
 @pytest.mark.parametrize("transform", [down, up])
 @pytest.mark.parametrize("measure", [lambda d: fisher(d, 2.0, 1.0), lambda d: fisher_zero(d, 1.0)])
 def test_fisher_of_an_image_raises_before_any_quadrature(monkeypatch, transform, measure):

@@ -14,11 +14,16 @@ then times uninstrumented passes.  It writes, per workload:
   pass (`core._integrate_many`);
 - L2 inversion: `_Cumulative.x_of_u` solves and the scalar quadratures
   each one makes;
+- L1 rule overhead (`rule_us_per_quadrature`): the mean wall time of a
+  scalar quadrature less the time spent in its integrand calls, in µs (an
+  integrand's nested quadratures count as their own), the least over
+  `--passes` passes of its own, each after one uninstrumented pass;
 - pass time: the median wall time of `--passes` uninstrumented passes, in
   ms, after one untimed warm-up pass.
 
-Counts do not depend on the machine; pass times do.  The counters wrap
-module attributes for the counted pass only and restore them after it.
+Counts do not depend on the machine; pass times and the rule overhead do.
+The counters and timers wrap module attributes for their own pass only and
+restore them after it.
 """
 
 from __future__ import annotations
@@ -112,6 +117,41 @@ class Counters:
             setattr(*self._saved.pop())
 
 
+class RuleTimer:
+    """Wraps `core._tanh_sinh` to time each scalar quadrature and, apart,
+    its integrand calls: the rule's own time is the difference."""
+
+    def __init__(self):
+        self.quadratures, self.rule_s = 0, 0.0
+        self._saved = None
+
+    def install(self) -> None:
+        tanh_sinh, clock = core._tanh_sinh, time.perf_counter
+
+        def timed_tanh_sinh(g, *args):
+            inner = [0.0]
+
+            def timed_g(x):
+                t0 = clock()
+                try:
+                    return g(x)
+                finally:
+                    inner[0] += clock() - t0
+
+            self.quadratures += 1
+            t0 = clock()
+            try:
+                return tanh_sinh(timed_g, *args)
+            finally:
+                self.rule_s += clock() - t0 - inner[0]
+
+        self._saved = tanh_sinh
+        core._tanh_sinh = timed_tanh_sinh
+
+    def uninstall(self) -> None:
+        core._tanh_sinh = self._saved
+
+
 def measure(workload: str, seed: int, passes: int) -> dict:
     cache = ROOT / ".bench_cache"
     cache.mkdir(exist_ok=True)
@@ -125,12 +165,20 @@ def measure(workload: str, seed: int, passes: int) -> dict:
     finally:
         counters.uninstall()
     runner.run_pass()  # warm-up: lazy tables and caches, as in the benchmark's later passes
-    times = []
+    times, rule_us = [], []
     for _ in range(passes):
         gc.collect()
         t0 = time.perf_counter()
         runner.run_pass()
         times.append(1e3 * (time.perf_counter() - t0))
+        timer = RuleTimer()
+        timer.install()
+        try:
+            runner.run_pass()
+        finally:
+            timer.uninstall()
+        if timer.quadratures:
+            rule_us.append(1e6 * timer.rule_s / timer.quadratures)
     n = counters.n
     return {
         "items": len(items),
@@ -145,6 +193,7 @@ def measure(workload: str, seed: int, passes: int) -> dict:
             "batched_passes": n["batched_passes"],
             "batched_integrand_calls": n["batched_calls"],
             "batched_evaluations": n["batched_evaluations"],
+            "rule_us_per_quadrature": min(rule_us) if rule_us else None,
         },
         "L2": {
             "x_of_u": n["x_of_u"],
