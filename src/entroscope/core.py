@@ -27,19 +27,26 @@ Levels from 4 on sum their own terms (`_side_sum`).
 A cumulative coordinate (`_Cumulative`) is the mass u(x) of a weight w
 between x and an anchor, signed so that u' = -w.  A table of knots holds
 u, cumulated once from segment masses to 1e-13 relative, and u(x) adds
-one quadrature from the nearest knot toward the anchor.  The up
+one piece, the mass from the nearest knot toward the anchor.  The up
 transform's coordinate (w = f/U) and the quantiles of f (w = f, anchored
-at either edge) are such coordinates.  A table's segments between knots
-are one batched tanh-sinh pass (`_integrate_many`): each segment is a row
-that follows the rule above, and each level makes one integrand call on
-the nodes of every row still open.  A row that leaves clean convergence
-(a term that is not finite, a partial sum past 1e50, a last chunk that is
-not negligible, or no convergence by the last level) is run again alone
-through `integrate`, whose checks decide it, as are the head and tail
-segments, which may be infinite.  Every inversion past a table goes
-through `_solve`: it brackets the target between neighbouring entries, or
-marches out from the outermost one (`_march`), and hands invert_monotone
-the values at both ends, which the table or the march already holds.
+at either edge) are such coordinates.  Between two knots w is smooth, so
+every finite piece, and every table segment between knots, is first one
+7-15 Gauss-Kronrod pair (`_gk_pieces`, all of a table's segments on one
+integrand call).  The pair's K15 stands where it certifies itself: K15
+and G7 finite, agreeing to 1e-13 relative, K15 neither 0 nor past 1e50,
+and the rounding of its nodes below that bound.  Every other piece goes
+to tanh-sinh: a lone piece through `integrate`, and a table's remaining
+segments through one batched pass (`_integrate_many`), where each
+segment is a row that follows the rule above and each level makes one
+integrand call on the nodes of every row still open.  A row that leaves
+clean convergence (a term that is not finite, a partial sum past 1e50, a
+last chunk that is not negligible, or no convergence by the last level)
+is run again alone through `integrate`, whose checks decide it, as are
+the head and tail segments, which may be infinite.  Every inversion past
+a table goes through `_solve`: it brackets the target between
+neighbouring entries, or marches out from the outermost one (`_march`),
+and hands invert_monotone the values at both ends, which the table or
+the march already holds.
 With a derivative, invert_monotone's first iterate is the cubic Hermite
 inverse of that bracket, and Newton steps go on from it.
 """
@@ -717,13 +724,16 @@ def _hermite_inverse(a: float, fa: float, b: float, fb: float, dg) -> float:
     """The root of the cubic Hermite interpolant of x as a function of the
     residual f = g - target through (fa, a) and (fb, b), with slopes 1/dg
     at both ends; nan where a slope is not usable (dg 0 or nan, or of the
-    wrong sign).  An infinite dg is a slope of 0."""
-    da, db = float(dg(a)), float(dg(b))
+    wrong sign).  An infinite dg is a slope of 0.  It works in Python
+    floats, where a slope that overflows is inf without a warning."""
+    da, db, fa, fb = float(dg(a)), float(dg(b)), float(fa), float(fb)
     if da == 0.0 or db == 0.0:
         return math.nan
     t = fa / (fa - fb)  # the root's fraction of the way from fa to fb
     ma, mb = (fb - fa) / da, (fb - fa) / db  # dx/dt at both ends
-    if not (ma * (b - a) >= 0.0 and mb * (b - a) >= 0.0):
+    # both slopes must have the sign of b - a: the product could overflow
+    side = math.copysign(1.0, b - a)
+    if not (side * ma >= 0.0 and side * mb >= 0.0):
         return math.nan
     u = 1.0 - t
     return a + (b - a) * (t * t * (3.0 - 2.0 * t)) + t * u * (u * ma - t * mb)
@@ -887,6 +897,64 @@ _SEG_TOL = 1e-13  # relative tolerance of every segment mass, and of u in a solv
 _STALL = 1e-7  # relative error at which a segment-mass integral has stalled
 _U_CAP = 1e305  # |u| beyond which a side of a coordinate is treated as unbounded
 
+# The 7-15 Gauss-Kronrod pair on (-1, 1), QUADPACK's qk15 table (Piessens et
+# al., 1983): the Kronrod nodes from the edge in to 0, their weights, and the
+# Gauss weights, which sit on every second node
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+       0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
+# the 15 nodes in increasing order, and both weight sets on them
+_GK_X, _GK_K, _GK_G = (np.concatenate((s * np.array(a[:-1]), a[::-1])) for s, a in ((-1, _XGK), (1, _WGK), (1, _WG)))
+for _a in (_GK_X, _GK_K, _GK_G):
+    _a.flags.writeable = False
+_UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
+
+
+def _gk_pieces(w, los, his):
+    """(K15, error, ok) of w on each interval (los[i], his[i]), from one
+    call to w on the 15 Kronrod nodes of every row; an interval with
+    his[i] < los[i] gives minus the mass on (his[i], los[i]).  The error is
+    |K15 - G7|, or the rounding of the nodes where that is larger (see
+    below).  ok marks the rows the pair certifies: finite ends (w is not
+    called on the others), K15 != 0 (a weight that underflows there stays
+    with tanh-sinh, whose masses never tie two knots of a table), |K15| <=
+    _HUGE (the bound past which tanh-sinh calls partial sums divergent),
+    and error <= _SEG_TOL |K15|, so K15 and G7 finite.  A call to w that
+    raises DivergentIntegral or EdgeIllConditioned certifies no row."""
+    lo, hi = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+    half = 0.5 * (hi - lo)
+    fin = np.isfinite(half)
+    if not fin.all():
+        k15, err = np.full(len(lo), math.nan), np.full(len(lo), math.nan)
+        if fin.any():
+            k15[fin], err[fin], fin[fin] = _gk_pieces(w, lo[fin], hi[fin])
+        return k15, err, fin
+    xs = ((lo + half)[:, None] + half[:, None] * _GK_X).ravel()
+    try:
+        with np.errstate(all="ignore"):
+            v = np.asarray(w(xs), dtype=float)
+            v = (v if v.shape == xs.shape else np.broadcast_to(v, xs.shape)).reshape(-1, len(_GK_X))
+            k15, g7 = half * (v @ _GK_K), half * (v @ _GK_G)
+            # each node is rounded to a double, which moves it by up to u |x|
+            # (u the unit roundoff): K15 may be off by u max(|lo|, |hi|) times
+            # the variation of w across the piece, which 15 nodes do not
+            # average away where w is steep far from 0
+            var = np.abs(np.diff(v, axis=1)).sum(axis=1)
+            err = np.maximum(np.abs(k15 - g7), _UNIT_ROUNDOFF * np.maximum(np.abs(lo), np.abs(hi)) * var)
+            # nan fails every comparison, and a finite K15 within _SEG_TOL of G7 makes G7 finite
+            ok = (k15 != 0.0) & (np.abs(k15) <= _HUGE) & (err <= _SEG_TOL * np.abs(k15))
+    except (DivergentIntegral, EdgeIllConditioned):
+        nan = np.full(len(lo), math.nan)
+        return nan, nan, ~fin
+    return k15, err, ok
+
 
 def _w_mass(w, lo: float, hi: float, checked: bool = True) -> float:
     """Mass of w on (lo, hi) to _SEG_TOL, pure relative, or the last
@@ -910,7 +978,9 @@ def _segment_masses(w, support: Support, knots: np.ndarray):
     the lower edge to the first knot, and from the last knot to the upper
     edge.  A divergent segment, or a stalled open one, has infinite mass.
 
-    The segments between knots are one `_integrate_many` pass; a row it
+    The segments between knots are first one `_gk_pieces` call, all rows
+    on one call to w; a row the pair certifies keeps its K15 and error.
+    The other rows are one `_integrate_many` pass; a row it
     hands back, or whose error would fail _w_mass's stall check, runs
     alone through _w_mass, as do the head and tail, which may be
     infinite."""
@@ -923,7 +993,10 @@ def _segment_masses(w, support: Support, knots: np.ndarray):
                 return math.inf
             raise
 
-    inner, err = _integrate_many(w, knots[:-1], knots[1:], _SEG_TOL)
+    inner, err, ok = _gk_pieces(w, knots[:-1], knots[1:])
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        inner[rest], err[rest] = _integrate_many(w, knots[rest], knots[rest + 1], _SEG_TOL)
     for i in np.flatnonzero(~(err <= _STALL * np.maximum(1e-280, np.abs(inner)))):
         inner[i] = seg(knots[i], knots[i + 1], False)
     return inner, seg(support.lower, knots[0], True), seg(knots[-1], support.upper, True)
@@ -935,12 +1008,15 @@ class _Cumulative:
     u' = -w (positive below an upper anchor, negative above a lower one).
 
     Built from knots and their segment masses (`_segment_masses`); nothing
-    changes after construction.  The anchor is the upper edge when the tail
-    mass is finite, else the lower edge when the head mass is finite, else
-    the median knot, unless the caller names one.  u is walked outward from
-    the anchor over the knots; a walk stops at the first knot whose |u|
-    passes _U_CAP, and such knots are dropped, the u-support `sup` being
-    unbounded on that side.
+    changes after construction.  A piece of u past the table (`_mass`) is
+    one call to w on the 7-15 pair's nodes where the pair certifies it,
+    and a tanh-sinh quadrature otherwise, so a solve between two knots
+    where w is smooth (`x_of_u`) runs no quadrature.  The anchor is the
+    upper edge when the tail mass is finite, else the lower edge when the
+    head mass is finite, else the median knot, unless the caller names
+    one.  u is walked outward from the anchor over the knots; a walk stops
+    at the first knot whose |u| passes _U_CAP, and such knots are dropped,
+    the u-support `sup` being unbounded on that side.
     """
 
     def __init__(self, w, support: Support, knots: np.ndarray, masses, anchor: str = ""):
@@ -970,9 +1046,14 @@ class _Cumulative:
         self.u_knots = u[good].tolist()
 
     def _mass(self, lo: float, hi: float) -> float:
+        """The mass of w on (lo, hi): the pair's K15 where it certifies the
+        piece, else `_w_mass`, unchecked toward an infinite anchor (see
+        u_of_x)."""
         if lo == hi:
             return 0.0
-        # unchecked toward an infinite anchor: see u_of_x
+        k15, _, ok = _gk_pieces(self.w, (lo,), (hi,))
+        if ok[0]:
+            return float(k15[0])
         return _w_mass(self.w, lo, hi, checked=math.isfinite(lo) and math.isfinite(hi))
 
     def _reached(self, x: float) -> float:
@@ -993,10 +1074,12 @@ class _Cumulative:
         the sign of u, so u keeps full relative precision even where it
         decays by hundreds of orders of magnitude.
 
-        Every piece is checked against _STALL except the mass to an infinite
-        anchor: where w underflows on the way there, its error estimate is
-        no guide (8% on (5.2e161, inf) for an up image of pareto(eta=3) at
-        alpha = 3) while its value is right."""
+        A finite piece is the 7-15 pair's K15 where the pair certifies it
+        (`_gk_pieces`), else a `_w_mass` quadrature.  Every quadrature is
+        checked against _STALL except the mass to an infinite anchor: where
+        w underflows on the way there, its error estimate is no guide (8% on
+        (5.2e161, inf) for an up image of pareto(eta=3) at alpha = 3) while
+        its value is right."""
         ax = self.anchor_x
         if x == ax:
             return 0.0

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import beta, gammaincc, gammainccinv
 from scipy.special import gamma as _gamma_fn
 
-from .core import Density, Support, _pointwise, _solve, integrate
+from .core import Density, Support, _gk_pieces, _pointwise, _solve, integrate
 from .errors import DivergentIntegral, EdgeIllConditioned, InvalidParams, OutOfDomain, OutOfRange
 from .measures import _SHANNON_WINDOW, holder_conjugate
 
@@ -330,6 +330,26 @@ def mirror_gg(p: float, lam: float) -> Density:
 # ---------------------------------------------------------------------------
 
 
+def _stepping(g, dg):
+    """g, with g(0) = 0, for a solve whose iterates draw near one another:
+    g(t) is g at the last point t0 it was taken at (0 at first) plus the
+    mass of g's exact derivative dg (vectorized) on (t0, t), where the 7-15
+    Gauss-Kronrod pair certifies that piece (`core._gk_pieces`), and g(t)
+    itself otherwise."""
+    last = [0.0, 0.0]
+
+    def stepped(t: float) -> float:
+        t0, g0 = last
+        piece, _, ok = _gk_pieces(dg, (t0,), (t,))
+        if ok[0]:
+            last[:] = t, g0 + float(piece[0])
+            return last[1]
+        last[:] = t, g(t)
+        return last[1]
+
+    return stepped
+
+
 def arcsin_gen(v: float, b: float, x: float) -> float:
     """arcsin_{v,b}(x) = int_0^x (1 - t^b)^{-1/v} dt for x in [0, 1]."""
     if not b > 0 or v == 0:
@@ -382,8 +402,13 @@ def sin_gen(v: float, b: float, y: float) -> float:
             return math.inf
         return base ** (-1.0 / v)
 
+    def pieces(t):
+        # the integrand with 1 - t^b = -expm1(b log t), free of cancellation near t = 1
+        with np.errstate(all="ignore"):
+            return (-np.expm1(b * np.log(t))) ** (-1.0 / v)
+
     # both ends are known, the quarter period infinite when its integral diverges
-    g = lambda t: arcsin_gen(v, b, t)
+    g = _stepping(lambda t: arcsin_gen(v, b, t), pieces)
     return _solve(g, y, (0.0, 1.0), (0.0, ymax), (0.0, 1.0), _INV_TOL, dg)
 
 
@@ -426,7 +451,7 @@ def sinh_gen(v: float, b: float, y: float) -> float:
             return (1.0 + t**b) ** (-1.0 / v)
 
     # past t = 1 the solve marches out from the value there
-    g = lambda t: arcsinh_gen(v, b, t)
+    g = _stepping(lambda t: arcsinh_gen(v, b, t), dg)
     x = _solve(g, y, (0.0, 1.0), (0.0, g(1.0)), (0.0, math.inf), _INV_TOL, dg)
     if x is None:
         raise OutOfDomain(f"sinh_gen argument {y} not reached by arcsinh_gen")

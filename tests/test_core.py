@@ -6,6 +6,7 @@ under test.
 """
 
 import bisect
+import functools
 import math
 import warnings
 
@@ -57,11 +58,12 @@ def fixed_point_oracle():
     return x
 
 
-def _one_call_per_level(g, edge_map, half, tol, min_scale):
+def _one_call_per_level(g, edge_map, half, tol, min_scale, record=None):
     """The tanh-sinh rule of `core._tanh_sinh` with one call to g per level
     and the midpoint in a scalar call before level 0: the same nodes, reach
     caps, side sums and tests, level by level.  Returns a QuadResult or
-    raises as integrate does."""
+    raises as integrate does.  Each side of each level appends (terms taken
+    under the reach cap, terms used) to `record`, if given."""
     s, h, estimates, last_edge, reach = 0.0, 1.0, [], [], [math.inf, math.inf]
     for level in range(core._MAX_LEVEL + 1):
         ts, dfrac, cosh_t, cosh2_y = core._level_nodes(level)
@@ -95,6 +97,8 @@ def _one_call_per_level(g, edge_map, half, tol, min_scale):
                     bad = ~np.isfinite(terms)
                     terms = np.where(bad, 0.0, terms)
                     used, total, max_term = core._side_sum(terms, total, max_term)
+                    if record is not None:
+                        record.append((c, used))
                     if np.isinf(v[:used][bad[:used]]).any():
                         raise DivergentIntegral("weights")
                     if used:
@@ -270,20 +274,29 @@ class TestIntegrate:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from(["finite", "upper_inf"]),
+        st.sampled_from(["finite", "upper_inf", "steep"]),
         st.floats(min_value=0.01, max_value=50.0),
         st.floats(min_value=-1.2, max_value=3.0),
         st.floats(min_value=-4.0, max_value=4.0),
         st.sampled_from([1e-6, 1e-10, 1e-13]),
         st.sampled_from([0.0, 1.0]),
     )
+    @example("steep", 1.0, 0.0, 4.0, 1e-10, 1.0)  # e^{100 x} on (0, 1)
+    @example("steep", 1.0, 0.0, -4.0, 1e-13, 0.0)  # e^{-100 x} on (0, 1)
     def test_integrate_equals_one_call_per_level(self, kind, b, p, k, tol, min_scale):
         # integrate, with levels 0-3 evaluated in one call, against the
         # level-by-level rule with one call per level (the midpoint in a
         # scalar call first), kept here as the reference: the same value and
         # error to the bit, or the same error class; on (0, b) and (b, inf)
-        # for x^p e^{kx} (e^{-|k| x} on (b, inf)), which may diverge at 0
-        k = k if kind == "finite" else -abs(k) - 0.05
+        # for x^p e^{kx} (e^{-|k| x} on (b, inf)), which may diverge at 0.
+        # "steep" is x^p e^{25 k x / b} on (0, b): up to e^{+-100} across the
+        # interval, so one side stops after a chunk at one level and the reach
+        # cap binds at the next.  A term past the cap is below 1e-17 of the
+        # running sum, under half an ulp of it, so the cap seldom moves a
+        # bit: each side's (terms taken under the cap, terms used) must match
+        # as well, levels 0-3 read from the chunk table included
+        k = {"finite": k, "upper_inf": -abs(k) - 0.05, "steep": 25.0 * k / b}[kind]
+        kind = "upper_inf" if kind == "upper_inf" else "finite"
 
         def g(x):
             x = np.asarray(x, dtype=float)
@@ -312,9 +325,27 @@ class TestIntegrate:
                 return type(exc).__name__
             return r.value.hex(), r.error_estimate.hex()
 
-        got = outcome(lambda: integrate(g, support, tol=tol, min_scale=min_scale))
-        ref = outcome(lambda: _one_call_per_level(ref_g, edge_map, half, tol, min_scale))
+        got_sides, ref_sides = [], []
+
+        def table_side_sum(tab, level, side, k, *args):
+            out = core_table_side_sum(tab, level, side, k, *args)
+            got_sides.append((k, out[0]))
+            return out
+
+        def side_sum(terms, *args):
+            out = core_side_sum(terms, *args)
+            got_sides.append((len(terms), out[0]))
+            return out
+
+        core_table_side_sum, core_side_sum = core._table_side_sum, core._side_sum
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(core, "_table_side_sum", table_side_sum)
+            m.setattr(core, "_side_sum", side_sum)
+            got = outcome(lambda: integrate(g, support, tol=tol, min_scale=min_scale))
+        ref = outcome(lambda: _one_call_per_level(ref_g, edge_map, half, tol, min_scale, ref_sides))
         assert got == ref
+        if isinstance(got, tuple):
+            assert got_sides == ref_sides
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -717,9 +748,10 @@ class TestQuantiles:
         # the solve takes the fraction at both ends of its bracket from where
         # it was computed: the table's masses for a finite segment, the
         # march for the pair it returns.  A quadrature is an `integrate`
-        # call or a row that the batched pass settles (a row it hands back
-        # is integrated again by `integrate`, and counted there).
-        calls, settled = [], []
+        # call, a row that the batched pass settles, or a piece that the
+        # Gauss-Kronrod pair certifies (a row or piece handed back is
+        # integrated again further down, and counted there).
+        calls, settled, certified = [], [], []
 
         def counted(g, support, *args, **kwargs):
             calls.append((support.lower, support.upper, kwargs.get("tol")))
@@ -732,19 +764,31 @@ class TestQuantiles:
             calls.extend(rows)
             return values, errors
 
-        counted.inner, batched.inner = core.integrate, core._integrate_many
+        def pieces(g, los, his):
+            k15, err, ok = pieces.inner(g, los, his)
+            rows = [(a, b, core._SEG_TOL) for a, b, c in zip(los, his, ok) if c]
+            certified.extend(rows)
+            calls.extend(rows)
+            return k15, err, ok
+
+        counted.inner, batched.inner, pieces.inner = core.integrate, core._integrate_many, core._gk_pieces
         monkeypatch.setattr(core, "integrate", counted)
         monkeypatch.setattr(core, "_integrate_many", batched)
+        monkeypatch.setattr(core, "_gk_pieces", pieces)
         quantiles(parse_density(spec), [q])
         assert len(set(calls)) == len(calls)
         if spec == "exp":
-            # 65 table segments (the 63 between knots in one batched pass,
-            # then the head and tail by `integrate`), then 2 quadratures in
-            # the solve at q = 0.3 and 3 at q = 0.7 (u to 1e-13 relative,
-            # from the Hermite seed on), none of them over a table segment
+            # 65 table segments: the 63 between knots (53 certified by the
+            # pair, then the 10 outer ones in one batched pass), then the
+            # head and tail by `integrate`; then 2 pieces in the solve at
+            # q = 0.3 and 3 at q = 0.7 (u to 1e-13 relative, from the Hermite
+            # seed on), each certified by the pair, none over a table segment
+            knots = np.unique(builtin("exp").support.clustered(64))
             table = {(lo, hi) for lo, hi, _ in calls[:65]}
-            assert calls[:63] == settled
+            assert calls[:63] == certified[:53] + settled
+            assert [(lo, hi) for lo, hi, _ in calls[:63]] == list(zip(knots[:-1], knots[1:]))
             assert len(calls) == {0.3: 67, 0.7: 68}[q]
+            assert calls[65:] == certified[53:]
             assert not table & {(lo, hi) for lo, hi, _ in calls[65:]}
 
     def test_lower_tail(self):
@@ -846,6 +890,25 @@ def _raising(x):
     return np.ones_like(x)
 
 
+def _exact_masses(spec, alpha, los, his):
+    """The masses of the table weights of `_table` on (los[i], his[i]) in
+    mpmath at 40 digits: closed forms for x e^{-x} (up(exp,3)) and the gauss
+    density, and mpmath quadrature of 2.5 x^{-3.5} e^x (up(pareto:eta=3.5,2))
+    on each short segment."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        out = []
+        for a, b in zip(map(mp.mpf, los), map(mp.mpf, his)):
+            if spec == "exp":
+                out.append((a + 1) * mp.exp(-a) - (b + 1) * mp.exp(-b))
+            elif spec == "gauss":
+                out.append(mp.ncdf(b) - mp.ncdf(a))
+            else:
+                out.append(mp.quad(lambda x: 2.5 * x**-3.5 * mp.exp(x), [a, b]))
+        return np.array([float(v) for v in out])
+
+
 class TestSegmentMasses:
     @pytest.mark.parametrize(
         "spec, alpha",
@@ -853,14 +916,24 @@ class TestSegmentMasses:
         ids=["up(exp,3)", "up(pareto:eta=3.5,2)", "quantiles(gauss)"],
     )
     def test_batched_equals_one_by_one(self, monkeypatch, spec, alpha):
+        # the rows the 7-15 pair certifies keep its K15, within 1e-13 of the
+        # exact mass; every other row, and the head and tail, come out as
+        # one `_w_mass` quadrature per segment would give them
         table = _table(monkeypatch, spec, alpha)
+        knots = table[2]
         inner, head, tail = core._segment_masses(*table)
         ref_inner, ref_head, ref_tail = _masses_one_by_one(*table)
-        _assert_within_ulps(np.append(inner, [head, tail]), np.append(ref_inner, [ref_head, ref_tail]))
+        k15, _, ok = core._gk_pieces(table[0], knots[:-1], knots[1:])
+        assert ok.sum() >= len(ok) // 2
+        assert np.array_equal(inner[ok], k15[ok])
+        exact = _exact_masses(spec, alpha, knots[:-1][ok], knots[1:][ok])
+        assert np.all(np.abs(inner[ok] - exact) <= 1e-13 * exact)
+        _assert_within_ulps(np.append(inner[~ok], [head, tail]), np.append(ref_inner[~ok], [ref_head, ref_tail]))
         # up(pareto:eta=3.5, 2): the weight x^{-eta} e^x passes 1e50 on the
         # 8 outermost segments, whose partial sums then count as divergent
         outer = list(range(len(inner) - 8, len(inner))) if "pareto" in spec else []
         assert np.flatnonzero(np.isinf(inner)).tolist() == outer
+        assert np.flatnonzero(np.isinf(ref_inner)).tolist() == outer
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -916,26 +989,30 @@ class TestSegmentMasses:
         # x_of_u at 30% of the way along 40 segments of the up coordinate's
         # table: the first iterate, the cubic Hermite inverse of the bracket
         # from its ends' values and slopes, leaves about one Newton step.
-        # 2.65 and 2.68 quadratures per solve, where Newton steps from a
-        # bracket end alone take 3.83 and 3.48
+        # 2.65 and 2.68 pieces of u per solve (each one 7-15 pair call, or a
+        # quadrature where the pair hands it back), where Newton steps from
+        # a bracket end alone take 3.83 and 3.48
         w, support, knots = _table(monkeypatch, spec, alpha)
         coords = core._Cumulative(w, support, knots, core._segment_masses(w, support, knots))
         uk = coords.u_knots
         us = [uk[i] + 0.3 * (uk[i + 1] - uk[i]) for i in np.linspace(0, len(uk) - 2, 40).astype(int)]
-        quadratures = []
-        real = core.integrate
-        monkeypatch.setattr(core, "integrate", lambda *a, **k: quadratures.append(1) or real(*a, **k))
+        pieces = []
+        real = core._Cumulative._mass
+        monkeypatch.setattr(core._Cumulative, "_mass", lambda *a: pieces.append(1) or real(*a))
         xs = [coords.x_of_u(u) for u in us]
-        assert len(quadratures) / len(us) <= 2.8
-        monkeypatch.setattr(core, "integrate", real)
+        assert len(pieces) / len(us) <= 2.8
+        monkeypatch.setattr(core._Cumulative, "_mass", real)
         for x, u in zip(xs, us):
             assert coords.u_of_x(x) == pytest.approx(u, rel=1e-11)
 
     def test_one_integrand_call_per_level(self, monkeypatch):
-        # up(exp,3)'s 159 inner segments take one call per level between
-        # them; the head and tail are two `integrate` calls of their own,
-        # and the evaluations are those of one quadrature per segment
+        # up(exp,3)'s 159 inner segments take one call on the pair's 15
+        # nodes of each, then one call per level between the rows it hands
+        # back; the head and tail are two `integrate` calls of their own,
+        # and the batched rows' evaluations are those of one quadrature each
         w, support, knots = _table(monkeypatch, "exp", 3.0)
+        rest = np.flatnonzero(~core._gk_pieces(w, knots[:-1], knots[1:])[2])
+        assert len(rest)  # far-tail rows, where w drops by orders of magnitude
         sizes, alone = [], []
 
         def counted(x):
@@ -945,15 +1022,123 @@ class TestSegmentMasses:
         def integrate_alone(*args, **kwargs):
             n0 = len(sizes)
             out = integrate_alone.inner(*args, **kwargs)
-            alone.append(len(sizes) - n0)
+            alone.append(sizes[n0:])
             return out
 
         integrate_alone.inner = core.integrate
         monkeypatch.setattr(core, "integrate", integrate_alone)
         core._segment_masses(counted, support, knots)
-        batched, evals = len(sizes) - sum(alone), sum(sizes)
+        assert sizes[0] == len(core._GK_X) * (len(knots) - 1)
         assert len(alone) == 2
-        assert batched <= core._MAX_LEVEL + 1
+        batched = len(sizes) - 1 - sum(map(len, alone))
+        assert 1 <= batched <= core._MAX_LEVEL + 1
+        evals = sum(sizes[1:]) - sum(map(sum, alone))
         sizes.clear()
-        _masses_one_by_one(counted, support, knots)
+        for i in rest:
+            core._w_mass(counted, knots[i], knots[i + 1])
         assert sum(sizes) == evals
+
+    @pytest.mark.parametrize(
+        "w, handed_back", [(_pole, [6, 7]), (_step, [3]), (_nan_band, [7]), (_raising, list(range(15)))],
+        ids=["pole", "stall", "nan", "raising"],
+    )
+    def test_pair_hands_back_what_the_batched_pass_hands_back(self, w, handed_back):
+        # a row that leaves the batched pass's clean convergence is not one
+        # the 7-15 pair certifies, so it reaches the checks that decide it
+        _, _, ok = core._gk_pieces(w, KNOTS[:-1], KNOTS[1:])
+        assert not ok[handed_back].any()
+        if w is _raising:
+            assert not ok.any()
+
+
+# ----------------------------------------------------- cumulative coordinates
+
+_PIECE_SOURCES = ["exp", "halfgauss", "pareto:eta=3", "powerlaw:a=-0.5", "powerlaw:a=2", "gg:p=2,lambda=1.5"]
+
+
+@functools.cache
+def _coordinate(spec, alpha, anchor):
+    """The cumulative coordinate of up(spec, alpha) (alpha None: of the
+    quantile table of spec, anchored at `anchor`)."""
+    f = parse_density(spec)
+    if alpha is None:
+        w, support, knots = f.value, f.support, np.unique(f.support.clustered(64))
+    else:
+        with pytest.MonkeyPatch.context() as m:
+            w, support, knots = _table(m, spec, alpha)
+        anchor = ""
+    return core._Cumulative(w, support, knots, core._segment_masses(w, support, knots), anchor)
+
+
+def _certify_nothing(w, los, his):
+    nan = np.full(len(los), math.nan)
+    return nan, nan, np.zeros(len(los), dtype=bool)
+
+
+class TestCumulative:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(_PIECE_SOURCES),
+        st.sampled_from([None, -1.0, 0.5, 2.0, 2.5, 3.0]),
+        st.sampled_from(["lower", "upper"]),
+        st.floats(min_value=0.001, max_value=0.999),
+    )
+    @example("pareto:eta=3", 2.0, "lower", 0.9915)  # x = 117.6, past the last knot
+    @example("gg:p=2,lambda=1.5", None, "upper", 0.999)  # steep weight near the edge
+    def test_pair_pieces_match_tanh_sinh(self, spec, alpha, anchor, t):
+        # u(x) from the pieces the 7-15 pair certifies against u(x) with
+        # every piece a `_w_mass` quadrature, to 1e-13 relative; and x_of_u
+        # finds a point whose u is the target's wherever the solve on
+        # quadratures alone finds one (past the last knot of up(pareto,2)
+        # its march meets partial sums past 1e50: beyond reach on both)
+        try:
+            coords = _coordinate(spec, alpha, anchor)
+        except EntroscopeError:
+            return  # an image that does not build
+        x = float(coords.support.at(np.array(t)))
+
+        def u_or_error():
+            try:
+                return coords.u_of_x(x)
+            except EntroscopeError as exc:
+                return type(exc)
+
+        u = u_or_error()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(core, "_gk_pieces", _certify_nothing)
+            ref = u_or_error()
+        if isinstance(ref, type):
+            assert u is ref  # a piece the weight cannot integrate is never certified
+            return
+        assert u == pytest.approx(ref, rel=1e-13, abs=0.0)
+        if not (math.isfinite(u) and coords.sup.contains(u)) or u == 0.0:
+            return
+        x2 = coords.x_of_u(u)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(core, "_gk_pieces", _certify_nothing)
+            assert (x2 is None) == (coords.x_of_u(u) is None)
+        if x2 is not None:
+            assert coords.u_of_x(x2) == pytest.approx(u, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, alpha", [("exp", 3.0), ("pareto:eta=3", 3.0), ("gauss", None)])
+    def test_pieces_in_a_solve_are_certified(self, spec, alpha):
+        # between two knots the weight is smooth: every piece of a solve
+        # there is one call to w on 15 nodes, and no quadrature runs
+        coords = _coordinate(spec, alpha, "upper")
+        uk = coords.u_knots
+        targets = [uk[i] + 0.3 * (uk[i + 1] - uk[i]) for i in range(10, len(uk) - 30, 7)]
+        ok, quadratures = [], []
+        real, tanh_sinh = core._gk_pieces, core._tanh_sinh
+
+        def pieces(*args):
+            out = real(*args)
+            ok.extend(out[2])
+            return out
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(core, "_gk_pieces", pieces)
+            m.setattr(core, "_tanh_sinh", lambda *a: quadratures.append(1) or tanh_sinh(*a))
+            for u in targets:
+                coords.x_of_u(u)
+        assert ok and all(ok)
+        assert not quadratures

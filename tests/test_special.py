@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+from entroscope import core, special
 from entroscope.core import Support, integrate
 from entroscope.errors import DivergentIntegral, OutOfDomain, OutOfRange
 from entroscope.special import (
@@ -25,6 +26,7 @@ from entroscope.special import (
     mirror_gg,
     sin_gen,
     sinh_gen,
+    up_of_gg,
 )
 
 
@@ -331,6 +333,37 @@ class TestGeneralizedTrig:
         for fn in (arcsin_gen, sin_gen, arcsinh_gen, sinh_gen):
             with pytest.raises(OutOfDomain):
                 fn(0.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "p, lam, alpha, share",
+        [(2.0, 0.7, 3.0, 0.5), (4.0, 0.85, -1.0, 0.5), (2.0, 1.5, 4.0, 0.5), (1.5, 3.0, 0.5, 0.5),
+         # sinh_gen past t = 1 marches out by steps that grow faster than
+         # geometrically, too long for the pair to certify
+         (3.0, 0.5, 2.5, 0.7)],
+    )
+    def test_solve_steps_from_the_last_iterate(self, monkeypatch, p, lam, alpha, share):
+        # sin_gen and sinh_gen inside up_of_gg: each iterate adds the 7-15
+        # pair's certified piece of dg to g at the one before (from g(0) = 0
+        # on).  The values of a solve that integrates from 0 at every
+        # iterate, with at most `share` of its quadratures
+        d = up_of_gg(p, lam, alpha)
+        xs = d.support.at(np.linspace(0.05, 0.95, 12))
+        quadratures = []
+        real = core._tanh_sinh
+        monkeypatch.setattr(core, "_tanh_sinh", lambda *a: quadratures.append(1) or real(*a))
+        stepped = [float(d.value(x)) for x in xs]
+        n_stepped = len(quadratures)
+        quadratures.clear()
+        monkeypatch.setattr(special, "_stepping", lambda g, dg: g)
+        full = [float(d.value(x)) for x in xs]
+        assert n_stepped <= share * len(quadratures)
+        assert stepped == pytest.approx(full, rel=1e-12)
+
+    def test_up_of_gg_far_tail_without_warnings(self):
+        # in sinh_gen's tail dg at a bracket end is tiny, so the Hermite
+        # seed's slopes overflow: its sign test must not form their product
+        # (a library RuntimeWarning is an error in these tests)
+        assert up_of_gg(3, 0.5, 2.5).value(-99.0) == pytest.approx(3.833324533354893e-111, rel=1e-12)
 
     @pytest.mark.parametrize("v, b", [(2.0, 2.0), (3.0, 4.0), (-1.0, 1.5), (-0.5, 3.0)])
     def test_quarter_period_and_limit_closed_forms(self, v, b):

@@ -12,8 +12,12 @@ then times uninstrumented passes.  It writes, per workload:
   integrand calls and evaluations, all of them and (`*_ok`) those of the
   quadratures that returned a value; and the same for the batched segment
   pass (`core._integrate_many`);
-- L2 inversion: `_Cumulative.x_of_u` solves and the scalar quadratures
-  each one makes;
+- pieces: the intervals given to the 7-15 Gauss-Kronrod pair
+  (`core._gk_pieces`), those it certifies and those it hands back to
+  tanh-sinh, in all, in the segment tables (`core._segment_masses`, whose
+  count is `tables`) and in `x_of_u` solves;
+- L2 inversion: `_Cumulative.x_of_u` solves, and the scalar quadratures
+  and certified and handed-back pieces each one makes;
 - L1 rule overhead (`rule_us_per_quadrature`): the mean wall time of a
   scalar quadrature less the time spent in its integrand calls, in µs (an
   integrand's nested quadratures count as their own), the least over
@@ -47,7 +51,9 @@ for path in (ROOT / "src", ROOT):
 from bench import run as bench_run  # noqa: E402
 from bench.items import WORKLOADS  # noqa: E402
 from bench.worker import Runner  # noqa: E402
-from entroscope import core  # noqa: E402
+from entroscope import core, special, transforms  # noqa: E402
+
+PIECES = ("pieces_certified", "pieces_handed_back")
 
 
 class Counters:
@@ -57,8 +63,10 @@ class Counters:
         self.n = dict.fromkeys(
             ("quadratures", "integrand_calls", "evaluations", "quadratures_ok", "integrand_calls_ok",
              "evaluations_ok", "batched_passes", "batched_calls", "batched_evaluations", "x_of_u",
-             "x_of_u_quadratures"), 0)
+             "x_of_u_quadratures", "tables", *PIECES, *(f"table_{k}" for k in PIECES),
+             *(f"x_of_u_{k}" for k in PIECES)), 0)
         self._saved = []
+        self._in_table = 0
 
     @staticmethod
     def _counted(g, tally: list):
@@ -98,19 +106,43 @@ class Counters:
             finally:
                 add(tally, "batched_calls", "batched_evaluations")
 
+        gk_pieces, segment_masses = core._gk_pieces, core._segment_masses
+
         def counted_x_of_u(coords, u):
             n["x_of_u"] += 1
-            q0 = n["quadratures"]
+            before = [n[k] for k in ("quadratures", *PIECES)]
             try:
                 return x_of_u(coords, u)
             finally:
-                n["x_of_u_quadratures"] += n["quadratures"] - q0
+                for k, b in zip(("quadratures", *PIECES), before):
+                    n[f"x_of_u_{k}"] += n[k] - b
 
-        for owner, name, fn in ((core, "_tanh_sinh", counted_tanh_sinh),
-                                (core, "_integrate_many", counted_many),
-                                (core._Cumulative, "x_of_u", counted_x_of_u)):
-            self._saved.append((owner, name, getattr(owner, name)))
-            setattr(owner, name, fn)
+        def counted_gk_pieces(g, *args):
+            out = gk_pieces(g, *args)
+            certified = int(np.count_nonzero(out[2]))
+            for k, c in zip(PIECES, (certified, len(out[2]) - certified)):
+                n[k] += c
+                if self._in_table:
+                    n[f"table_{k}"] += c
+            return out
+
+        def counted_segment_masses(*args):
+            n["tables"] += 1
+            self._in_table += 1
+            try:
+                return segment_masses(*args)
+            finally:
+                self._in_table -= 1
+
+        # the helpers are bound by name in the modules that import them
+        for owners, name, fn in (((core,), "_tanh_sinh", counted_tanh_sinh),
+                                 ((core,), "_integrate_many", counted_many),
+                                 ((core._Cumulative,), "x_of_u", counted_x_of_u),
+                                 ((core, special), "_gk_pieces", counted_gk_pieces),
+                                 ((core, transforms), "_segment_masses", counted_segment_masses)):
+            for owner in owners:
+                self._saved.append((owner, name, getattr(owner, name)))
+                setattr(owner, name, fn)
 
     def uninstall(self) -> None:
         while self._saved:
@@ -180,6 +212,7 @@ def measure(workload: str, seed: int, passes: int) -> dict:
         if timer.quadratures:
             rule_us.append(1e6 * timer.rule_s / timer.quadratures)
     n = counters.n
+    per_solve = lambda count: count / n["x_of_u"] if n["x_of_u"] else None
     return {
         "items": len(items),
         "failed_items": sum(oc != "ok" for oc in outcomes),
@@ -195,9 +228,16 @@ def measure(workload: str, seed: int, passes: int) -> dict:
             "batched_evaluations": n["batched_evaluations"],
             "rule_us_per_quadrature": min(rule_us) if rule_us else None,
         },
+        "pieces": {
+            "tables": n["tables"],
+            **{k: n[k] for k in PIECES},
+            **{f"table_{k}": n[f"table_{k}"] for k in PIECES},
+            **{f"x_of_u_{k}": n[f"x_of_u_{k}"] for k in PIECES},
+        },
         "L2": {
             "x_of_u": n["x_of_u"],
-            "quadratures_per_x_of_u": n["x_of_u_quadratures"] / n["x_of_u"] if n["x_of_u"] else None,
+            "quadratures_per_x_of_u": per_solve(n["x_of_u_quadratures"]),
+            **{f"{k}_per_x_of_u": per_solve(n[f"x_of_u_{k}"]) for k in PIECES},
         },
         "pass_ms": statistics.median(times),
         "pass_ms_all": times,
@@ -214,7 +254,7 @@ def main(argv=None) -> int:
     result = {"seed": args.seed, "workloads": {w: measure(w, args.seed, args.passes) for w in WORKLOADS}}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for w, r in result["workloads"].items():
-        print(w, json.dumps({k: r[k] for k in ("L1", "L2", "pass_ms")}))
+        print(w, json.dumps({k: r[k] for k in ("L1", "pieces", "L2", "pass_ms")}))
     return 0
 
 
