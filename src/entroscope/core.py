@@ -28,11 +28,12 @@ A cumulative coordinate (`_Cumulative`) is the mass u(x) of a weight w
 between x and an anchor, signed so that u' = -w.  A table of knots holds
 u, cumulated once from segment masses to 1e-13 relative, and u(x) adds
 one piece, the mass from the nearest knot toward the anchor.  The up
-transform's coordinate (w = f/U) and the quantiles of f (w = f, anchored
-at either edge) are such coordinates.  Between two knots w is smooth, so
-every finite piece, and every table segment between knots, is first one
-7-15 Gauss-Kronrod pair (`_gk_pieces`, all of a table's segments on one
-integrand call).  The pair's K15 stands where it certifies itself: K15
+transform's coordinate (w = f/U), the quantiles of f (w = f, anchored at
+either edge) and the generalized sines of `special` are such coordinates.
+Between two knots w is smooth, so every finite piece, and every table
+segment between knots, is first one 7-15 Gauss-Kronrod pair
+(`_gk_pieces`, all of a table's segments on one integrand call).  The
+pair's K15 stands where it certifies itself: K15
 and G7 finite, agreeing to 1e-13 relative, K15 neither 0 nor past 1e50,
 and the rounding of its nodes below that bound.  Every other piece goes
 to tanh-sinh: a lone piece through `integrate`, and a table's remaining
@@ -44,9 +45,10 @@ last chunk that is not negligible, or no convergence by the last level)
 is run again alone through `integrate`, whose checks decide it, as are
 the head and tail segments, which may be infinite.  Every inversion past
 a table goes through `_solve`: it brackets the target between
-neighbouring entries, or marches out from the outermost one (`_march`),
-and hands invert_monotone the values at both ends, which the table or
-the march already holds.
+neighbouring entries, or marches out from the outermost one (`_march`,
+which bisects back from a step that lands beyond reach), and hands
+invert_monotone the values at both ends, which the table or the march
+already holds.
 With a derivative, invert_monotone's first iterate is the cubic Hermite
 inverse of that bracket, and Newton steps go on from it.
 """
@@ -823,10 +825,12 @@ def _march(
     The step law: toward an infinite edge the i-th step (i = 0, 1, ...) is
     max(1e-6, |x|) 2^(i-1), so x grows faster than geometrically; toward a
     finite edge the distance to it is quartered, and squared once it is
-    below 1 after 40 steps, stopping at the float next to the edge.
+    below 1 after 40 steps, stopping at the float next to the edge.  A step
+    where g is not finite is bisected back, at most 64 times: the reach
+    may end short of it, with target before its end.
 
-    None when g stops being finite (an OverflowError counts) or x runs out
-    of floats before g passes target: the target is beyond reach.
+    None when g raises OverflowError, or x runs out of floats, before g
+    passes target: the target is beyond reach.
     """
     direction = 1.0 if edge > x0 else -1.0
     x_prev, v_prev = x0, float(g0)
@@ -844,6 +848,12 @@ def _march(
                 return None
             v = float(g(x))
             if not math.isfinite(v):
+                for _ in range(64):
+                    mid = 0.5 * (x_prev + x)
+                    v = float(g(mid)) if mid not in (x_prev, x) else math.nan
+                    if math.isfinite(v) and (v - target) * side <= 0.0:
+                        return (x_prev, v_prev), (mid, v)
+                    x_prev, v_prev, x = (mid, v, x) if math.isfinite(v) else (x_prev, v_prev, mid)
                 return None
             if (v - target) * side <= 0.0:
                 return (x_prev, v_prev), (x, v)

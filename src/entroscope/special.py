@@ -13,6 +13,9 @@ Every member, mirror_gg's sign-flipped one included, comes from one kernel
 A (1 - sign (lambda-1) x^{p*})_+^{1/(lambda-1)}, and every Beta constant from
 scipy.special.  Closed-form transform images below are parameterized by the
 actual amplitude of the input, so they are exact for every mode.
+sin_gen, sinh_gen and the closed up images for lambda != 1 solve on a
+cumulative coordinate of the generalized sine's weight (`core._Cumulative`);
+arcsin_gen and arcsinh_gen stay plain quadratures, an independent reference.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta, gammaincc, gammainccinv
+from scipy.special import beta, gammaincc, gammainccinv, poch
 from scipy.special import gamma as _gamma_fn
 
-from .core import Density, Support, _gk_pieces, _pointwise, _solve, integrate
+from .core import Density, Support, _Cumulative, _pointwise, _segment_masses, integrate
 from .errors import DivergentIntegral, EdgeIllConditioned, InvalidParams, OutOfDomain, OutOfRange
 from .measures import _SHANNON_WINDOW, holder_conjugate
 
@@ -46,7 +49,7 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-12  # relative tolerance of arcsin_gen and arcsinh_gen
-_INV_TOL = 1e-11  # relative tolerance of sin_gen and sinh_gen
+_INV_TOL = 1e-11  # slack of sin_gen's principal-branch check
 _GAMMA_REL = 1e-10  # largest relative error bound inc_gamma_upper returns
 _EPS = np.finfo(float).eps
 
@@ -99,7 +102,8 @@ def _gg_constant(p: float, lam: float) -> float:
     if abs(lam - 1.0) < _SHANNON_WINDOW:
         return ps / (2.0 * _gamma_fn(1.0 / ps))
     second = lam / abs(1.0 - lam) + (1.0 / p if 1.0 - lam > 0 else 0.0)
-    return ps * abs(1.0 - lam) ** (1.0 / ps) / (2.0 * beta(1.0 / ps, second))
+    # 1/B(1/p*, second) = poch(second, 1/p*)/Gamma(1/p*): beta is 2.4e-10 off at (1.5, 1 - 1e-5)
+    return ps * abs(1.0 - lam) ** (1.0 / ps) * poch(second, 1.0 / ps) / (2.0 * _gamma_fn(1.0 / ps))
 
 
 @dataclass(frozen=True)
@@ -330,24 +334,25 @@ def mirror_gg(p: float, lam: float) -> Density:
 # ---------------------------------------------------------------------------
 
 
-def _stepping(g, dg):
-    """g, with g(0) = 0, for a solve whose iterates draw near one another:
-    g(t) is g at the last point t0 it was taken at (0 at first) plus the
-    mass of g's exact derivative dg (vectorized) on (t0, t), where the 7-15
-    Gauss-Kronrod pair certifies that piece (`core._gk_pieces`), and g(t)
-    itself otherwise."""
-    last = [0.0, 0.0]
+def _gen_sine_coordinate(v: float, b: float, hyperbolic: bool, anchor: str = "") -> _Cumulative:
+    """Cumulative coordinate of the arcsinh_gen weight (1 + t^b)^{-1/v} on
+    (0, inf), or of the arcsin_gen weight (-expm1(b log t))^{-1/v} on (0, 1),
+    on `Support.clustered(64)` knots; anchored at 0, u = -arcsin_gen.  With the
+    default anchor the arcsin_gen weight is taken in q = t - 1 on (-1, 0), so u
+    near t = 1 keeps its precision (in t those pieces stall on node rounding)."""
+    if hyperbolic:
+        sup, base = Support(0.0, math.inf), lambda t: 1.0 + t**b
+    elif anchor == "lower":
+        sup, base = Support(0.0, 1.0), lambda t: -np.expm1(b * np.log(t))
+    else:
+        sup, base = Support(-1.0, 0.0), lambda q: -np.expm1(b * np.log1p(q))
 
-    def stepped(t: float) -> float:
-        t0, g0 = last
-        piece, _, ok = _gk_pieces(dg, (t0,), (t,))
-        if ok[0]:
-            last[:] = t, g0 + float(piece[0])
-            return last[1]
-        last[:] = t, g(t)
-        return last[1]
+    def w(t):
+        with np.errstate(all="ignore"):
+            return base(np.asarray(t, dtype=float)) ** (-1.0 / v)
 
-    return stepped
+    knots = np.unique(sup.clustered(64))
+    return _Cumulative(w, sup, knots, _segment_masses(w, sup, knots), anchor)
 
 
 def arcsin_gen(v: float, b: float, x: float) -> float:
@@ -386,30 +391,17 @@ def _arcsin_quarter(v: float, b: float) -> float:
 
 
 def sin_gen(v: float, b: float, y: float) -> float:
-    """Principal-branch inverse of arcsin_gen: sin_{v,b}(y) in [0, 1]."""
+    """Principal-branch inverse of arcsin_gen: sin_{v,b}(y) in [0, 1], the
+    solve of u = -y on its coordinate anchored at 0 (`_gen_sine_coordinate`)."""
     if not b > 0 or v == 0:
         raise OutOfDomain("sin_gen requires b > 0 and v != 0")
     ymax = _arcsin_quarter(v, b)
     if y < -_INV_TOL or y > ymax * (1.0 + 1e-12) + _INV_TOL:
         raise OutOfDomain(f"sin_gen argument {y} outside principal branch [0, {ymax}]")
-    y = min(max(y, 0.0), ymax)
-    if y == 0.0:
+    if y <= 0.0:
         return 0.0
-
-    def dg(t):
-        base = 1.0 - t**b
-        if base <= 0.0:
-            return math.inf
-        return base ** (-1.0 / v)
-
-    def pieces(t):
-        # the integrand with 1 - t^b = -expm1(b log t), free of cancellation near t = 1
-        with np.errstate(all="ignore"):
-            return (-np.expm1(b * np.log(t))) ** (-1.0 / v)
-
-    # both ends are known, the quarter period infinite when its integral diverges
-    g = _stepping(lambda t: arcsin_gen(v, b, t), pieces)
-    return _solve(g, y, (0.0, 1.0), (0.0, ymax), (0.0, 1.0), _INV_TOL, dg)
+    t = _gen_sine_coordinate(v, b, False, "lower").x_of_u(-y) if y < ymax else None
+    return 1.0 if t is None else t
 
 
 def arcsinh_gen(v: float, b: float, x: float) -> float:
@@ -435,7 +427,8 @@ def _arcsinh_limit(v: float, b: float) -> float:
 
 
 def sinh_gen(v: float, b: float, y: float) -> float:
-    """Inverse of arcsinh_gen on its range."""
+    """Inverse of arcsinh_gen on its range, the solve of u = -y on its
+    coordinate anchored at 0 (`_gen_sine_coordinate`)."""
     if not b > 0 or v == 0:
         raise OutOfDomain("sinh_gen requires b > 0 and v != 0")
     if y < 0:
@@ -445,17 +438,10 @@ def sinh_gen(v: float, b: float, y: float) -> float:
     ylim = _arcsinh_limit(v, b)
     if y >= ylim:
         raise OutOfDomain(f"sinh_gen argument {y} beyond range limit {ylim}")
-
-    def dg(t):
-        with np.errstate(all="ignore"):
-            return (1.0 + t**b) ** (-1.0 / v)
-
-    # past t = 1 the solve marches out from the value there
-    g = _stepping(lambda t: arcsinh_gen(v, b, t), dg)
-    x = _solve(g, y, (0.0, 1.0), (0.0, g(1.0)), (0.0, math.inf), _INV_TOL, dg)
-    if x is None:
+    t = _gen_sine_coordinate(v, b, True, "lower").x_of_u(-y)
+    if t is None:
         raise OutOfDomain(f"sinh_gen argument {y} not reached by arcsinh_gen")
-    return x
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +589,9 @@ def up_of_gg(p: float, lam: float, alpha: float, mode: str = "half"):
     inverse incomplete Gamma for lambda = 1, each valid for alpha outside
     [1, 2].  Inside [1, 2] no closed form exists and the numeric transform
     is returned instead (a TransformedDensity, which flags the fallback).
+    For lambda != 1 the value at s is read at the t with u(t) = s / C on one
+    default-anchored `_gen_sine_coordinate`, built here, so no quarter period
+    or range limit minus s / C cancels; the support is C times its own.
     """
     if p == 0:
         raise OutOfDomain("closed-form up images require p != 0")
@@ -630,29 +619,22 @@ def up_of_gg(p: float, lam: float, alpha: float, mode: str = "half"):
         b = (a2 / (alpha - 1.0)) * ps
         C = A * abs(a2) ** (1.0 / a2) * a2 / ((alpha - 1.0) * m ** ((alpha - 1.0) / a2))
         exq = a2 / (alpha - 1.0)
-        v = 1.0 - lam
-        if lam > 1:
-            y_quarter = _arcsin_quarter(v, b)
-            sup = Support(0.0, C * y_quarter)
+        # s / C: the mass from t (q = t - 1 at lambda > 1) to the upper edge, or -arcsinh_gen(t)
+        coord = _gen_sine_coordinate(1.0 - lam, b, lam < 1)
+        sup = Support(C * coord.sup.lower, C * coord.sup.upper)
 
-            def x_of_s(s: float) -> float:
-                y = y_quarter - s / C
-                return sin_gen(v, b, y) ** exq / m
+        # 1 + q rounds to 1 for |q| <= 2^-54: no solve nearer that edge
+        u_one = coord.u_of_x(-(2.0**-54)) if lam > 1 else coord.sup.lower
 
-        else:
-            ylim = _arcsinh_limit(v, b)
-            if math.isfinite(ylim):
-                sup = Support(0.0, C * ylim)
-
-                def x_of_s(s: float) -> float:
-                    y = ylim - s / C
-                    return sinh_gen(v, b, y) ** exq / m
-
-            else:
-                sup = Support(-math.inf, 0.0)
-
-                def x_of_s(s: float) -> float:
-                    return sinh_gen(v, b, -s / C) ** exq / m
+        def x_of_s(s: float) -> float:
+            u = s / C
+            z = coord.x_of_u(u) if u_one < u < coord.sup.upper else None
+            if z is None:
+                # at an edge or beyond reach: the edge u goes toward, where it is finite
+                z = coord.support.lower if u >= coord.u_knots[0] else coord.support.upper
+                if not math.isfinite(z):
+                    raise OutOfDomain(f"up_of_gg coordinate {s} not reached by its generalized sine")
+            return (1.0 + z if lam > 1 else z) ** exq / m
 
     def val(s: float) -> float:
         x = x_of_s(s)

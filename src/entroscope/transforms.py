@@ -320,7 +320,10 @@ def down(f: Density, alpha: float) -> TransformedDensity:
         """(x, log y): the source point of s and its level y.  y is pulled
         inside (y_lo, y_hi) only when it falls outside: tanh-sinh nodes sit
         within 1e-15 of the bounds, and moving them would move integrals."""
-        y = sigma_inv(s)
+        try:
+            y = sigma_inv(s)
+        except OverflowError:  # the level passes the largest double
+            y = math.inf
         if not (y_lo < y < y_hi):
             y = min(max(y, y_lo * (1.0 + 1e-15)), y_hi * (1.0 - 1e-15))
         return float(f.invert_level(y)), math.log(y)

@@ -121,6 +121,24 @@ class TestGGNormalization:
         total = integrate(f.value, f.support, tol=1e-11, points=(0.0,)).value
         assert abs(total - 1.0) < 1e-9
 
+    @pytest.mark.parametrize(
+        "p, lam, rel",
+        # lambda near 1, where the Beta constant's second argument is ~1e5 and ~1e6
+        [(1.5, 1 - 1e-5, 1e-13), (2.0, 1 - 1e-6, 1e-13)]
+        # the benchmark's members off lambda = 1
+        + [(p, lam, 1e-14) for p, lam in [(2.0, 0.7), (4.0, 0.85), (2.0, 1.5), (1.5, 3.0), (3.0, 0.7),
+                                           (2.0, 2.0), (1.5, 1.5)]],
+    )
+    def test_beta_constant_against_mpmath(self, p, lam, rel):
+        import mpmath as mp
+
+        with mp.workdps(40):
+            mp_p, mp_lam = mp.mpf(p), mp.mpf(lam)
+            ps, d = mp_p / (mp_p - 1), abs(1 - mp_lam)
+            second = mp_lam / d + (1 / mp_p if mp_lam < 1 else 0)
+            expected = float(ps * d ** (1 / ps) / (2 * mp.beta(1 / ps, second)))
+        assert gg_normalization(p, lam) == pytest.approx(expected, rel=rel)
+
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             gg_normalization(2, -1.5)  # lambda <= 1 - p* = -1
@@ -335,29 +353,29 @@ class TestGeneralizedTrig:
                 fn(0.0, 2.0, 0.5)
 
     @pytest.mark.parametrize(
-        "p, lam, alpha, share",
-        [(2.0, 0.7, 3.0, 0.5), (4.0, 0.85, -1.0, 0.5), (2.0, 1.5, 4.0, 0.5), (1.5, 3.0, 0.5, 0.5),
-         # sinh_gen past t = 1 marches out by steps that grow faster than
-         # geometrically, too long for the pair to certify
-         (3.0, 0.5, 2.5, 0.7)],
+        "p, lam, alpha", [(2.0, 0.7, 3.0), (4.0, 0.85, -1.0), (2.0, 1.5, 4.0), (1.5, 3.0, 0.5)]
     )
-    def test_solve_steps_from_the_last_iterate(self, monkeypatch, p, lam, alpha, share):
-        # sin_gen and sinh_gen inside up_of_gg: each iterate adds the 7-15
-        # pair's certified piece of dg to g at the one before (from g(0) = 0
-        # on).  The values of a solve that integrates from 0 at every
-        # iterate, with at most `share` of its quadratures
+    def test_up_of_gg_reads_one_coordinate(self, monkeypatch, p, lam, alpha):
+        # the four finite-range members: each value is one solve on the
+        # generalized sine's cumulative coordinate, whose pieces between
+        # knots the 7-15 pair certifies, so interior values run no
+        # tanh-sinh quadrature; the support is C times the quarter period
+        # (lambda > 1) or the range limit (lambda < 1)
         d = up_of_gg(p, lam, alpha)
         xs = d.support.at(np.linspace(0.05, 0.95, 12))
         quadratures = []
         real = core._tanh_sinh
         monkeypatch.setattr(core, "_tanh_sinh", lambda *a: quadratures.append(1) or real(*a))
-        stepped = [float(d.value(x)) for x in xs]
-        n_stepped = len(quadratures)
-        quadratures.clear()
-        monkeypatch.setattr(special, "_stepping", lambda g, dg: g)
-        full = [float(d.value(x)) for x in xs]
-        assert n_stepped <= share * len(quadratures)
-        assert stepped == pytest.approx(full, rel=1e-12)
+        assert all(float(d.value(float(x))) > 0.0 for x in xs)
+        assert quadratures == []
+        A, _ = special._gg_amplitude(p, lam, "half")
+        ps, a2 = p / (p - 1.0), alpha - 2.0
+        m = abs(lam - 1.0) ** (1.0 / ps)
+        b, v = (a2 / (alpha - 1.0)) * ps, 1.0 - lam
+        C = A * abs(a2) ** (1.0 / a2) * a2 / ((alpha - 1.0) * m ** ((alpha - 1.0) / a2))
+        edge = _arcsin_quarter(v, b) if lam > 1 else _arcsinh_limit(v, b)
+        assert d.support.lower == 0.0
+        assert d.support.upper == pytest.approx(C * edge, rel=1e-12)
 
     def test_up_of_gg_far_tail_without_warnings(self):
         # in sinh_gen's tail dg at a bracket end is tiny, so the Hermite

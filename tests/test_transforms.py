@@ -130,6 +130,18 @@ def test_up_beyond_reach():
     assert u.derivative(-1e300) == 0.0
 
 
+@pytest.mark.parametrize("x", [107.30, 117.8])
+def test_up_reaches_past_the_last_knot(x):
+    # pareto(eta=3) at alpha = 2: U = e^{-x}.  Past the last knot (105.39)
+    # the march's next step (158) is beyond reach, where the mass from the
+    # knot passes 1e50; the solve bisects back to the points between
+    u = up(builtin("pareto", {"eta": 3.0}), 2.0)
+    log_u, sign = u.log_coordinate_at(np.array([x]))
+    s = float(sign[0] * np.exp(log_u[0]))
+    assert u.locate(s) == pytest.approx(x, rel=1e-12)
+    assert u(s) == pytest.approx(math.exp(-x), rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "name, params, alpha",
     [("pareto", {"eta": 3.0}, 1.5), ("pareto", {"eta": 3.0}, 3.0),
@@ -196,6 +208,17 @@ def test_double_down_preserves_mass(alpha, beta):
 def test_updown_preserves_mass(alpha, beta):
     d = compose_updown(builtin("pareto", {"eta": 3.0}), alpha, beta)
     assert abs(integrate(d, d.support, tol=1e-12).value - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["exp", "pareto", "halfgauss"])
+def test_updown_mass_never_overflows(name):
+    # at alpha = 1.5 the inverse canonical change of the down step passes
+    # the largest double for s below about -1e154: the level there is inf
+    d = compose_updown(builtin(name), 1.5, 1.5)
+    try:
+        assert math.isfinite(integrate(d, d.support, tol=1e-10).value)
+    except EntroscopeError:
+        pass
 
 
 @pytest.mark.parametrize("alpha,beta", [(3.0, 3.0), (1.5, 1.5), (3.0, 1.5)])

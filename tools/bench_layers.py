@@ -15,7 +15,8 @@ then times uninstrumented passes.  It writes, per workload:
 - pieces: the intervals given to the 7-15 Gauss-Kronrod pair
   (`core._gk_pieces`), those it certifies and those it hands back to
   tanh-sinh, in all, in the segment tables (`core._segment_masses`, whose
-  count is `tables`) and in `x_of_u` solves;
+  count is `tables`; the closed up forms of `special` build one each) and
+  in `x_of_u` solves;
 - L2 inversion: `_Cumulative.x_of_u` solves, and the scalar quadratures
   and certified and handed-back pieces each one makes;
 - L1 rule overhead (`rule_us_per_quadrature`): the mean wall time of a
@@ -138,8 +139,8 @@ class Counters:
         for owners, name, fn in (((core,), "_tanh_sinh", counted_tanh_sinh),
                                  ((core,), "_integrate_many", counted_many),
                                  ((core._Cumulative,), "x_of_u", counted_x_of_u),
-                                 ((core, special), "_gk_pieces", counted_gk_pieces),
-                                 ((core, transforms), "_segment_masses", counted_segment_masses)):
+                                 ((core,), "_gk_pieces", counted_gk_pieces),
+                                 ((core, special, transforms), "_segment_masses", counted_segment_masses)):
             for owner in owners:
                 self._saved.append((owner, name, getattr(owner, name)))
                 setattr(owner, name, fn)
