@@ -33,22 +33,18 @@ either edge) and the generalized sines of `special` are such coordinates.
 Between two knots w is smooth, so every finite piece, and every table
 segment between knots, is first one 7-15 Gauss-Kronrod pair
 (`_gk_pieces`, all of a table's segments on one integrand call).  The
-pair's K15 stands where it certifies itself: K15
-and G7 finite, agreeing to 1e-13 relative, K15 neither 0 nor past 1e50,
-and the rounding of its nodes below that bound.  Every other piece goes
-to tanh-sinh: a lone piece through `integrate`, and a table's remaining
-segments through one batched pass (`_integrate_many`), where each
-segment is a row that follows the rule above and each level makes one
-integrand call on the nodes of every row still open.  A row that leaves
-clean convergence (a term that is not finite, a partial sum past 1e50, a
-last chunk that is not negligible, or no convergence by the last level)
-is run again alone through `integrate`, whose checks decide it, as are
-the head and tail segments, which may be infinite.  Every inversion past
-a table goes through `_solve`: it brackets the target between
-neighbouring entries, or marches out from the outermost one (`_march`,
-which bisects back from a step that lands beyond reach), and hands
-invert_monotone the values at both ends, which the table or the march
-already holds.
+pair's K15 stands where it certifies itself: K15 and G7 finite, agreeing
+to 1e-13 relative, K15 neither 0 nor past 1e50, and the rounding of its
+nodes below that bound.  A table segment that fails the agreement test
+alone is halved, up to 6 times, the pieces of every such segment on one
+integrand call per round, and is the sum of its pieces once the pair
+certifies them all.  Every other piece goes to tanh-sinh through
+`integrate`, whose checks decide it, as do a table's head and tail
+segments, which may be infinite.  Every inversion past a table goes
+through `_solve`: it brackets the target between neighbouring entries,
+or marches out from the outermost one (`_march`, which bisects back from
+a step that lands beyond reach), and hands invert_monotone the values at
+both ends, which the table or the march already holds.
 With a derivative, invert_monotone's first iterate is the cubic Hermite
 inverse of that bracket, and Newton steps go on from it.
 """
@@ -531,114 +527,6 @@ def _tanh_sinh(g, edge_map, half: float, tol: float, min_scale: float) -> QuadRe
     )
 
 
-def _integrate_many(g, los: np.ndarray, his: np.ndarray, tol: float):
-    """(values, errors) of the integrals of g over the finite intervals
-    (los[i], his[i]), each by the rule of `_tanh_sinh` at min_scale = 0:
-    the same first call (the midpoint and the live nodes of levels 0-3),
-    nodes, per-side reach and truncation, and stop test, so each row's
-    value and evaluations are those of its own `integrate`.  The rows'
-    state lives in arrays.  The first call to g holds the first call of
-    every row; each level from 4 on makes one call on the nodes of every
-    row still open.
-
-    A row that leaves clean convergence comes back as nan, for the caller
-    to run through `integrate`, whose checks then decide it: a midpoint or
-    term that is not finite, |estimate| past _HUGE, a last chunk not
-    negligible against 1e3 tol |estimate| (a superset of the edge test of
-    `_tanh_sinh`), no convergence by _MAX_LEVEL, or a call to g that raises
-    DivergentIntegral or EdgeIllConditioned (every open row)."""
-    values, errors = np.full(len(los), math.nan), np.full(len(los), math.nan)
-    rows = np.arange(len(los))
-    lo, hi = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
-    half = 0.5 * (hi - lo)
-    s, edge = np.zeros(len(rows)), np.zeros(len(rows))
-    reach = np.full((2, len(rows)), math.inf)  # upper side first, as in _ts_level_sum
-
-    def side_sums(terms, k, total, max_term):
-        """_side_sum on every row at once, row i using its first k[i] terms:
-        (used, total, largest term, peak of the last chunk used)."""
-        r, nch = len(k), -(-terms.shape[1] // _CHUNK)
-        t3 = np.zeros((r, nch * _CHUNK))
-        t3[:, : terms.shape[1]] = terms
-        t3 = t3.reshape(r, nch, _CHUNK)
-        sums = np.add.reduce(t3, axis=2)  # pairwise over 8 terms, as _side_sum's full chunks
-        # np.add.reduce sums fewer than 8 terms in turn: so does a row's partial chunk
-        ri, last = np.arange(r), np.minimum(k // _CHUNK, nch - 1)
-        part = ri[k % _CHUNK > 0]
-        sums[part, last[part]] = np.add.accumulate(t3[part, last[part]], axis=1)[:, -1]
-        running = np.add.accumulate(np.column_stack([total, sums]), axis=1)
-        peaks = np.abs(t3).max(axis=2)
-        largest = np.maximum.accumulate(np.column_stack([max_term, peaks]), axis=1)
-        nk = -(-k // _CHUNK)
-        stop = (peaks <= _TRUNC_EPS * np.maximum(np.abs(running[:, 1:]), largest[:, 1:])) & (
-            largest[:, 1:] > 0.0
-        ) & (np.arange(nch) < nk[:, None])
-        c = np.where(stop.any(axis=1), stop.argmax(axis=1), nk - 1)
-        return np.minimum(k, (c + 1) * _CHUNK), running[ri, c + 1], largest[ri, c + 1], peaks[ri, c]
-
-    def call(mids, deltas, masks):
-        """g once on the midpoints `mids` and, per side, on the nodes at
-        distances `deltas` that masks[side] selects: the midpoint values and
-        the (side, row, node) values, 0 off the masks."""
-        xs = np.concatenate([mids, (hi[:, None] - deltas)[masks[0]], (lo[:, None] + deltas)[masks[1]]])
-        vs = np.asarray(g(xs), dtype=float) if len(xs) else xs
-        vs = vs if vs.shape == xs.shape else np.broadcast_to(vs, xs.shape)
-        v = np.zeros(masks.shape)
-        v[masks] = vs[len(mids) :]
-        return vs[: len(mids)], v
-
-    first_dfrac, first_cosh_t, first_cosh2_y, starts = _first_levels()
-    for level in range(_MAX_LEVEL + 1):
-        if not len(rows):
-            break
-        ts, dfrac, cosh_t, cosh2_y = _level_nodes(level)
-        ts = np.array(ts)
-        caps = np.searchsorted(ts, reach, side="right") + _CHUNK
-        n = min(len(ts), int(caps.max()))
-        w = (half * _PI_2)[:, None] * cosh_t[:n] / cosh2_y[:n]
-        deltas = half[:, None] * dfrac[:n]
-        counts = np.minimum(caps, np.count_nonzero((w > 0.0) & (deltas > 0.0), axis=1))
-        masks = np.arange(n) < counts[:, :, None]
-        with np.errstate(all="ignore"):
-            try:
-                if level == 0:  # the first call of `_tanh_sinh`, for every row
-                    d = half[:, None] * first_dfrac
-                    live = ((half * _PI_2)[:, None] * first_cosh_t / first_cosh2_y > 0.0) & (d > 0.0)
-                    mids, first = call(hi - half, d, np.broadcast_to(live, (2, *live.shape)))
-                if level < _FIRST_LEVELS:
-                    nodes = np.where(masks, first[..., starts[level] : starts[level] + n], 0.0)
-                else:
-                    nodes = call(np.empty(0), deltas, masks)[1]
-            except (DivergentIntegral, EdgeIllConditioned):
-                break  # they decide a segment one by one: hand back every open row
-            total = half * _PI_2 * mids if level == 0 else np.zeros(len(rows))
-            bad = ~np.isfinite(total)
-            max_term = np.abs(total)
-            level_edge = np.full(len(rows), -1.0)
-            for side, v in enumerate(nodes):
-                terms = w * v
-                bad |= ~np.isfinite(terms).all(axis=1)
-                used, total, max_term, peak = side_sums(terms, counts[side], total, max_term)
-                reach[side] = np.where(used > 0, ts[used - 1], reach[side])
-                level_edge = np.where(used > 0, np.maximum(level_edge, peak), level_edge)
-            s += total
-            est = 2.0**-level * s
-            edge = np.where(level_edge >= 0.0, level_edge, edge)
-            drop = bad | (np.abs(est) > _HUGE)
-            if level >= 2:
-                err = np.abs(est - prev)
-                scale = np.where(est == 0.0, 1.0, np.abs(est))
-                done = ~drop & (err <= tol * scale)
-                clean = done & ~(edge > 1e3 * tol * scale)
-                values[rows[clean]], errors[rows[clean]] = est[clean], err[clean]
-                drop |= done
-        keep = ~drop
-        rows, lo, hi, half, s, edge, reach = (a[..., keep] for a in (rows, lo, hi, half, s, edge, reach))
-        first = first[:, keep] if level < _FIRST_LEVELS - 1 else None
-        prev = est[keep]
-    return values, errors
-
-
 def _integrate_finite(g, a: float, b: float, tol: float, min_scale: float) -> QuadResult:
     def edge_map(d, upper):
         return (b - d if upper else a + d), ()
@@ -906,6 +794,7 @@ def _solve(
 _SEG_TOL = 1e-13  # relative tolerance of every segment mass, and of u in a solve
 _STALL = 1e-7  # relative error at which a segment-mass integral has stalled
 _U_CAP = 1e305  # |u| beyond which a side of a coordinate is treated as unbounded
+_HALVINGS = 6  # rounds in which a segment table halves the rows the 7-15 pair does not certify
 
 # The 7-15 Gauss-Kronrod pair on (-1, 1), QUADPACK's qk15 table (Piessens et
 # al., 1983): the Kronrod nodes from the edge in to 0, their weights, and the
@@ -937,7 +826,9 @@ def _gk_pieces(w, los, his):
     with tanh-sinh, whose masses never tie two knots of a table), |K15| <=
     _HUGE (the bound past which tanh-sinh calls partial sums divergent),
     and error <= _SEG_TOL |K15|, so K15 and G7 finite.  A call to w that
-    raises DivergentIntegral or EdgeIllConditioned certifies no row."""
+    raises DivergentIntegral or EdgeIllConditioned certifies no row.  A
+    segment table halves the rows that fail the error test alone
+    (`_segment_masses`); a lone piece of a coordinate is not halved."""
     lo, hi = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
     half = 0.5 * (hi - lo)
     fin = np.isfinite(half)
@@ -989,11 +880,14 @@ def _segment_masses(w, support: Support, knots: np.ndarray):
     edge.  A divergent segment, or a stalled open one, has infinite mass.
 
     The segments between knots are first one `_gk_pieces` call, all rows
-    on one call to w; a row the pair certifies keeps its K15 and error.
-    The other rows are one `_integrate_many` pass; a row it
-    hands back, or whose error would fail _w_mass's stall check, runs
-    alone through _w_mass, as do the head and tail, which may be
-    infinite."""
+    on one call to w; a row the pair certifies keeps its K15.  A row that
+    fails the pair's error test alone is halved, for at most _HALVINGS
+    rounds, each one `_gk_pieces` call on the pieces of every row still
+    open: a piece the pair certifies stands, and one that fails the error
+    test alone is halved again.  A row whose pieces all stand has their
+    sum.  A row with a piece whose K15 is 0, past _HUGE or not finite, or
+    with pieces left after the last round, runs alone through _w_mass, as
+    do the head and tail, which may be infinite."""
 
     def seg(lo: float, hi: float, open_ended: bool) -> float:
         try:
@@ -1003,11 +897,27 @@ def _segment_masses(w, support: Support, knots: np.ndarray):
                 return math.inf
             raise
 
-    inner, err, ok = _gk_pieces(w, knots[:-1], knots[1:])
-    rest = np.flatnonzero(~ok)
-    if len(rest):
-        inner[rest], err[rest] = _integrate_many(w, knots[rest], knots[rest + 1], _SEG_TOL)
-    for i in np.flatnonzero(~(err <= _STALL * np.maximum(1e-280, np.abs(inner)))):
+    def halvable(k15, ok):
+        return ~ok & (k15 != 0.0) & (np.abs(k15) <= _HUGE)  # a nan K15 fails the second test
+
+    inner, _, ok = _gk_pieces(w, knots[:-1], knots[1:])
+    rows = np.flatnonzero(halvable(inner, ok))
+    alone, sums = ~ok, np.zeros(len(inner))
+    alone[rows] = False
+    owner, los, his = rows, knots[rows], knots[rows + 1]
+    for _ in range(_HALVINGS):
+        if not len(owner):
+            break
+        mids = 0.5 * (los + his)
+        owner, los, his = owner.repeat(2), np.column_stack((los, mids)).ravel(), np.column_stack((mids, his)).ravel()
+        k15, _, ok = _gk_pieces(w, los, his)
+        sums += np.bincount(owner[ok], k15[ok], len(sums))
+        alone[owner[~ok & ~halvable(k15, ok)]] = True
+        more = ~ok & ~alone[owner]
+        owner, los, his = owner[more], los[more], his[more]
+    alone[owner] = True
+    inner[rows] = sums[rows]
+    for i in np.flatnonzero(alone):
         inner[i] = seg(knots[i], knots[i + 1], False)
     return inner, seg(support.lower, knots[0], True), seg(knots[-1], support.upper, True)
 

@@ -748,21 +748,15 @@ class TestQuantiles:
         # the solve takes the fraction at both ends of its bracket from where
         # it was computed: the table's masses for a finite segment, the
         # march for the pair it returns.  A quadrature is an `integrate`
-        # call, a row that the batched pass settles, or a piece that the
-        # Gauss-Kronrod pair certifies (a row or piece handed back is
+        # call or a piece that the Gauss-Kronrod pair certifies, a halved
+        # piece of a table row included (a piece or row handed back is
         # integrated again further down, and counted there).
-        calls, settled, certified = [], [], []
+        calls, alone, certified = [], [], []
 
         def counted(g, support, *args, **kwargs):
+            alone.append((support.lower, support.upper))
             calls.append((support.lower, support.upper, kwargs.get("tol")))
             return counted.inner(g, support, *args, **kwargs)
-
-        def batched(g, los, his, tol):
-            values, errors = batched.inner(g, los, his, tol)
-            rows = [(a, b, tol) for a, b, v in zip(los, his, values) if not math.isnan(v)]
-            settled.extend(rows)
-            calls.extend(rows)
-            return values, errors
 
         def pieces(g, los, his):
             k15, err, ok = pieces.inner(g, los, his)
@@ -771,25 +765,28 @@ class TestQuantiles:
             calls.extend(rows)
             return k15, err, ok
 
-        counted.inner, batched.inner, pieces.inner = core.integrate, core._integrate_many, core._gk_pieces
+        counted.inner, pieces.inner = core.integrate, core._gk_pieces
         monkeypatch.setattr(core, "integrate", counted)
-        monkeypatch.setattr(core, "_integrate_many", batched)
         monkeypatch.setattr(core, "_gk_pieces", pieces)
         quantiles(parse_density(spec), [q])
         assert len(set(calls)) == len(calls)
         if spec == "exp":
-            # 65 table segments: the 63 between knots (53 certified by the
-            # pair, then the 10 outer ones in one batched pass), then the
-            # head and tail by `integrate`; then 2 pieces in the solve at
-            # q = 0.3 and 3 at q = 0.7 (u to 1e-13 relative, from the Hermite
-            # seed on), each certified by the pair, none over a table segment
+            # 63 table segments between knots: 53 certified by the pair at
+            # once, then 8 whose halved pieces it certifies, which tile
+            # them, then the 2 outermost by `integrate`, and the head and
+            # tail; then 2 pieces in the solve at q = 0.3 and 3 at q = 0.7
+            # (u to 1e-13 relative, from the Hermite seed on), each certified
+            # by the pair, none over a table segment or piece
             knots = np.unique(builtin("exp").support.clustered(64))
-            table = {(lo, hi) for lo, hi, _ in calls[:65]}
-            assert calls[:63] == certified[:53] + settled
-            assert [(lo, hi) for lo, hi, _ in calls[:63]] == list(zip(knots[:-1], knots[1:]))
-            assert len(calls) == {0.3: 67, 0.7: 68}[q]
-            assert calls[65:] == certified[53:]
-            assert not table & {(lo, hi) for lo, hi, _ in calls[65:]}
+            rows = list(zip(knots[:-1], knots[1:]))
+            n_solve = {0.3: 2, 0.7: 3}[q]
+            assert calls[-n_solve:] == certified[-n_solve:]
+            assert [(lo, hi) for lo, hi, _ in certified[:53]] == rows[:53]
+            for lo, hi in rows[53:61]:
+                inside = sorted((a, b) for a, b, _ in certified[53:-n_solve] if lo <= a and b <= hi)
+                assert inside[0][0] == lo and inside[-1][1] == hi
+                assert all(b == a2 for (_, b), (a2, _) in zip(inside[:-1], inside[1:]))
+            assert alone == rows[61:] + [(0.0, knots[0]), (knots[-1], math.inf)]
 
     def test_lower_tail(self):
         (x,) = quantiles(builtin("gauss"), [1e-9])
@@ -822,7 +819,7 @@ class TestQuantiles:
 
 def _masses_one_by_one(w, support, knots):
     """The segment table with one `_w_mass` quadrature per segment: the
-    per-interval path that the batched pass must reproduce."""
+    path of every row that the 7-15 pair does not certify."""
 
     def seg(lo, hi, open_ended):
         try:
@@ -850,6 +847,14 @@ def _table(monkeypatch, spec, alpha=None):
     return seen[0]
 
 
+def _run_alone(monkeypatch):
+    """The lower ends of the segments that `_segment_masses` hands to
+    `_w_mass`, in order, as a list that fills as it runs."""
+    lows, real = [], core._w_mass
+    monkeypatch.setattr(core, "_w_mass", lambda w, lo, hi, *a, **k: lows.append(lo) or real(w, lo, hi, *a, **k))
+    return lows
+
+
 def _assert_within_ulps(got, want, ulps=4):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert np.array_equal(np.isinf(got), np.isinf(want))
@@ -857,19 +862,19 @@ def _assert_within_ulps(got, want, ulps=4):
     assert np.all(np.abs(got[fin] - want[fin]) <= ulps * np.spacing(np.abs(want[fin])))
 
 
-# a weight on (0, 2) per exit of the batched pass, each forced on known
-# segments between the knots KNOTS
+# a weight on (0, 2) per way a row escapes the pair's certificate, each
+# forced on known segments between the knots KNOTS
 KNOTS = np.unique(Support(0.0, 2.0).clustered(16))
 _C = float(KNOTS[7])
 
 
 def _pole(x):
-    # a term is not finite where a node rounds onto the knot; the mass diverges
+    # the pieces next to the knot never certify; the mass diverges
     return 1.0 / np.abs(np.asarray(x, dtype=float) - _C)
 
 
 def _step(x):
-    # no convergence by the last level: the segment's integral stalls
+    # the piece that holds the step never certifies, and its row's integral stalls
     x = np.asarray(x, dtype=float)
     return np.where(x < 0.5 * (KNOTS[3] + KNOTS[4]) + 1e-3 * math.pi, 1.0, 2.0)
 
@@ -890,11 +895,19 @@ def _raising(x):
     return np.ones_like(x)
 
 
+def _underflow_half(x):
+    # 1 up to KNOTS[4], then a drop that underflows to 0 before the midpoint
+    # of (KNOTS[4], KNOTS[5]) and stays 0
+    t = (np.asarray(x, dtype=float) - KNOTS[4]) / (KNOTS[5] - KNOTS[4])
+    return np.where(t < 0.0, 1.0, np.exp(-3000.0 * t * t))
+
+
 def _exact_masses(spec, alpha, los, his):
     """The masses of the table weights of `_table` on (los[i], his[i]) in
     mpmath at 40 digits: closed forms for x e^{-x} (up(exp,3)) and the gauss
-    density, and mpmath quadrature of 2.5 x^{-3.5} e^x (up(pareto:eta=3.5,2))
-    on each short segment."""
+    density, whose upper tail is taken as the difference of its
+    complements, and mpmath quadrature of 2.5 x^{-3.5} e^x
+    (up(pareto:eta=3.5,2)) on each short segment."""
     import mpmath as mp
 
     with mp.workdps(40):
@@ -903,7 +916,8 @@ def _exact_masses(spec, alpha, los, his):
             if spec == "exp":
                 out.append((a + 1) * mp.exp(-a) - (b + 1) * mp.exp(-b))
             elif spec == "gauss":
-                out.append(mp.ncdf(b) - mp.ncdf(a))
+                # ncdf(b) - ncdf(a) cancels far above 0: ncdf(10) = 1 - 7.6e-24
+                out.append(mp.ncdf(-a) - mp.ncdf(-b) if a > 0 else mp.ncdf(b) - mp.ncdf(a))
             else:
                 out.append(mp.quad(lambda x: 2.5 * x**-3.5 * mp.exp(x), [a, b]))
         return np.array([float(v) for v in out])
@@ -911,24 +925,28 @@ def _exact_masses(spec, alpha, los, his):
 
 class TestSegmentMasses:
     @pytest.mark.parametrize(
-        "spec, alpha",
-        [("exp", 3.0), ("pareto:eta=3.5", 2.0), ("gauss", None)],
+        "spec, alpha, counts",
+        [("exp", 3.0, (141, 14, 4)), ("pareto:eta=3.5", 2.0, (141, 10, 8)), ("gauss", None, (43, 12, 8))],
         ids=["up(exp,3)", "up(pareto:eta=3.5,2)", "quantiles(gauss)"],
     )
-    def test_batched_equals_one_by_one(self, monkeypatch, spec, alpha):
-        # the rows the 7-15 pair certifies keep its K15, within 1e-13 of the
-        # exact mass; every other row, and the head and tail, come out as
-        # one `_w_mass` quadrature per segment would give them
+    def test_batched_equals_one_by_one(self, monkeypatch, spec, alpha, counts):
+        # the rows that the 7-15 pair certifies on its first call keep its
+        # K15, and they and the rows it certifies after halving lie within
+        # 1e-13 of the exact mass; the rows it hands back, and the head and
+        # tail, come out as one `_w_mass` quadrature per segment gives them
         table = _table(monkeypatch, spec, alpha)
         knots = table[2]
+        alone = _run_alone(monkeypatch)
         inner, head, tail = core._segment_masses(*table)
+        back = np.isin(knots[:-1], alone)
+        monkeypatch.undo()
         ref_inner, ref_head, ref_tail = _masses_one_by_one(*table)
-        k15, _, ok = core._gk_pieces(table[0], knots[:-1], knots[1:])
-        assert ok.sum() >= len(ok) // 2
-        assert np.array_equal(inner[ok], k15[ok])
-        exact = _exact_masses(spec, alpha, knots[:-1][ok], knots[1:][ok])
-        assert np.all(np.abs(inner[ok] - exact) <= 1e-13 * exact)
-        _assert_within_ulps(np.append(inner[~ok], [head, tail]), np.append(ref_inner[~ok], [ref_head, ref_tail]))
+        k15, _, at_once = core._gk_pieces(table[0], knots[:-1], knots[1:])
+        assert (at_once.sum(), (~at_once & ~back).sum(), back.sum()) == counts
+        assert np.array_equal(inner[at_once], k15[at_once])
+        exact = _exact_masses(spec, alpha, knots[:-1][~back], knots[1:][~back])
+        assert np.all(np.abs(inner[~back] - exact) <= 1e-13 * exact)
+        _assert_within_ulps(np.append(inner[back], [head, tail]), np.append(ref_inner[back], [ref_head, ref_tail]))
         # up(pareto:eta=3.5, 2): the weight x^{-eta} e^x passes 1e50 on the
         # 8 outermost segments, whose partial sums then count as divergent
         outer = list(range(len(inner) - 8, len(inner))) if "pareto" in spec else []
@@ -937,52 +955,79 @@ class TestSegmentMasses:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=12, unique=True),
+        st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=2, max_size=12, unique=True),
         st.floats(min_value=-3.0, max_value=3.0),
         st.floats(min_value=-0.9, max_value=2.0),
     )
     def test_each_row_is_its_own_quadrature(self, points, k, p):
-        # row by row, the batched pass makes the nodes, sums and stop
-        # decisions of one `integrate` call on its interval, to the bit: on
-        # (0, b) for x^p e^{kx}, whose terms near a singular edge at 0 stay
-        # comparable within a chunk, and on the smooth (b, b + 1)
-        b = np.array(sorted(points))
-        los, his = np.append(np.zeros(len(b)), b), np.append(b, b + 1.0)
+        # each row of a table of x^p e^{kx} is one `_w_mass` quadrature on
+        # its own interval to 1e-13 relative, whether the pair certifies it
+        # at once or after halving (a row it hands back is that quadrature);
+        # the head, down to a singular edge at 0, and the tail are those
+        # quadratures
+        knots = np.array(sorted(points))
+        support = Support(0.0, knots[-1] + 1.0)
 
         def g(x):
             x = np.asarray(x, dtype=float)
             return x**p * np.exp(k * x)
 
-        values, errors = core._integrate_many(g, los, his, core._SEG_TOL)
-        assert np.isfinite(values[len(b) :]).all()
-        for lo, hi, v, e in zip(los, his, values, errors):
-            if math.isnan(v):
-                continue  # handed back
-            r = integrate(g, Support(lo, hi), tol=core._SEG_TOL, min_scale=0.0)
-            assert (v, e) == (r.value, r.error_estimate)
+        inner, head, tail = core._segment_masses(g, support, knots)
+        ref_inner, ref_head, ref_tail = _masses_one_by_one(g, support, knots)
+        assert inner == pytest.approx(ref_inner, rel=1e-13, abs=0.0)
+        assert (head, tail) == (ref_head, ref_tail)
 
     @pytest.mark.parametrize(
         "w, handed_back",
         [(_pole, [6, 7]), (_step, [3]), (_nan_band, [7]), (_raising, list(range(15)))],
         ids=["pole", "stall", "nan", "raising"],
     )
-    def test_rows_leaving_clean_convergence_run_alone(self, w, handed_back):
-        values, _ = core._integrate_many(w, KNOTS[:-1], KNOTS[1:], core._SEG_TOL)
-        assert np.flatnonzero(np.isnan(values)).tolist() == handed_back
+    def test_rows_leaving_clean_convergence_run_alone(self, monkeypatch, w, handed_back):
+        # a row that the 7-15 pair does not certify, halving included, runs
+        # alone through `_w_mass`, whose checks decide it, before the head
+        # and tail: the pole's pieces next to the knot never certify, nor
+        # does the step's piece, K15 of the nan row is not finite, and a
+        # call that raises certifies no row
         support = Support(0.0, 2.0)
+        alone = _run_alone(monkeypatch)
         if w is _step:
             # the closed segment's EdgeIllConditioned propagates, as one by one
-            with pytest.raises(EdgeIllConditioned, match="stalled") as ref:
-                _masses_one_by_one(w, support, KNOTS)
             with pytest.raises(EdgeIllConditioned) as got:
                 core._segment_masses(w, support, KNOTS)
+            assert alone == KNOTS[handed_back].tolist()
+            with pytest.raises(EdgeIllConditioned, match="stalled") as ref:
+                _masses_one_by_one(w, support, KNOTS)
             assert str(got.value) == str(ref.value)
             return
         inner, head, tail = core._segment_masses(w, support, KNOTS)
+        assert alone == KNOTS[handed_back].tolist() + [0.0, KNOTS[-1]]
         ref_inner, ref_head, ref_tail = _masses_one_by_one(w, support, KNOTS)
         _assert_within_ulps(np.append(inner, [head, tail]), np.append(ref_inner, [ref_head, ref_tail]))
         inf = {_pole: [6, 7], _nan_band: [], _raising: [10]}[w]
         assert np.flatnonzero(np.isinf(inner)).tolist() == inf
+
+    def test_row_with_an_underflowed_half_runs_alone(self, monkeypatch):
+        # (KNOTS[4], KNOTS[5]) fails the pair's error test alone, so it is
+        # halved; its upper half has K15 = 0, which stops the halving and
+        # hands the whole row to tanh-sinh (the rows past it are 0
+        # throughout, handed back at once)
+        lo, mid, hi = KNOTS[4], 0.5 * (KNOTS[4] + KNOTS[5]), KNOTS[5]
+        k15, _, ok = core._gk_pieces(_underflow_half, [lo, lo, mid], [hi, mid, hi])
+        assert not ok[0] and k15[0] != 0.0 and k15[2] == 0.0
+        support = Support(0.0, 2.0)
+        pieces, real = [], core._gk_pieces
+
+        def recorded(w, los, his):
+            pieces.append(list(zip(los, his)))
+            return real(w, los, his)
+
+        monkeypatch.setattr(core, "_gk_pieces", recorded)
+        alone = _run_alone(monkeypatch)
+        inner, _, _ = core._segment_masses(_underflow_half, support, KNOTS)
+        assert pieces[1:] == [[(lo, mid), (mid, hi)]]
+        assert alone == KNOTS[4:-1].tolist() + [0.0, KNOTS[-1]]
+        assert inner[4] == core._w_mass(_underflow_half, lo, hi)
+        assert inner[4] == pytest.approx(0.5 * math.sqrt(math.pi / 3000.0) * (hi - lo), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("spec, alpha", [("exp", 3.0), ("pareto:eta=3.5", 2.0)])
     def test_hermite_seed_quadratures_per_solve(self, monkeypatch, spec, alpha):
@@ -1007,48 +1052,30 @@ class TestSegmentMasses:
 
     def test_one_integrand_call_per_level(self, monkeypatch):
         # up(exp,3)'s 159 inner segments take one call on the pair's 15
-        # nodes of each, then one call per level between the rows it hands
-        # back; the head and tail are two `integrate` calls of their own,
-        # and the batched rows' evaluations are those of one quadrature each
+        # nodes of each, then one call per halving round on the pieces of
+        # the rows it has not certified; the 4 rows still left (far-tail
+        # rows, where w drops by orders of magnitude), the head and the tail
+        # are one `integrate` each
         w, support, knots = _table(monkeypatch, "exp", 3.0)
-        rest = np.flatnonzero(~core._gk_pieces(w, knots[:-1], knots[1:])[2])
-        assert len(rest)  # far-tail rows, where w drops by orders of magnitude
         sizes, alone = [], []
 
         def counted(x):
             sizes.append(np.size(x))
             return w(x)
 
-        def integrate_alone(*args, **kwargs):
-            n0 = len(sizes)
-            out = integrate_alone.inner(*args, **kwargs)
-            alone.append(sizes[n0:])
-            return out
+        def integrate_alone(g, interval, *args, **kwargs):
+            alone.append(((interval.lower, interval.upper), len(sizes)))
+            return integrate_alone.inner(g, interval, *args, **kwargs)
 
         integrate_alone.inner = core.integrate
         monkeypatch.setattr(core, "integrate", integrate_alone)
         core._segment_masses(counted, support, knots)
         assert sizes[0] == len(core._GK_X) * (len(knots) - 1)
-        assert len(alone) == 2
-        batched = len(sizes) - 1 - sum(map(len, alone))
-        assert 1 <= batched <= core._MAX_LEVEL + 1
-        evals = sum(sizes[1:]) - sum(map(sum, alone))
-        sizes.clear()
-        for i in rest:
-            core._w_mass(counted, knots[i], knots[i + 1])
-        assert sum(sizes) == evals
-
-    @pytest.mark.parametrize(
-        "w, handed_back", [(_pole, [6, 7]), (_step, [3]), (_nan_band, [7]), (_raising, list(range(15)))],
-        ids=["pole", "stall", "nan", "raising"],
-    )
-    def test_pair_hands_back_what_the_batched_pass_hands_back(self, w, handed_back):
-        # a row that leaves the batched pass's clean convergence is not one
-        # the 7-15 pair certifies, so it reaches the checks that decide it
-        _, _, ok = core._gk_pieces(w, KNOTS[:-1], KNOTS[1:])
-        assert not ok[handed_back].any()
-        if w is _raising:
-            assert not ok.any()
+        rounds = sizes[1 : alone[0][1]]
+        assert 1 <= len(rounds) <= core._HALVINGS
+        assert all(n % len(core._GK_X) == 0 for n in rounds)
+        rows = list(zip(knots[:-1], knots[1:]))
+        assert [iv for iv, _ in alone] == rows[-4:] + [(support.lower, knots[0]), (knots[-1], support.upper)]
 
 
 # ----------------------------------------------------- cumulative coordinates

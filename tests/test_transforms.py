@@ -146,7 +146,8 @@ def test_up_reaches_past_the_last_knot(x):
     "name, params, alpha",
     [("pareto", {"eta": 3.0}, 1.5), ("pareto", {"eta": 3.0}, 3.0),
      ("powerlaw", {"a": 2.0}, 0.5), ("powerlaw", {"a": 2.0}, 3.0),
-     ("pareto", {"eta": 3.5}, 0.5), ("powerlaw", {"a": 2.0}, 2.0), ("exp", {}, 0.5)],
+     ("pareto", {"eta": 3.5}, 0.5), ("powerlaw", {"a": 2.0}, 2.0), ("exp", {}, 0.5),
+     ("halfgauss", {}, 0.5), ("gg", {"p": 2.0, "lambda": 0.7}, 0.5), ("gg", {"p": 3.0, "lambda": 1.0}, 0.5)],
 )
 def test_up_preserves_mass(name, params, alpha):
     f = builtin(name, params)

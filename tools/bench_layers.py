@@ -10,13 +10,16 @@ then times uninstrumented passes.  It writes, per workload:
 
 - L1 quadrature: scalar quadratures (`core._tanh_sinh` runs), their
   integrand calls and evaluations, all of them and (`*_ok`) those of the
-  quadratures that returned a value; and the same for the batched segment
-  pass (`core._integrate_many`);
+  quadratures that returned a value;
 - pieces: the intervals given to the 7-15 Gauss-Kronrod pair
   (`core._gk_pieces`), those it certifies and those it hands back to
-  tanh-sinh, in all, in the segment tables (`core._segment_masses`, whose
-  count is `tables`; the closed up forms of `special` build one each) and
-  in `x_of_u` solves;
+  tanh-sinh, in all and in `x_of_u` solves;
+- tables: segment tables (`core._segment_masses`; the closed up forms of
+  `special` build one each) and, over their rows between knots, those the
+  pair certifies on its first call, those it certifies after halving,
+  and those handed back to `_w_mass`; the halving calls to the pair and
+  the pieces they hold.  A table that raises (`tables_raised`) counts no
+  rows as certified after halving;
 - L2 inversion: `_Cumulative.x_of_u` solves, and the scalar quadratures
   and certified and handed-back pieces each one makes;
 - L1 rule overhead (`rule_us_per_quadrature`): the mean wall time of a
@@ -55,6 +58,8 @@ from bench.worker import Runner  # noqa: E402
 from entroscope import core, special, transforms  # noqa: E402
 
 PIECES = ("pieces_certified", "pieces_handed_back")
+TABLE = ("tables", "tables_raised", "rows", "rows_certified_at_once", "rows_certified_after_halving",
+         "rows_handed_back", "halving_calls", "halving_pieces")
 
 
 class Counters:
@@ -63,11 +68,10 @@ class Counters:
     def __init__(self):
         self.n = dict.fromkeys(
             ("quadratures", "integrand_calls", "evaluations", "quadratures_ok", "integrand_calls_ok",
-             "evaluations_ok", "batched_passes", "batched_calls", "batched_evaluations", "x_of_u",
-             "x_of_u_quadratures", "tables", *PIECES, *(f"table_{k}" for k in PIECES),
-             *(f"x_of_u_{k}" for k in PIECES)), 0)
+             "evaluations_ok", "x_of_u", "x_of_u_quadratures", *PIECES, *(f"x_of_u_{k}" for k in PIECES),
+             *TABLE), 0)
         self._saved = []
-        self._in_table = 0
+        self._tables = []  # per table being built: [calls to the pair, rows, rows certified at once, handed back]
 
     @staticmethod
     def _counted(g, tally: list):
@@ -80,8 +84,12 @@ class Counters:
 
     def install(self) -> None:
         n = self.n
-        tanh_sinh, many = core._tanh_sinh, core._integrate_many
-        x_of_u = core._Cumulative.x_of_u
+        tanh_sinh, x_of_u = core._tanh_sinh, core._Cumulative.x_of_u
+        gk_pieces, segment_masses, w_mass = core._gk_pieces, core._segment_masses, core._w_mass
+        # a table's own calls come from `_segment_masses` and its `seg` (the
+        # weight may run pair pieces and quadratures of its own)
+        table_code = segment_masses.__code__
+        seg_code = next(c for c in table_code.co_consts if getattr(c, "co_name", "") == "seg")
 
         def add(tally, calls, evals):
             n[calls] += tally[0]
@@ -99,16 +107,6 @@ class Counters:
             add(tally, "integrand_calls_ok", "evaluations_ok")
             return out
 
-        def counted_many(g, *args):
-            n["batched_passes"] += 1
-            tally = [0, 0]
-            try:
-                return many(self._counted(g, tally), *args)
-            finally:
-                add(tally, "batched_calls", "batched_evaluations")
-
-        gk_pieces, segment_masses = core._gk_pieces, core._segment_masses
-
         def counted_x_of_u(coords, u):
             n["x_of_u"] += 1
             before = [n[k] for k in ("quadratures", *PIECES)]
@@ -123,23 +121,44 @@ class Counters:
             certified = int(np.count_nonzero(out[2]))
             for k, c in zip(PIECES, (certified, len(out[2]) - certified)):
                 n[k] += c
-                if self._in_table:
-                    n[f"table_{k}"] += c
+            if sys._getframe(1).f_code is table_code:
+                table = self._tables[-1]
+                if table[0] == 0:
+                    table[1:3] = len(out[2]), certified
+                else:
+                    n["halving_pieces"] += len(out[2])
+                table[0] += 1
             return out
 
+        def counted_w_mass(*args, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_code is seg_code and not caller.f_locals["open_ended"]:
+                self._tables[-1][3] += 1
+            return w_mass(*args, **kwargs)
+
         def counted_segment_masses(*args):
-            n["tables"] += 1
-            self._in_table += 1
+            self._tables.append([0, 0, 0, 0])
+            raised = True
             try:
-                return segment_masses(*args)
+                out = segment_masses(*args)
+                raised = False
+                return out
             finally:
-                self._in_table -= 1
+                calls, rows, at_once, back = self._tables.pop()
+                n["tables"] += 1
+                n["tables_raised"] += raised
+                n["rows"] += rows
+                n["rows_certified_at_once"] += at_once
+                n["rows_handed_back"] += back
+                n["halving_calls"] += max(0, calls - 1)
+                if not raised:
+                    n["rows_certified_after_halving"] += rows - at_once - back
 
         # the helpers are bound by name in the modules that import them
         for owners, name, fn in (((core,), "_tanh_sinh", counted_tanh_sinh),
-                                 ((core,), "_integrate_many", counted_many),
                                  ((core._Cumulative,), "x_of_u", counted_x_of_u),
                                  ((core,), "_gk_pieces", counted_gk_pieces),
+                                 ((core,), "_w_mass", counted_w_mass),
                                  ((core, special, transforms), "_segment_masses", counted_segment_masses)):
             for owner in owners:
                 self._saved.append((owner, name, getattr(owner, name)))
@@ -224,17 +243,13 @@ def measure(workload: str, seed: int, passes: int) -> dict:
             "quadratures_ok": n["quadratures_ok"],
             "integrand_calls_ok": n["integrand_calls_ok"],
             "evaluations_ok": n["evaluations_ok"],
-            "batched_passes": n["batched_passes"],
-            "batched_integrand_calls": n["batched_calls"],
-            "batched_evaluations": n["batched_evaluations"],
             "rule_us_per_quadrature": min(rule_us) if rule_us else None,
         },
         "pieces": {
-            "tables": n["tables"],
             **{k: n[k] for k in PIECES},
-            **{f"table_{k}": n[f"table_{k}"] for k in PIECES},
             **{f"x_of_u_{k}": n[f"x_of_u_{k}"] for k in PIECES},
         },
+        "tables": {k: n[k] for k in TABLE},
         "L2": {
             "x_of_u": n["x_of_u"],
             "quadratures_per_x_of_u": per_solve(n["x_of_u_quadratures"]),
@@ -255,7 +270,7 @@ def main(argv=None) -> int:
     result = {"seed": args.seed, "workloads": {w: measure(w, args.seed, args.passes) for w in WORKLOADS}}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for w, r in result["workloads"].items():
-        print(w, json.dumps({k: r[k] for k in ("L1", "pieces", "L2", "pass_ms")}))
+        print(w, json.dumps({k: r[k] for k in ("L1", "pieces", "tables", "L2", "pass_ms")}))
     return 0
 
 
