@@ -1077,6 +1077,19 @@ class TestSegmentMasses:
         rows = list(zip(knots[:-1], knots[1:]))
         assert [iv for iv, _ in alone] == rows[-4:] + [(support.lower, knots[0]), (knots[-1], support.upper)]
 
+    @pytest.mark.parametrize(
+        "w, handed_back", [(_pole, [6, 7]), (_step, [3]), (_nan_band, [7]), (_raising, list(range(15)))],
+        ids=["pole", "stall", "nan", "raising"],
+    )
+    def test_pair_hands_back_what_the_batched_pass_hands_back(self, w, handed_back):
+        # a row that leaves clean tanh-sinh convergence is not one the 7-15
+        # pair certifies on its first call, so it reaches halving and, past
+        # that, the checks that decide it
+        _, _, ok = core._gk_pieces(w, KNOTS[:-1], KNOTS[1:])
+        assert not ok[handed_back].any()
+        if w is _raising:
+            assert not ok.any()
+
 
 # ----------------------------------------------------- cumulative coordinates
 
