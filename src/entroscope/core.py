@@ -44,9 +44,10 @@ segments, which may be infinite.  Every inversion past a table goes
 through `_solve`: it brackets the target between neighbouring entries,
 or marches out from the outermost one (`_march`, which bisects back from
 a step that lands beyond reach), and hands invert_monotone the values at
-both ends, which the table or the march already holds.
-With a derivative, invert_monotone's first iterate is the cubic Hermite
-inverse of that bracket, and Newton steps go on from it.
+both ends, which the table or the march already holds.  A solve between
+the knots of a segment that the pair certified at once starts from the
+root of the integral of w's degree-14 interpolant on its Kronrod nodes,
+which stands where u there, one piece, is within 1e-13 of the target.
 """
 
 from __future__ import annotations
@@ -607,26 +608,7 @@ def integrate(
 # monotone inversion
 # ---------------------------------------------------------------------------
 
-_MAX_ITER = 200  # bracketing steps of invert_monotone
-
-
-def _hermite_inverse(a: float, fa: float, b: float, fb: float, dg) -> float:
-    """The root of the cubic Hermite interpolant of x as a function of the
-    residual f = g - target through (fa, a) and (fb, b), with slopes 1/dg
-    at both ends; nan where a slope is not usable (dg 0 or nan, or of the
-    wrong sign).  An infinite dg is a slope of 0.  It works in Python
-    floats, where a slope that overflows is inf without a warning."""
-    da, db, fa, fb = float(dg(a)), float(dg(b)), float(fa), float(fb)
-    if da == 0.0 or db == 0.0:
-        return math.nan
-    t = fa / (fa - fb)  # the root's fraction of the way from fa to fb
-    ma, mb = (fb - fa) / da, (fb - fa) / db  # dx/dt at both ends
-    # both slopes must have the sign of b - a: the product could overflow
-    side = math.copysign(1.0, b - a)
-    if not (side * ma >= 0.0 and side * mb >= 0.0):
-        return math.nan
-    u = 1.0 - t
-    return a + (b - a) * (t * t * (3.0 - 2.0 * t)) + t * u * (u * ma - t * mb)
+_MAX_ITER = 200  # bracketing steps of invert_monotone and _chebyshev_root
 
 
 def invert_monotone(
@@ -635,19 +617,19 @@ def invert_monotone(
     bracket: tuple[float, float],
     tol: float = 1e-12,
     dg: Optional[Callable[[float], float]] = None,
+    x0: float = math.nan,
 ) -> float:
     """Solve g(x) = target for strictly monotone g on `bracket`.
 
     Bracketing bisection refined by secant, or by Newton when dg is given;
-    iterates never leave the bracket.  With dg, the first iterate is the
-    cubic Hermite inverse of the bracket (`_hermite_inverse`): it takes
-    g's values at both ends, which a caller like `_solve` already holds,
-    and dg there.  The first Newton or secant step starts from the bracket
-    end with the smaller residual, or from that iterate once there is one,
-    and each later step from the last iterate.  Raises TargetOutOfRange
-    when the target is not between g(endpoints) and NotMonotone when an
-    interior evaluation falls outside the value range of the current
-    bracket.
+    iterates never leave the bracket.  x0, a caller's estimate of the root
+    (`_Cumulative._seed`), is the first iterate where it lies inside the
+    bracket, and stands, as every iterate does, only if g there is within
+    tol of the target.  The first Newton or secant step starts from x0, or
+    without it from the bracket end with the smaller residual, and each
+    later step from the last iterate.  Raises TargetOutOfRange when the
+    target is not between g(endpoints) and NotMonotone when an interior
+    evaluation falls outside the value range of the current bracket.
     """
     a, b = bracket
     if a > b:
@@ -669,7 +651,7 @@ def invert_monotone(
         )
     noise = 1e-9 * (1.0 + abs(fa) + abs(fb))
     (x_prev, f_prev), (x_cur, f_cur) = ((b, fb), (a, fa)) if abs(fa) < abs(fb) else ((a, fa), (b, fb))
-    x_new = math.nan if dg is None else _hermite_inverse(a, fa, b, fb, dg)
+    x_new = x0
     for _ in range(_MAX_ITER):
         if dg is not None and not (a < x_new < b):
             d = dg(x_cur)
@@ -759,6 +741,7 @@ def _solve(
     tol: float,
     dg: Optional[Callable[[float], float]] = None,
     reach: Optional[Callable[[float], float]] = None,
+    seed: Optional[Callable[[int, float], float]] = None,
 ) -> Optional[float]:
     """x with g(x) = target, for g monotone and tabulated as gs at the
     points xs: gs rises or falls along the table (falls when it has one
@@ -769,12 +752,13 @@ def _solve(
     from it toward edges[0] (edges[1]) on `reach`, g by default, which a
     caller gives as nan where a point is beyond reach.  invert_monotone
     then solves with the values at both ends known, since each may have
-    cost a quadrature; with dg, they and dg at both ends give its first
-    iterate, the cubic Hermite inverse of the bracket.  None when the
-    target is beyond reach, which each caller reports in its own way.
+    cost a quadrature.  Between two entries k and k + 1, seed(k, target),
+    when given, is its first iterate.  None when the target is beyond
+    reach, which each caller reports in its own way.
     """
     s = 1.0 if gs[-1] > gs[0] else -1.0
     k = bisect.bisect_left(gs, s * target, key=lambda v: s * v)
+    x0 = seed(k - 1, target) if seed and 0 < k < len(gs) else math.nan
     if 0 < k < len(gs):
         ends = (xs[k - 1], gs[k - 1]), (xs[k], gs[k])
     else:
@@ -784,7 +768,7 @@ def _solve(
             return None
     known = dict(ends)
     g_known = lambda x: known[x] if x in known else g(x)
-    return invert_monotone(g_known, target, (ends[0][0], ends[1][0]), tol=tol, dg=dg)
+    return invert_monotone(g_known, target, (ends[0][0], ends[1][0]), tol=tol, dg=dg, x0=x0)
 
 
 # ---------------------------------------------------------------------------
@@ -814,29 +798,31 @@ _GK_X, _GK_K, _GK_G = (np.concatenate((s * np.array(a[:-1]), a[::-1])) for s, a 
 for _a in (_GK_X, _GK_K, _GK_G):
     _a.flags.writeable = False
 _UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
+# From w's values on the Kronrod nodes of (-1, 1) to the Chebyshev
+# coefficients of the integral from -1 of their degree-14 interpolant: the
+# integral of each T_k (T_1, T_2/4, T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1))) and
+# the constant that makes it 0 at -1, times the inverse of T_k at the nodes
+_j, _m = np.arange(1, 15), np.zeros((16, 15))
+_m[1, 0], _m[_j + 1, _j], _m[_j[1:] - 1, _j[1:]] = 1.0, 0.5 / (_j + 1), -0.5 / _j[:-1]
+_m[0] = -((-1.0) ** np.arange(1, 16)[:, None] * _m[1:]).sum(axis=0)
+_GK_ANTIDERIVATIVE = np.linalg.solve(np.cos(np.arange(15)[:, None] * np.arccos(_GK_X)), _m.T).T
 
 
 def _gk_pieces(w, los, his):
-    """(K15, error, ok) of w on each interval (los[i], his[i]), from one
-    call to w on the 15 Kronrod nodes of every row; an interval with
-    his[i] < los[i] gives minus the mass on (his[i], los[i]).  The error is
-    |K15 - G7|, or the rounding of the nodes where that is larger (see
-    below).  ok marks the rows the pair certifies: finite ends (w is not
-    called on the others), K15 != 0 (a weight that underflows there stays
-    with tanh-sinh, whose masses never tie two knots of a table), |K15| <=
-    _HUGE (the bound past which tanh-sinh calls partial sums divergent),
-    and error <= _SEG_TOL |K15|, so K15 and G7 finite.  A call to w that
-    raises DivergentIntegral or EdgeIllConditioned certifies no row.  A
-    segment table halves the rows that fail the error test alone
-    (`_segment_masses`); a lone piece of a coordinate is not halved."""
+    """(K15, halve, ok, values) of w on each finite interval (los[i],
+    his[i]), from one call to w on the 15 Kronrod nodes of every row, whose
+    values it returns (rows x 15); his[i] < los[i] gives minus the mass on
+    (his[i], los[i]).  ok marks the rows the pair certifies: K15 != 0 (a
+    weight that underflows there stays with tanh-sinh, whose masses never
+    tie two knots of a table), |K15| <= _HUGE (past which tanh-sinh calls
+    partial sums divergent), and |K15 - G7| and the rounding of the nodes
+    (see below) both within _SEG_TOL |K15|, so K15 and G7 finite.  halve
+    marks the rows that fail the |K15 - G7| test alone, which a segment
+    table halves (`_segment_masses`); relative to K15 the rounding does not
+    shrink under halving.  A call to w that raises DivergentIntegral or
+    EdgeIllConditioned certifies no row, and its values are nan."""
     lo, hi = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
     half = 0.5 * (hi - lo)
-    fin = np.isfinite(half)
-    if not fin.all():
-        k15, err = np.full(len(lo), math.nan), np.full(len(lo), math.nan)
-        if fin.any():
-            k15[fin], err[fin], fin[fin] = _gk_pieces(w, lo[fin], hi[fin])
-        return k15, err, fin
     xs = ((lo + half)[:, None] + half[:, None] * _GK_X).ravel()
     try:
         with np.errstate(all="ignore"):
@@ -847,14 +833,15 @@ def _gk_pieces(w, los, his):
             # (u the unit roundoff): K15 may be off by u max(|lo|, |hi|) times
             # the variation of w across the piece, which 15 nodes do not
             # average away where w is steep far from 0
-            var = np.abs(np.diff(v, axis=1)).sum(axis=1)
-            err = np.maximum(np.abs(k15 - g7), _UNIT_ROUNDOFF * np.maximum(np.abs(lo), np.abs(hi)) * var)
+            rounding = _UNIT_ROUNDOFF * np.maximum(np.abs(lo), np.abs(hi)) * np.abs(np.diff(v, axis=1)).sum(axis=1)
+            tol = _SEG_TOL * np.abs(k15)
             # nan fails every comparison, and a finite K15 within _SEG_TOL of G7 makes G7 finite
-            ok = (k15 != 0.0) & (np.abs(k15) <= _HUGE) & (err <= _SEG_TOL * np.abs(k15))
+            fine = (k15 != 0.0) & (np.abs(k15) <= _HUGE) & (rounding <= tol)
+            agree = np.abs(k15 - g7) <= tol
     except (DivergentIntegral, EdgeIllConditioned):
-        nan = np.full(len(lo), math.nan)
-        return nan, nan, ~fin
-    return k15, err, ok
+        k15, v, fine = np.full(len(lo), math.nan), np.full((len(lo), 15), math.nan), np.zeros(len(lo), dtype=bool)
+        agree = fine
+    return k15, fine & ~agree, fine & agree, v
 
 
 def _w_mass(w, lo: float, hi: float, checked: bool = True) -> float:
@@ -875,19 +862,20 @@ def _w_mass(w, lo: float, hi: float, checked: bool = True) -> float:
 
 
 def _segment_masses(w, support: Support, knots: np.ndarray):
-    """(inner, head, tail): the masses of w between neighbouring knots, from
-    the lower edge to the first knot, and from the last knot to the upper
-    edge.  A divergent segment, or a stalled open one, has infinite mass.
+    """(inner, head, tail, values): the masses of w between neighbouring
+    knots, from the lower edge to the first knot, and from the last knot to
+    the upper edge, and w on the Kronrod nodes of the rows between knots
+    (nan but in rows the pair certifies on its first call).  A divergent
+    segment, or a stalled open one, has infinite mass.
 
     The segments between knots are first one `_gk_pieces` call, all rows
-    on one call to w; a row the pair certifies keeps its K15.  A row that
-    fails the pair's error test alone is halved, for at most _HALVINGS
-    rounds, each one `_gk_pieces` call on the pieces of every row still
-    open: a piece the pair certifies stands, and one that fails the error
-    test alone is halved again.  A row whose pieces all stand has their
-    sum.  A row with a piece whose K15 is 0, past _HUGE or not finite, or
-    with pieces left after the last round, runs alone through _w_mass, as
-    do the head and tail, which may be infinite."""
+    on one call to w; a row the pair certifies keeps its K15.  A row it
+    marks to halve is halved, up to _HALVINGS rounds of one `_gk_pieces`
+    call on the pieces of every open row: a certified piece stands, and a
+    marked one is halved again.  A row whose pieces all stand has their
+    sum; one with a piece neither certified nor marked, or with pieces
+    left after the last round, runs alone through _w_mass, as do the head
+    and tail, which may be infinite."""
 
     def seg(lo: float, hi: float, open_ended: bool) -> float:
         try:
@@ -897,11 +885,8 @@ def _segment_masses(w, support: Support, knots: np.ndarray):
                 return math.inf
             raise
 
-    def halvable(k15, ok):
-        return ~ok & (k15 != 0.0) & (np.abs(k15) <= _HUGE)  # a nan K15 fails the second test
-
-    inner, _, ok = _gk_pieces(w, knots[:-1], knots[1:])
-    rows = np.flatnonzero(halvable(inner, ok))
+    inner, halve, ok, values = _gk_pieces(w, knots[:-1], knots[1:])
+    rows = np.flatnonzero(halve)
     alone, sums = ~ok, np.zeros(len(inner))
     alone[rows] = False
     owner, los, his = rows, knots[rows], knots[rows + 1]
@@ -910,16 +895,43 @@ def _segment_masses(w, support: Support, knots: np.ndarray):
             break
         mids = 0.5 * (los + his)
         owner, los, his = owner.repeat(2), np.column_stack((los, mids)).ravel(), np.column_stack((mids, his)).ravel()
-        k15, _, ok = _gk_pieces(w, los, his)
-        sums += np.bincount(owner[ok], k15[ok], len(sums))
-        alone[owner[~ok & ~halvable(k15, ok)]] = True
-        more = ~ok & ~alone[owner]
+        k15, halve, ok_piece, _ = _gk_pieces(w, los, his)
+        sums += np.bincount(owner[ok_piece], k15[ok_piece], len(sums))
+        alone[owner[~ok_piece & ~halve]] = True
+        more = halve & ~alone[owner]
         owner, los, his = owner[more], los[more], his[more]
     alone[owner] = True
     inner[rows] = sums[rows]
     for i in np.flatnonzero(alone):
         inner[i] = seg(knots[i], knots[i + 1], False)
-    return inner, seg(support.lower, knots[0], True), seg(knots[-1], support.upper, True)
+    values = np.where(ok[:, None], values, math.nan)
+    return inner, seg(support.lower, knots[0], True), seg(knots[-1], support.upper, True), values
+
+
+def _chebyshev_root(coef: list, r: float) -> float:
+    """t in [-1, 1] with P(t) = r, for P = sum_k coef[k] T_k(t) rising from
+    P(-1) = 0: Newton in floats from the linear guess, P and P' by
+    Clenshaw's recurrence, bisecting the bracket of the iterates where a
+    step leaves it.  It stops at an exact zero residual, P' = 0 or a step
+    that does not move, before any bisection (which would leave an exact
+    root), or once no float lies inside the bracket."""
+    lo, hi, top = -1.0, 1.0, sum(coef)
+    t = max(lo, min(hi, 2.0 * r / top - 1.0)) if top else 0.0
+    for _ in range(_MAX_ITER):
+        t2, b1, b2, d1, d2 = t + t, 0.0, 0.0, 0.0, 0.0
+        for c in coef[:0:-1]:
+            b1, b2 = c + t2 * b1 - b2, b1
+            d1, d2 = b2 + b2 + t2 * d1 - d2, d1
+        f, df = coef[0] + t * b1 - b2 - r, b1 + t * d1 - d2
+        lo, hi = (t, hi) if f < 0.0 else (lo, t)
+        step = t - f / df if df else t
+        if step == t:  # f is 0, or the step does not move
+            return t
+        step = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < step < hi:  # no float inside the bracket
+            return t
+        t = step
+    return t
 
 
 class _Cumulative:
@@ -927,20 +939,23 @@ class _Cumulative:
     inverse: u(x) is the mass of w between x and an anchor, signed so that
     u' = -w (positive below an upper anchor, negative above a lower one).
 
-    Built from knots and their segment masses (`_segment_masses`); nothing
-    changes after construction.  A piece of u past the table (`_mass`) is
-    one call to w on the 7-15 pair's nodes where the pair certifies it,
-    and a tanh-sinh quadrature otherwise, so a solve between two knots
-    where w is smooth (`x_of_u`) runs no quadrature.  The anchor is the
-    upper edge when the tail mass is finite, else the lower edge when the
-    head mass is finite, else the median knot, unless the caller names
-    one.  u is walked outward from the anchor over the knots; a walk stops
-    at the first knot whose |u| passes _U_CAP, and such knots are dropped,
-    the u-support `sup` being unbounded on that side.
+    Built from knots, their segment masses and w on the Kronrod nodes of
+    the rows between them (`_segment_masses`); nothing changes after
+    construction.  A piece of u past the table (`_mass`) is one call to w
+    on the 7-15 pair's nodes where the pair certifies it, and a tanh-sinh
+    quadrature otherwise.  A solve (`x_of_u`) in a row with node values
+    starts from the root of the row's interpolant (`_seed`), and Newton
+    steps on w go on from it unless its u, one piece, is within _SEG_TOL.
+    The anchor is the upper edge when the tail mass is finite, else the
+    lower edge when the head mass is finite, else the median knot, unless
+    the caller names one.  u is walked outward from the anchor over the
+    knots; a walk stops at the first knot whose |u| passes _U_CAP, and
+    such knots are dropped, the u-support `sup` being unbounded on that
+    side.
     """
 
     def __init__(self, w, support: Support, knots: np.ndarray, masses, anchor: str = ""):
-        inner, head, tail = masses
+        inner, head, tail, values = masses
         n = len(knots)
         if not anchor:
             finite = math.isfinite(tail), math.isfinite(head)
@@ -964,6 +979,7 @@ class _Cumulative:
         self.anchor_x = float(knots[i0]) if anchor == "median" else getattr(support, anchor)
         self.knots = knots[good].tolist()
         self.u_knots = u[good].tolist()
+        self.values = values[good[:-1] & good[1:]]
 
     def _mass(self, lo: float, hi: float) -> float:
         """The mass of w on (lo, hi): the pair's K15 where it certifies the
@@ -971,9 +987,10 @@ class _Cumulative:
         u_of_x)."""
         if lo == hi:
             return 0.0
-        k15, _, ok = _gk_pieces(self.w, (lo,), (hi,))
-        if ok[0]:
-            return float(k15[0])
+        if math.isfinite(hi - lo):
+            k15, _, ok, _ = _gk_pieces(self.w, (lo,), (hi,))
+            if ok[0]:
+                return float(k15[0])
         return _w_mass(self.w, lo, hi, checked=math.isfinite(lo) and math.isfinite(hi))
 
     def _reached(self, x: float) -> float:
@@ -1012,11 +1029,19 @@ class _Cumulative:
         k, uk = (xs[j], us[j]) if j >= 0 else (ax, 0.0)
         return uk - self._mass(k, x)
 
+    def _seed(self, j: int, u: float) -> float:
+        """x in row j where u_j less the integral from knot j of the row's
+        Kronrod interpolant of w is u; nan where the row holds no values."""
+        lo, half = self.knots[j], 0.5 * (self.knots[j + 1] - self.knots[j])
+        coef, r = (_GK_ANTIDERIVATIVE @ self.values[j]).tolist(), float(self.u_knots[j] - u) / half
+        return math.nan if math.isnan(coef[0]) else lo + half * (1.0 + _chebyshev_root(coef, r))
+
     def x_of_u(self, u: float) -> Optional[float]:
-        """The x with u(x) = u to _SEG_TOL relative, or None beyond reach."""
+        """The x with u(x) = u to _SEG_TOL relative, or None beyond reach,
+        solved from the seed of the row that brackets u where it has one."""
         edges = (self.support.lower, self.support.upper)
         dg = lambda x: -float(self.w(x))
-        return _solve(self.u_of_x, u, self.knots, self.u_knots, edges, _SEG_TOL, dg, self._reached)
+        return _solve(self.u_of_x, u, self.knots, self.u_knots, edges, _SEG_TOL, dg, self._reached, self._seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1422,7 +1447,7 @@ def quantiles(f: Density, qs: Sequence[float]) -> np.ndarray:
         raise InvalidParams("quantile fractions must lie strictly inside (0, 1)")
     sup = f.support
     knots = np.unique(sup.clustered(64))
-    inner, head, tail = masses = _segment_masses(f.value, sup, knots)
+    inner, head, tail, _ = masses = _segment_masses(f.value, sup, knots)
     total = head + float(np.sum(inner)) + tail
     if not math.isfinite(total):
         raise NonConvergent(f"the mass of {f.label!r} is not resolved on its segment table")

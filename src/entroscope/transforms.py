@@ -20,8 +20,8 @@ coordinate of the weight f/U in `core` (`core._Cumulative`), u'(x) =
 the median knot) and cumulated once over a table of knots; both
 inversions go through the one table-bracketed solve, `core._solve`.  A
 piece of u between a knot and a point is one 7-15 Gauss-Kronrod pair
-where the pair certifies it, so an up value between two knots costs a
-few calls to f/U and no quadrature.
+where the pair certifies it; a solve between two knots starts from the
+root of the row's Kronrod interpolant, so an up value costs one piece.
 Measures need neither: an image also carries its maps at source points
 (coordinate and log value, see TransformedDensity), and moments and
 entropies integrate against the source through them.

@@ -380,10 +380,13 @@ class TestGeneralizedTrig:
         assert d.support.upper == pytest.approx(C * edge, rel=1e-12)
 
     def test_up_of_gg_far_tail_without_warnings(self):
-        # in sinh_gen's tail dg at a bracket end is tiny, so the Hermite
-        # seed's slopes overflow: its sign test must not form their product
-        # (a library RuntimeWarning is an error in these tests)
-        assert up_of_gg(3, 0.5, 2.5).value(-99.0) == pytest.approx(3.833324533354893e-111, rel=1e-12)
+        # far in sinh_gen's tail w at a bracket end is tiny, and no step
+        # may overflow (a library RuntimeWarning is an error in these
+        # tests).  The value 4 x^-2 at x = z^(1/3)/m, m = 2^(-2/3), where
+        # 2 (ln(1 + sqrt z) + 1/(1 + sqrt z) - 1) = 99/C and C = A/3,
+        # A = 2 a_{3,0.5}: mpmath at 40 digits.  It moves by 252 dA/A, so
+        # the float A alone keeps 1.5e-14
+        assert up_of_gg(3, 0.5, 2.5).value(-99.0) == pytest.approx(3.833324533347336e-111, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("v, b", [(2.0, 2.0), (3.0, 4.0), (-1.0, 1.5), (-0.5, 3.0)])
     def test_quarter_period_and_limit_closed_forms(self, v, b):

@@ -20,8 +20,11 @@ then times uninstrumented passes.  It writes, per workload:
   and those handed back to `_w_mass`; the halving calls to the pair and
   the pieces they hold.  A table that raises (`tables_raised`) counts no
   rows as certified after halving;
-- L2 inversion: `_Cumulative.x_of_u` solves, and the scalar quadratures
-  and certified and handed-back pieces each one makes;
+- L2 inversion: `_Cumulative.x_of_u` solves, and the scalar quadratures,
+  certified and handed-back pieces, and calls to the coordinate's weight
+  on 15 nodes (one pair piece each) and on one point (Newton steps and
+  the march) each one makes; the solves seeded from a table row's
+  Kronrod interpolant, and the seeds that stand at their first check;
 - L1 rule overhead (`rule_us_per_quadrature`): the mean wall time of a
   scalar quadrature less the time spent in its integrand calls, in µs (an
   integrand's nested quadratures count as their own), the least over
@@ -39,6 +42,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import statistics
 import sys
 import time
@@ -58,6 +62,7 @@ from bench.worker import Runner  # noqa: E402
 from entroscope import core, special, transforms  # noqa: E402
 
 PIECES = ("pieces_certified", "pieces_handed_back")
+W_CALLS = ("w_calls_15_node", "w_calls_scalar")
 TABLE = ("tables", "tables_raised", "rows", "rows_certified_at_once", "rows_certified_after_halving",
          "rows_handed_back", "halving_calls", "halving_pieces")
 
@@ -69,7 +74,7 @@ class Counters:
         self.n = dict.fromkeys(
             ("quadratures", "integrand_calls", "evaluations", "quadratures_ok", "integrand_calls_ok",
              "evaluations_ok", "x_of_u", "x_of_u_quadratures", *PIECES, *(f"x_of_u_{k}" for k in PIECES),
-             *TABLE), 0)
+             *(f"x_of_u_{k}" for k in W_CALLS), "seeded_x_of_u", "seeds_accepted_at_first_check", *TABLE), 0)
         self._saved = []
         self._tables = []  # per table being built: [calls to the pair, rows, rows certified at once, handed back]
 
@@ -84,7 +89,7 @@ class Counters:
 
     def install(self) -> None:
         n = self.n
-        tanh_sinh, x_of_u = core._tanh_sinh, core._Cumulative.x_of_u
+        tanh_sinh, x_of_u, invert_monotone = core._tanh_sinh, core._Cumulative.x_of_u, core.invert_monotone
         gk_pieces, segment_masses, w_mass = core._gk_pieces, core._segment_masses, core._w_mass
         # a table's own calls come from `_segment_masses` and its `seg` (the
         # weight may run pair pieces and quadratures of its own)
@@ -110,11 +115,28 @@ class Counters:
         def counted_x_of_u(coords, u):
             n["x_of_u"] += 1
             before = [n[k] for k in ("quadratures", *PIECES)]
+            w = coords.w
+
+            def counted_w(x):
+                size = np.size(x)
+                if size in (1, 15):
+                    n[f"x_of_u_{W_CALLS[size == 1]}"] += 1
+                return w(x)
+
+            coords.w = counted_w
             try:
                 return x_of_u(coords, u)
             finally:
+                coords.w = w
                 for k, b in zip(("quadratures", *PIECES), before):
                     n[f"x_of_u_{k}"] += n[k] - b
+
+        def counted_invert_monotone(g, target, bracket, *args, x0=math.nan, **kwargs):
+            x = invert_monotone(g, target, bracket, *args, x0=x0, **kwargs)
+            if min(bracket) < x0 < max(bracket):
+                n["seeded_x_of_u"] += 1
+                n["seeds_accepted_at_first_check"] += int(x == x0)
+            return x
 
         def counted_gk_pieces(g, *args):
             out = gk_pieces(g, *args)
@@ -157,6 +179,7 @@ class Counters:
         # the helpers are bound by name in the modules that import them
         for owners, name, fn in (((core,), "_tanh_sinh", counted_tanh_sinh),
                                  ((core._Cumulative,), "x_of_u", counted_x_of_u),
+                                 ((core,), "invert_monotone", counted_invert_monotone),
                                  ((core,), "_gk_pieces", counted_gk_pieces),
                                  ((core,), "_w_mass", counted_w_mass),
                                  ((core, special, transforms), "_segment_masses", counted_segment_masses)):
@@ -253,7 +276,9 @@ def measure(workload: str, seed: int, passes: int) -> dict:
         "L2": {
             "x_of_u": n["x_of_u"],
             "quadratures_per_x_of_u": per_solve(n["x_of_u_quadratures"]),
-            **{f"{k}_per_x_of_u": per_solve(n[f"x_of_u_{k}"]) for k in PIECES},
+            **{f"{k}_per_x_of_u": per_solve(n[f"x_of_u_{k}"]) for k in (*PIECES, *W_CALLS)},
+            "seeded_x_of_u": n["seeded_x_of_u"],
+            "seeds_accepted_at_first_check": n["seeds_accepted_at_first_check"],
         },
         "pass_ms": statistics.median(times),
         "pass_ms_all": times,
