@@ -13,6 +13,9 @@ Every member, mirror_gg's sign-flipped one included, comes from one kernel
 A (1 - sign (lambda-1) x^{p*})_+^{1/(lambda-1)}, and every Beta constant from
 scipy.special.  Closed-form transform images below are parameterized by the
 actual amplitude of the input, so they are exact for every mode.
+down_of_gg maps s to its source level y by one level map, the inverse of
+the canonical variable, and values it by one kernel of y, whose lambda = 1
+case is the limit of the others.
 sin_gen, sinh_gen and the closed up images for lambda != 1 solve on a
 cumulative coordinate of the generalized sine's weight (`core._Cumulative`);
 arcsin_gen and arcsinh_gen stay plain quadratures, an independent reference.
@@ -116,14 +119,21 @@ def _stirling_tail(z: float) -> float:
 
 def _gamma_ratio(b: float, a: float) -> float:
     """Gamma(b + a)/Gamma(b) for a > 0.  scipy's poch forms it as
-    exp(lgamma(b + a) - lgamma(b)) for b up to ~1e4, which keeps 1e-13 to
-    1e-11 relative error for b from 30 on; there it is b^a exp(r), where r
-    is the difference of Stirling's series at b + a and at b less a ln b,
+    exp(lgamma(b + a) - lgamma(b)) for b up to ~1e4, with relative errors
+    of 1e-13 to 1e-11 from b = 30 on and up to 2.4e-14 from b = 6; it is
+    kept below b = 6, where it is the more accurate.  From b = 6 on the
+    ratio is b^a exp(r) at b shifted up to 30 or more by
+    Gamma(b + 1) = b Gamma(b), times the shift's factors b/(b + a); r is the
+    difference of Stirling's series at b + a and at b less a ln b,
     (b + a - 1/2) log1p(a/b) - a + (tail terms), of order a^2/b."""
-    if b < 30.0:
+    if b < 6.0:
         return poch(b, a)
+    shift = 1.0
+    while b < 30.0:
+        shift *= b / (b + a)
+        b += 1.0
     r = (b + a - 0.5) * math.log1p(a / b) - a + _stirling_tail(b + a) - _stirling_tail(b)
-    return b**a * math.exp(r)
+    return shift * b**a * math.exp(r)
 
 
 @dataclass(frozen=True)
@@ -538,61 +548,35 @@ def _gg_amplitude(p: float, lam: float, mode: str) -> tuple[float, float]:
 def down_of_gg(p: float, lam: float, alpha: float, mode: str = "half") -> Density:
     """Closed-form density of the alpha-order down transform of g_{p,lambda}.
 
-    The four analytic branches (generic, lambda=1, alpha=2, both) are exact
-    in the canonical variable; they cross-validate the numeric transform.
+    One level map takes s to the source level y it stands for, inverting the
+    canonical variable: y = ((alpha-2) s)^{1/(2-alpha)}, or y = e^{-s} at
+    alpha = 2, with l = ln(A/y) (s less the lower edge at alpha = 2), A the
+    input's amplitude.  One kernel values it: the source point x has
+    x^{p*} = ln_lambda(A/y) = expm1((1-lambda) l) / (1-lambda), which is l at
+    lambda = 1, and the value is A^{1-lambda} y^{alpha+lambda-2} (x^{p*})^{-1/p} / p*.
+    Through expm1, x^{p*} does not cancel near the lower edge, as
+    y^{lambda-1} - A^{lambda-1} would.  It cross-validates the numeric transform.
     """
     if p == 0:
         raise OutOfDomain("closed-form down images require p != 0")
     A, mass = _gg_amplitude(p, lam, mode)
     ps = holder_conjugate(p)
-    lam1 = abs(lam - 1.0) < _SHANNON_WINDOW
-    if alpha != 2:
-        s_lo = A ** (2.0 - alpha) / (alpha - 2.0)
-        s_hi = 0.0 if alpha < 2 else math.inf
-        sup = Support(s_lo, s_hi)
-        if lam1:
-
-            def val(s):
-                s = np.asarray(s, dtype=float)
-                with np.errstate(all="ignore"):
-                    X = (alpha - 2.0) * s
-                    logterm = np.log(A ** (alpha - 2.0) * X) / (alpha - 2.0)
-                    return (1.0 / ps) * X ** ((alpha - 1.0) / (2.0 - alpha)) * logterm ** (-1.0 / p)
-
-        else:
-            C = abs(1.0 - lam) ** (1.0 / p) / (A ** ((lam - 1.0) / ps) * ps)
-
-            def val(s):
-                s = np.asarray(s, dtype=float)
-                with np.errstate(all="ignore"):
-                    X = (alpha - 2.0) * s
-                    return (
-                        C
-                        * X ** ((alpha + lam - 2.0) / (2.0 - alpha))
-                        * np.abs(X ** ((lam - 1.0) / (2.0 - alpha)) - A ** (lam - 1.0))
-                        ** (-1.0 / p)
-                    )
-
-    else:
+    e = 0.0 if abs(lam - 1.0) < _SHANNON_WINDOW else 1.0 - lam  # the kernel's 1 - lambda
+    if alpha == 2:
         sup = Support(-math.log(A), math.inf)
-        if lam1:
+        level = lambda s: (np.exp(-s), s - sup.lower)
+    else:
+        sup = Support(A ** (2.0 - alpha) / (alpha - 2.0), 0.0 if alpha < 2 else math.inf)
 
-            def val(s):
-                s = np.asarray(s, dtype=float)
-                with np.errstate(all="ignore"):
-                    return np.exp(-s) / (ps * (s + math.log(A)) ** (1.0 / p))
+        def level(s):
+            y = ((alpha - 2.0) * s) ** (1.0 / (2.0 - alpha))
+            return y, np.log(A / y)
 
-        else:
-            C = abs(1.0 - lam) ** (1.0 / p) * A ** (1.0 - lam) / ps
-
-            def val(s):
-                s = np.asarray(s, dtype=float)
-                with np.errstate(all="ignore"):
-                    return (
-                        C
-                        * np.exp(-lam * s)
-                        * np.abs(A ** (1.0 - lam) * np.exp((1.0 - lam) * s) - 1.0) ** (-1.0 / p)
-                    )
+    def val(s):
+        with np.errstate(all="ignore"):
+            y, ell = level(np.asarray(s, dtype=float))
+            t = np.abs(ell if e == 0.0 else np.expm1(e * ell) / e)  # |t|: y may round past A
+            return A**e / ps * y ** (alpha - 1.0 - e) * t ** (-1.0 / p)
 
     return Density(
         support=sup,

@@ -342,11 +342,10 @@ def down(f: Density, alpha: float) -> TransformedDensity:
         def log_derivative(point: tuple[float, float]) -> tuple[float, float]:
             """(log |D'|, sign D') from f, f' and f'' at the source point."""
             x, _ = point
-            v, dv, ddv = (np.float64(g(x)) for g in (f.value, f.derivative, f.second_derivative))
+            m = a - float(_curvature(f, x))
             with np.errstate(all="ignore"):
-                m = a - v * ddv / dv**2
                 log_mag = (2 * a - 2.0) * float(lv_f(x)) - float(ld_f(x)) + float(np.log(abs(m)))
-            return log_mag, float(np.sign(dv) * np.sign(m))
+            return log_mag, float(np.sign(f.derivative(x)) * np.sign(m))
 
     value, log_value, der, log_der = _image_fields(
         locate, lambda point: float(log_kernel(*point)), log_derivative
@@ -381,13 +380,19 @@ def _probe_grid(f: Density, n: int) -> np.ndarray:
     return f.support.at(np.linspace(0.0, 1.0, n + 2)[1:-1])
 
 
+def _curvature(f: Density, x):
+    """f f''/f'^2 at x, formed as exp(log f - 2 log |f'|) f'' from
+    `core._log_pair`: f f'' alone overflows where f and f'' are both large,
+    as for powerlaw(a=-0.5) near 0."""
+    lv, ld = _log_pair(f)
+    with np.errstate(all="ignore"):
+        log_ratio = np.asarray(lv(x), dtype=float) - 2.0 * np.asarray(ld(x), dtype=float)
+        return np.exp(log_ratio) * np.asarray(f.second_derivative(x), dtype=float)
+
+
 def _curvature_ratio(f: Density, n: int) -> np.ndarray:
     """The finite values of f f''/f'^2 on the n-point probe grid."""
-    xs = _probe_grid(f, n)
-    with np.errstate(all="ignore"):
-        r = np.asarray(f.value(xs), dtype=float) * np.asarray(
-            f.second_derivative(xs), dtype=float
-        ) / np.asarray(f.derivative(xs), dtype=float) ** 2
+    r = _curvature(f, _probe_grid(f, n))
     return r[np.isfinite(r)]
 
 

@@ -184,7 +184,7 @@ class TestIntegrate:
         # the integrand is exactly 0 around the midpoint: each side must
         # still expand until it reaches the mass at the endpoint
         r = integrate(lambda x: np.exp(-np.asarray(x) ** 2), Support(0.0, 100.0))
-        assert r.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
+        assert r.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14, abs=0.0)
         r = integrate(lambda x: np.exp(-np.asarray(x)), Support(700.0, 1200.0), min_scale=0.0)
         assert r.value == pytest.approx(math.exp(-700.0) - math.exp(-1200.0), rel=1e-13, abs=0.0)
 
@@ -198,7 +198,7 @@ class TestIntegrate:
             integrate(g, Support(0.0, math.inf), tol=1e-15)
         r = info.value.result
         assert r.value == 1.0000000000000016
-        assert r.error_estimate == pytest.approx(2.43e-14, rel=1e-2)
+        assert r.error_estimate == pytest.approx(2.43e-14, rel=1e-2, abs=0.0)
         assert r.evaluations == 4717
 
     def test_raising_integrand_called_once_on_an_array(self):
@@ -217,7 +217,7 @@ class TestIntegrate:
         assert len(array_calls) == 1
 
     def test_constant_integrand(self):
-        assert integrate(lambda x: 2.0, Support(0.0, 3.0)).value == pytest.approx(6.0, rel=1e-14)
+        assert integrate(lambda x: 2.0, Support(0.0, 3.0)).value == pytest.approx(6.0, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "g, support",
@@ -503,6 +503,27 @@ class TestInvertMonotone:
         with pytest.raises(NotMonotone):
             invert_monotone(lambda t: math.sin(3 * t), 0.4, (0.0, 2.6))
 
+    def test_invert_level_without_inverter(self):
+        # f = 2 (1 - x) on (0, 1) carries no level inverter: invert_monotone
+        # solves f(x) = y, whose root is 1 - y/2
+        f = Density(
+            support=Support(0.0, 1.0),
+            value=lambda x: 2.0 * (1.0 - np.asarray(x, dtype=float)),
+            derivative=lambda x: np.full_like(np.asarray(x, dtype=float), -2.0),
+            monotone_decreasing=True,
+        )
+        for y in (0.1, 0.7, 1.3, 1.9):
+            assert f.invert_level(y) == pytest.approx(1.0 - y / 2.0, rel=1e-13, abs=0.0)
+
+    def test_invert_level_without_inverter_needs_a_bounded_support(self):
+        f = Density(
+            support=Support(0.0, math.inf),
+            value=lambda x: np.exp(-np.asarray(x, dtype=float)),
+            monotone_decreasing=True,
+        )
+        with pytest.raises(EdgeIllConditioned):
+            f.invert_level(0.5)
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=0.02, max_value=0.98))
     def test_roundtrip_random_levels(self, u):
@@ -684,10 +705,10 @@ class TestAffineFields:
         lk = math.log(kappa)
         for X in (0.2, 1.0, 2.5):
             x = sigma * X / kappa + c
-            assert g(x) == pytest.approx(kappa * f(X), rel=1e-13)
-            assert g.d(x) == pytest.approx(sigma * kappa**2 * f.d(X), rel=1e-13)
-            assert g.dd(x) == pytest.approx(kappa**3 * f.dd(X), rel=1e-13)
-            assert g.invert_level(g(x)) == pytest.approx(x, rel=1e-12)
+            assert g(x) == pytest.approx(kappa * f(X), rel=1e-13, abs=0.0)
+            assert g.d(x) == pytest.approx(sigma * kappa**2 * f.d(X), rel=1e-13, abs=0.0)
+            assert g.dd(x) == pytest.approx(kappa**3 * f.dd(X), rel=1e-13, abs=0.0)
+            assert g.invert_level(g(x)) == pytest.approx(x, rel=1e-12, abs=0.0)
             assert g.log_value(x) == pytest.approx(lk + f.log_value(X), rel=1e-13, abs=1e-15)
             assert g.log_abs_derivative(x) == pytest.approx(
                 2 * lk + f.log_abs_derivative(X), rel=1e-13, abs=1e-15
@@ -705,7 +726,7 @@ class TestAffineFields:
         X = d.support.lower + 1.0
         v = g(sigma * X / kappa + c)
         assert type(v) is float
-        assert v == pytest.approx(kappa * d(X), rel=1e-12)
+        assert v == pytest.approx(kappa * d(X), rel=1e-12, abs=0.0)
 
 
 class TestQuantiles:
@@ -802,7 +823,7 @@ class TestQuantiles:
         assert g[0] == pytest.approx(-7.034483825301132, rel=1e-12)
         assert g[1] == pytest.approx(7.034486910047835, rel=1e-12)
         e = quantiles(builtin("exp"), [lo, hi])
-        assert e[0] == pytest.approx(-math.log1p(-lo), rel=1e-12)
+        assert e[0] == pytest.approx(-math.log1p(-lo), rel=1e-12, abs=0.0)
         assert e[1] == pytest.approx(-math.log(1.0 - hi), rel=1e-12)
 
     @pytest.mark.parametrize("flip", [False, True])
@@ -1192,7 +1213,7 @@ class TestCumulative:
             m.setattr(core, "_gk_pieces", _certify_nothing)
             assert (x2 is None) == (coords.x_of_u(u) is None)
         if x2 is not None:
-            assert coords.u_of_x(x2) == pytest.approx(u, rel=1e-12)
+            assert coords.u_of_x(x2) == pytest.approx(u, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("spec, alpha", [("exp", 3.0), ("pareto:eta=3", 3.0), ("gauss", None)])
     def test_pieces_in_a_solve_are_certified(self, spec, alpha):

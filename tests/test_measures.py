@@ -1,5 +1,6 @@
 """Moment, entropy, and Fisher functionals against independent oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from entroscope.core import builtin, rescale
 from entroscope.errors import DivergentIntegral, MissingDerivative, OutOfDomain, Unbounded
 from entroscope.measures import (
+    _ROUNDS,
     entropic_Sp,
     evaluate_measure,
     exp_moment,
@@ -207,6 +209,22 @@ class TestFisherSup:
         expected = math.exp(-0.5) / math.sqrt(2 * math.pi)
         assert abs(fisher_sup(GAUSS, 2) - expected) < 1e-8
         assert abs(expected - 0.24197072451914337) < 1e-15
+
+    @pytest.mark.parametrize("f,edges", [(GAUSS, 0), (EXP, 1), (builtin("powerlaw", {"a": 2.0}), 2)])
+    def test_one_array_call_per_round(self, f, edges):
+        # the grid, _ROUNDS zoom rounds and one probe per finite edge, each
+        # one call of the integrand on an array; the value is the one the
+        # density's own log pair gives
+        shapes = []
+
+        def value(x):
+            shapes.append(np.shape(x))
+            return f.value(x)
+
+        plain = dataclasses.replace(f, value=value, log_value=None, log_abs_derivative=None)
+        assert fisher_sup(plain, 2) == pytest.approx(fisher_sup(f, 2), rel=1e-14, abs=0.0)
+        assert len(shapes) == 1 + _ROUNDS + edges
+        assert all(len(shape) == 1 and shape[0] > 1 for shape in shapes)
 
     @pytest.mark.parametrize("f,orders", [(GAUSS, (32, 64)), (EXP, (64, 256))])
     def test_large_p_agreement(self, f, orders):

@@ -28,6 +28,7 @@ from entroscope.special import (
     sinh_gen,
     up_of_gg,
 )
+from entroscope.transforms import up
 
 
 # ----------------------------------------------------------------- oracles
@@ -129,7 +130,9 @@ class TestGGNormalization:
         + [(p, lam, 1e-14) for p, lam in [(2.0, 0.7), (4.0, 0.85), (2.0, 1.5), (1.5, 3.0), (3.0, 0.7),
                                            (2.0, 2.0), (1.5, 1.5)]]
         # second argument 33-1e3, where scipy's poch goes through lgamma
-        + [(p, lam, 1e-15) for p, lam in [(3.0, 0.99), (3.0, 0.999), (1.5, 1.001), (2.0, 0.97)]],
+        + [(p, lam, 1e-15) for p, lam in [(3.0, 0.99), (3.0, 0.999), (1.5, 1.001), (2.0, 0.97)]]
+        # second argument 19.3, shifted up to the Stirling form
+        + [(3.0, 0.95, 2e-15)],
     )
     def test_beta_constant_against_mpmath(self, p, lam, rel):
         import mpmath as mp
@@ -213,6 +216,16 @@ class TestGGDensity:
             fd = (f.d(x + h) - f.d(x - h)) / (2 * h)
             assert abs(fd - f.dd(x)) < 1e-5 * max(1.0, abs(f.dd(x)))
 
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+    def test_p_zero_derivatives_finite_differences(self, lam):
+        # A (-ln x)^{1/(lambda-1)} on (0, 1): f' and f'' against central differences
+        f = gg_density(0, lam, mode="half")
+        for x in np.linspace(0.15, 0.85, 8):
+            h = 1e-6
+            assert abs((f(x + h) - f(x - h)) / (2 * h) - f.d(x)) <= 2e-6 * max(1.0, abs(f.d(x)))
+            h = 3e-5
+            assert abs((f.d(x + h) - f.d(x - h)) / (2 * h) - f.dd(x)) < 1e-5 * max(1.0, abs(f.dd(x)))
+
     def test_level_inverter(self):
         f = gg_density(2, 2, mode="half")
         y = f(0.33)
@@ -257,7 +270,7 @@ class TestGGDensity:
                 return 8 * v**7 * edge * A * (-mp.expm1(ps * mp.log1p(-(v**8)))) ** e
 
             ref = mp.quad(weighted, [0, 0.5, 1])
-        assert m.mass == pytest.approx(float(ref), rel=1e-13)
+        assert m.mass == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
     def test_mirror_gg_is_paper_mode_for_lam_gt1(self):
         # one kernel: the same value, f', f'' and level inverter, bit for bit
@@ -377,7 +390,43 @@ class TestGeneralizedTrig:
         C = A * abs(a2) ** (1.0 / a2) * a2 / ((alpha - 1.0) * m ** ((alpha - 1.0) / a2))
         edge = _arcsin_quarter(v, b) if lam > 1 else _arcsinh_limit(v, b)
         assert d.support.lower == 0.0
-        assert d.support.upper == pytest.approx(C * edge, rel=1e-12)
+        assert d.support.upper == pytest.approx(C * edge, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "p, lam", [(2.0, 0.7), (4.0, 0.85), (3.0, 1.0), (2.0, 1.5), (1.5, 3.0), (-2.0, 1.2)]
+    )
+    def test_down_of_gg_against_mpmath(self, p, lam):
+        # C y^{alpha+lambda-2} |y^{lambda-1} - A^{lambda-1}|^{-1/p}, and
+        # y^{alpha-1} ln(A/y)^{-1/p} / p* at lambda = 1, at the level y of s,
+        # in 40 digits from the same float s and A.  The two powers in the
+        # bracket cancel near the lower edge, where the value may not lose
+        # more digits than its level y does
+        import mpmath as mp
+
+        A = mp.mpf(special._gg_amplitude(p, lam, "half")[0])
+        for alpha in (-1.0, 0.5, 1.5, 2.0, 3.0):
+            d = special.down_of_gg(p, lam, alpha)
+            ss = [float(s) for s in d.support.at(np.linspace(0.05, 0.95, 7))]
+            with mp.workdps(40):
+                P, L, a = mp.mpf(p), mp.mpf(lam), mp.mpf(alpha)
+                ps = P / (P - 1)
+                ys = [mp.exp(-mp.mpf(s)) if alpha == 2 else ((a - 2) * s) ** (1 / (2 - a)) for s in ss]
+                if lam == 1:
+                    expected = [float(y ** (a - 1) * mp.log(A / y) ** (-1 / P) / ps) for y in ys]
+                else:
+                    C = abs(1 - L) ** (1 / P) / (A ** ((L - 1) / ps) * ps)
+                    bracket = [abs(y ** (L - 1) - A ** (L - 1)) for y in ys]
+                    expected = [float(C * y ** (a + L - 2) * b ** (-1 / P)) for y, b in zip(ys, bracket)]
+            assert d.value(np.array(ss)) == pytest.approx(expected, rel=5e-15, abs=0.0)
+
+    @pytest.mark.parametrize("p, lam", [(2.0, 0.7), (3.0, 1.0), (2.0, 1.5)])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_up_of_gg_is_the_numeric_image_inside_1_2(self, p, lam, alpha):
+        # no closed form for 1 <= alpha <= 2: up_of_gg hands back up(g, alpha)
+        closed, numeric = up_of_gg(p, lam, alpha), up(gg_density(p, lam), alpha)
+        assert closed.support == numeric.support
+        for s in numeric.support.at(np.array([0.1, 0.3, 0.5, 0.7, 0.9])):
+            assert closed(float(s)) == numeric(float(s))
 
     def test_up_of_gg_far_tail_without_warnings(self):
         # far in sinh_gen's tail w at a bracket end is tiny, and no step
@@ -391,7 +440,7 @@ class TestGeneralizedTrig:
     @pytest.mark.parametrize("v, b", [(2.0, 2.0), (3.0, 4.0), (-1.0, 1.5), (-0.5, 3.0)])
     def test_quarter_period_and_limit_closed_forms(self, v, b):
         # B(1/b, 1 - 1/v)/b and B(1/b, 1/v - 1/b)/b against the quadratures
-        assert _arcsin_quarter(v, b) == pytest.approx(arcsin_gen(v, b, 1.0), rel=1e-12)
+        assert _arcsin_quarter(v, b) == pytest.approx(arcsin_gen(v, b, 1.0), rel=1e-12, abs=0.0)
         if b / v > 1.0:
             assert _arcsinh_limit(v, b) == pytest.approx(arcsinh_gen(v, b, math.inf), rel=1e-12)
         else:
