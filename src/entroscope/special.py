@@ -10,9 +10,13 @@ construction modes are supported:
 * ``paper`` - bare restriction to (0, edge) carrying mass 1/2.
 
 Every member, mirror_gg's sign-flipped one included, comes from one kernel
-A (1 - sign (lambda-1) x^{p*})_+^{1/(lambda-1)}, and every Beta constant from
-scipy.special.  Closed-form transform images below are parameterized by the
-actual amplitude of the input, so they are exact for every mode.
+A (1 - sign (lambda-1) x^{p*})_+^{1/(lambda-1)}.  Gamma is math.gamma
+(`_gamma`) and every Beta constant Gamma(s)/(Gamma(l+s)/Gamma(l))
+(`_gamma_ratio`).  scipy.special is imported only inside inc_gamma_upper
+and inv_inc_gamma_upper, when one of them first runs; of the rest, only
+the values of up_of_gg's lambda = 1 image call them.  Closed-form
+transform images below are parameterized by the actual amplitude of the
+input, so they are exact for every mode.
 down_of_gg maps s to its source level y by one level map, the inverse of
 the canonical variable, and values it by one kernel of y, whose lambda = 1
 case is the limit of the others.
@@ -27,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta, gammaincc, gammainccinv, poch
-from scipy.special import gamma as _gamma_fn
 
 from .core import Density, Support, _Cumulative, _pointwise, _segment_masses, integrate
 from .errors import DivergentIntegral, EdgeIllConditioned, InvalidParams, OutOfDomain, OutOfRange
@@ -100,40 +102,79 @@ def gg_normalization(p: float, lam: float) -> float:
 def _gg_constant(p: float, lam: float) -> float:
     """a_{p,lambda} unchecked, its Beta form continued formally to mirrored members."""
     if p == 0:
-        return 1.0 / (2.0 * _gamma_fn(lam / (lam - 1.0)))
+        return 1.0 / (2.0 * _gamma(lam / (lam - 1.0)))
     ps = holder_conjugate(p)
     if abs(lam - 1.0) < _SHANNON_WINDOW:
-        return ps / (2.0 * _gamma_fn(1.0 / ps))
+        return ps / (2.0 * _gamma(1.0 / ps))
     second = lam / abs(1.0 - lam) + (1.0 / p if 1.0 - lam > 0 else 0.0)
-    # 1/B(1/p*, second) = Gamma(second + 1/p*)/Gamma(second)/Gamma(1/p*): beta is 2.4e-10 off at (1.5, 1 - 1e-5)
-    return ps * abs(1.0 - lam) ** (1.0 / ps) * _gamma_ratio(second, 1.0 / ps) / (2.0 * _gamma_fn(1.0 / ps))
+    # 1/B(1/p*, second) = Gamma(second + 1/p*)/Gamma(second)/Gamma(1/p*): scipy's beta is 2.4e-10 off at (1.5, 1 - 1e-5)
+    return ps * abs(1.0 - lam) ** (1.0 / ps) * _gamma_ratio(second, 1.0 / ps) / (2.0 * _gamma(1.0 / ps))
 
 
 def _stirling_tail(z: float) -> float:
     """The terms of Stirling's series for ln Gamma(z) after (z - 1/2) ln z
-    - z + ln(2 pi)/2, through z^-7.  The first term left out, 1/(1188 z^9),
-    changes by at most 1.3e-17 a between z = b and b + a for b >= 30."""
+    - z + ln(2 pi)/2, through z^-11.  The first term left out, 1/(156 z^13),
+    changes by at most 2.9e-18 a between z = b and b + a for b >= 15."""
     w = 1.0 / (z * z)
-    return (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w / 1680.0))) / z
+    inner = 1.0 / 1680.0 - w * (1.0 / 1188.0 - w * 691.0 / 360360.0)
+    return (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w * inner))) / z
 
 
 def _gamma_ratio(b: float, a: float) -> float:
-    """Gamma(b + a)/Gamma(b) for a > 0.  scipy's poch forms it as
-    exp(lgamma(b + a) - lgamma(b)) for b up to ~1e4, with relative errors
-    of 1e-13 to 1e-11 from b = 30 on and up to 2.4e-14 from b = 6; it is
-    kept below b = 6, where it is the more accurate.  From b = 6 on the
-    ratio is b^a exp(r) at b shifted up to 30 or more by
-    Gamma(b + 1) = b Gamma(b), times the shift's factors b/(b + a); r is the
-    difference of Stirling's series at b + a and at b less a ln b,
-    (b + a - 1/2) log1p(a/b) - a + (tail terms), of order a^2/b."""
-    if b < 6.0:
-        return poch(b, a)
+    """Gamma(b + a)/Gamma(b) for a, b > 0.  Gamma(z + 1) = z Gamma(z) takes a
+    below 1 and b up past 15 in exact integer products (b = P/Q, and
+    a - n = R/S with S <= 2^64, exact from a - n >= 2^-11 on), rounded once
+    at their division; below b = 1 a float step b/(b + a) comes first, so
+    that Q stays below 2^52.  The rest, at b >= 15 and a < 1, is b^a exp(r),
+    r the difference of Stirling's series at b + a and at b less a ln b,
+    (b + a - 1/2) log1p(a/b) - a + (tail terms).  Within 8e-16 of mpmath for
+    b in (1e-3, 300) and a in (1e-3, 120); where the products would pass
+    2^1000, the shift factors are float products and a is not reduced.
+    This replaces scipy's poch, up to 2.1e-15 off below b = 6."""
+    n = int(a)
+    if n * math.log2(b + a) < 1000.0:
+        head = 1.0
+        if b < 1.0:
+            head, b = b / (b + a), b + 1.0
+        m = max(0, math.ceil(15.0 - b))
+        P, Q = float(b).as_integer_ratio()
+        R, S = float(a - n).as_integer_ratio()
+        if S > 1 << 64:
+            R, S = round(math.ldexp(a - n, 64)), 1 << 64
+        # in units of 1/step: b + k from P S, b + (a - n) + k from x
+        step, x = Q * S, P * S + R * Q
+        num = math.prod(range(P * S, P * S + m * step, step)) * math.prod(range(x, x + n * step, step))
+        den = math.prod(range(x, x + m * step, step)) * step**n
+        return head * (num / den) * _stirling_ratio(b + m, a - n)
     shift = 1.0
-    while b < 30.0:
+    while b < 15.0:
         shift *= b / (b + a)
         b += 1.0
+    return shift * _stirling_ratio(b, a)
+
+
+def _stirling_ratio(b: float, a: float) -> float:
+    """Gamma(b + a)/Gamma(b) by Stirling's series, for b >= 15."""
     r = (b + a - 0.5) * math.log1p(a / b) - a + _stirling_tail(b + a) - _stirling_tail(b)
-    return shift * b**a * math.exp(r)
+    return b**a * math.exp(r)
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) by math.gamma, with scipy's values where it raises: inf
+    where it overflows (sign of x), +-inf at +-0, nan at negative integers."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+    except ValueError:
+        return math.copysign(math.inf, x) if x == 0 else math.nan
+
+
+def _beta(x: float, y: float) -> float:
+    """B(x, y) = Gamma(s)/(Gamma(l + s)/Gamma(l)) for x, y > 0, s <= l their
+    order: the ratio the gg constant uses."""
+    s, l = min(x, y), max(x, y)
+    return _gamma(s) / _gamma_ratio(l, s)
 
 
 @dataclass(frozen=True)
@@ -354,7 +395,7 @@ def mirror_gg(p: float, lam: float) -> Density:
         monotone_decreasing=lam > 1,
         monotone_increasing=lam < 1,
         label=f"mirror_gg(p={p:g},lambda={lam:g})",
-        mass=A * edge * beta(1.0 / ps, e + 1.0) / ps,
+        mass=A * edge * _beta(1.0 / ps, e + 1.0) / ps,
         level_inverter=inv,
     )
 
@@ -417,7 +458,7 @@ def arcsin_gen(v: float, b: float, x: float) -> float:
 
 def _arcsin_quarter(v: float, b: float) -> float:
     """Quarter period arcsin_{v,b}(1) = B(1/b, 1 - 1/v) / b, infinite when 1/v >= 1."""
-    return float(beta(1.0 / b, 1.0 - 1.0 / v)) / b if 1.0 / v < 1.0 else math.inf
+    return _beta(1.0 / b, 1.0 - 1.0 / v) / b if 1.0 / v < 1.0 else math.inf
 
 
 def sin_gen(v: float, b: float, y: float) -> float:
@@ -453,7 +494,7 @@ def arcsinh_gen(v: float, b: float, x: float) -> float:
 
 def _arcsinh_limit(v: float, b: float) -> float:
     """Limit arcsinh_{v,b}(inf) = B(1/b, 1/v - 1/b) / b, finite iff b/v > 1."""
-    return float(beta(1.0 / b, 1.0 / v - 1.0 / b)) / b if b / v > 1.0 else math.inf
+    return _beta(1.0 / b, 1.0 / v - 1.0 / b) / b if b / v > 1.0 else math.inf
 
 
 def sinh_gen(v: float, b: float, y: float) -> float:
@@ -481,7 +522,7 @@ def sinh_gen(v: float, b: float, y: float) -> float:
 def inc_gamma_upper(a: float, x: float) -> float:
     """Upper incomplete Gamma(a, x) = int_x^inf t^{a-1} e^{-t} dt.
 
-    scipy's regularized gammaincc times Gamma(a) for a > 0; non-positive
+    scipy's regularized gammaincc times its gamma(a) for a > 0; non-positive
     non-integer orders are lifted by the recursion
     Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a, which raises OutOfRange
     where its cancellation leaves a relative error bound above _GAMMA_REL.
@@ -511,17 +552,21 @@ def inc_gamma_upper(a: float, x: float) -> float:
                 f"(relative error bound {err:.1e})"
             )
         return g
-    return float(gammaincc(a, x) * _gamma_fn(a))
+    from scipy.special import gamma, gammaincc
+
+    return float(gammaincc(a, x) * gamma(a))
 
 
 def inv_inc_gamma_upper(a: float, y: float) -> float:
     """Inverse of x -> Gamma(a, x) (strictly decreasing) for a > 0, by
-    scipy's gammainccinv of y / Gamma(a)."""
+    scipy's gammainccinv of y / Gamma(a), Gamma(a) by scipy's gamma."""
     if not a > 0:
         raise OutOfRange("inv_inc_gamma_upper requires order a > 0")
     if not y > 0:
         raise OutOfRange("inv_inc_gamma_upper requires y > 0")
-    top = _gamma_fn(a)
+    from scipy.special import gamma, gammainccinv
+
+    top = float(gamma(a))
     if y > top * (1.0 + 1e-12):
         raise OutOfRange(f"y = {y} above Gamma({a}) = {top}")
     if y >= top:
@@ -550,8 +595,11 @@ def down_of_gg(p: float, lam: float, alpha: float, mode: str = "half") -> Densit
 
     One level map takes s to the source level y it stands for, inverting the
     canonical variable: y = ((alpha-2) s)^{1/(2-alpha)}, or y = e^{-s} at
-    alpha = 2, with l = ln(A/y) (s less the lower edge at alpha = 2), A the
-    input's amplitude.  One kernel values it: the source point x has
+    alpha = 2, A the input's amplitude.  l = ln(A/y) is formed from the
+    distance to the lower edge s_lo, not from the rounded y:
+    log1p((s_lo - s)/s)/(2 - alpha) below alpha = 2 (|s| as the divisor, so
+    l is inf at s = 0), log1p((s - s_lo)/s_lo)/(alpha - 2) above, and s - s_lo
+    at alpha = 2.  One kernel values it: the source point x has
     x^{p*} = ln_lambda(A/y) = expm1((1-lambda) l) / (1-lambda), which is l at
     lambda = 1, and the value is A^{1-lambda} y^{alpha+lambda-2} (x^{p*})^{-1/p} / p*.
     Through expm1, x^{p*} does not cancel near the lower edge, as
@@ -570,7 +618,9 @@ def down_of_gg(p: float, lam: float, alpha: float, mode: str = "half") -> Densit
 
         def level(s):
             y = ((alpha - 2.0) * s) ** (1.0 / (2.0 - alpha))
-            return y, np.log(A / y)
+            if alpha < 2:
+                return y, np.log1p((s - sup.lower) / np.abs(s)) / (2.0 - alpha)
+            return y, np.log1p((s - sup.lower) / sup.lower) / (alpha - 2.0)
 
     def val(s):
         with np.errstate(all="ignore"):
@@ -607,12 +657,15 @@ def up_of_gg(p: float, lam: float, alpha: float, mode: str = "half"):
     A, mass = _gg_amplitude(p, lam, mode)
     ps = holder_conjugate(p)
     a2 = alpha - 2.0
-    pref = abs(a2) ** (1.0 / (2.0 - alpha))
+    try:
+        pref = abs(a2) ** (1.0 / (2.0 - alpha))
+    except OverflowError as exc:  # alpha just above 2
+        raise OutOfRange(f"up_of_gg: |alpha-2|^(1/(2-alpha)) overflows at alpha = {alpha}") from exc
 
     if abs(lam - 1.0) < _SHANNON_WINDOW:
         cg = (alpha - 1.0) / (a2 * ps)
         K = (A / ps) * abs(a2) ** (1.0 / a2)
-        length = K * _gamma_fn(cg)
+        length = K * _gamma(cg)  # inf where Gamma(cg) overflows, nan (InvalidParams) where K is 0 too
         sup = Support(0.0, length)
 
         def x_of_s(s: float) -> float:

@@ -752,15 +752,15 @@ class TestQuantiles:
         f = builtin("pareto", {"eta": 1.5})
         q, exact = (1.0 - 1e-6, 1e12) if not flip else (1e-6, -1e12)
         (x,) = quantiles(reflect(f) if flip else f, [q])
-        assert x == pytest.approx(exact, rel=1e-3)
+        assert x == pytest.approx(exact, rel=1e-3, abs=0.0)
 
     def test_upper_tail_by_complement(self):
         # 1 - q is exact in floating point for q > 1/2; the exact quantiles
         # of q are sqrt(2) erfinv(2q - 1) (mpmath, 40 digits) and -ln(1 - q)
         q = 1.0 - 1e-9
         g, e = quantiles(builtin("gauss"), [q])[0], quantiles(builtin("exp"), [q])[0]
-        assert g == pytest.approx(5.997807019601637, rel=1e-9)
-        assert e == pytest.approx(-math.log(1.0 - q), rel=1e-9)
+        assert g == pytest.approx(5.997807019601637, rel=1e-9, abs=0.0)
+        assert e == pytest.approx(-math.log(1.0 - q), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize(
         "spec, q", [("exp", 0.3), ("exp", 0.7), ("pareto:eta=1.5", 1.0 - 1e-6)]
@@ -812,7 +812,7 @@ class TestQuantiles:
 
     def test_lower_tail(self):
         (x,) = quantiles(builtin("gauss"), [1e-9])
-        assert x == pytest.approx(-5.99780701500769, rel=1e-10)
+        assert x == pytest.approx(-5.99780701500769, rel=1e-10, abs=0.0)
 
     def test_tails_at_full_precision(self):
         # both tails solve u to 1e-13 relative from their own edge; the gauss
@@ -820,11 +820,11 @@ class TestQuantiles:
         # float q
         lo, hi = 1e-12, 1.0 - 1e-12
         g = quantiles(builtin("gauss"), [lo, hi])
-        assert g[0] == pytest.approx(-7.034483825301132, rel=1e-12)
-        assert g[1] == pytest.approx(7.034486910047835, rel=1e-12)
+        assert g[0] == pytest.approx(-7.034483825301132, rel=1e-12, abs=0.0)
+        assert g[1] == pytest.approx(7.034486910047835, rel=1e-12, abs=0.0)
         e = quantiles(builtin("exp"), [lo, hi])
         assert e[0] == pytest.approx(-math.log1p(-lo), rel=1e-12, abs=0.0)
-        assert e[1] == pytest.approx(-math.log(1.0 - hi), rel=1e-12)
+        assert e[1] == pytest.approx(-math.log(1.0 - hi), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_unresolved_heavy_tail_raises(self, flip):

@@ -60,7 +60,7 @@ def _agrees(measure, reference) -> None:
         with pytest.raises(type(exc)):
             measure()
         return
-    assert measure() == pytest.approx(ref, rel=REL)
+    assert measure() == pytest.approx(ref, rel=REL, abs=0.0)
 
 
 def _log_abs_derivative(f):
@@ -128,11 +128,11 @@ def test_up_exp_log_and_entropic_moments():
     f = parse_density("exp")
     u = up(f, 3.0)
     coord = lambda x: (x + 1.0) * np.exp(-x)
-    assert exp_moment(u, 1.0) == pytest.approx(_source_integral(f, lambda x, v: np.exp(-coord(x))), rel=REL)
+    assert exp_moment(u, 1.0) == pytest.approx(_source_integral(f, lambda x, v: np.exp(-coord(x))), rel=REL, abs=0.0)
     log_u2 = lambda x, v: np.log(coord(x)) ** 2
-    assert log_moment(u, 2.0) == pytest.approx(_source_integral(f, log_u2), rel=REL)
+    assert log_moment(u, 2.0) == pytest.approx(_source_integral(f, log_u2), rel=REL, abs=0.0)
     log_x2 = lambda x, v: np.log(x) ** 2
-    assert entropic_Sp(u, 2.0) == pytest.approx(_source_integral(f, log_x2) ** 0.5, rel=REL)
+    assert entropic_Sp(u, 2.0) == pytest.approx(_source_integral(f, log_x2) ** 0.5, rel=REL, abs=0.0)
 
 
 def _log_u(alpha):
@@ -209,7 +209,7 @@ def test_up_coordinate_in_the_tail(alpha):
 def test_down_renyi_matches_closed_form(p, lam, alpha):
     # N_0.7 of the closed form, integrated over the image support
     numeric = renyi_power(down(gg_density(p, lam), alpha), 0.7)
-    assert numeric == pytest.approx(renyi_power(down_of_gg(p, lam, alpha), 0.7), rel=1e-9)
+    assert numeric == pytest.approx(renyi_power(down_of_gg(p, lam, alpha), 0.7), rel=1e-9, abs=0.0)
 
 
 # each case ends in under 1 s; with an inversion per quadrature node, three of them take 27-43 s
@@ -224,13 +224,13 @@ def test_shannon_of_up_halfgauss():
     # -int f log U = E[log x] under the half-Gaussian at alpha = 3
     euler_gamma = 0.5772156649015329
     value = _timed(lambda: shannon(up(parse_density("halfgauss"), 3.0)))
-    assert value == pytest.approx(-(euler_gamma + math.log(2.0)) / 2.0, rel=1e-10)
+    assert value == pytest.approx(-(euler_gamma + math.log(2.0)) / 2.0, rel=1e-10, abs=0.0)
 
 
 def test_second_moment_of_up_exp():
     # u = (x + 1) e^{-x}, so sigma_2^2 = int (x + 1)^2 e^{-3x} = 17/27
     value = _timed(lambda: typical_deviation(up(parse_density("exp"), 3.0), 2.0))
-    assert value == pytest.approx(math.sqrt(17.0 / 27.0), rel=1e-10)
+    assert value == pytest.approx(math.sqrt(17.0 / 27.0), rel=1e-10, abs=0.0)
 
 
 def test_renyi_of_up_uniform_diverges():
@@ -245,8 +245,8 @@ def test_renyi_of_up_uniform_diverges():
 def test_renyi_of_down_halfgauss():
     # D = f^2 / x, and int D^{1/2} f = (2/pi) int x^{-1/2} e^{-x^2} = Gamma(1/4)/pi
     value = _timed(lambda: renyi_power(down(parse_density("halfgauss"), 3.0), 1.5))
-    assert value == pytest.approx((math.pi / math.gamma(0.25)) ** 2, rel=1e-10)
-    assert value == pytest.approx(0.7508230473, rel=1e-9)
+    assert value == pytest.approx((math.pi / math.gamma(0.25)) ** 2, rel=1e-10, abs=0.0)
+    assert value == pytest.approx(0.7508230473, rel=1e-9, abs=0.0)
 
 
 def _cauchy():

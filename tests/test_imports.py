@@ -1,9 +1,14 @@
 """Import rules: the library runs on the standard library, numpy and
 scipy.special alone, and the benchmark's oracle stays independent of the
 library it judges.  Both are checked by parsing the sources, so nothing is
-imported."""
+imported.  One more rule is checked by running the library in a fresh
+process: scipy is not loaded until an incomplete-Gamma function of
+`special` runs, since scipy.special alone doubles the resident memory of
+`import entroscope.special`."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,9 +59,10 @@ def _scipy_modules(path: Path) -> list[str]:
 def test_library_imports_from_scipy_only_special(path):
     # any other scipy subpackage costs tens of MB of resident memory: in a
     # fresh CPython 3.11 process (numpy 2.4, scipy 1.17, Linux x86-64)
-    # `import entroscope.special` peaks at 53.7 MB, and at 79.2 MB with
-    # scipy.integrate (+25.5 MB) or 76.2 MB with scipy.optimize (+22.5 MB)
-    # imported as well
+    # `import entroscope.special` with scipy.special loaded (as the
+    # incomplete-Gamma functions load it) peaks at 53.7 MB, and at 79.2 MB
+    # with scipy.integrate (+25.5 MB) or 76.2 MB with scipy.optimize
+    # (+22.5 MB) imported as well
     other = [m for m in _scipy_modules(path) if m.split(".")[:2] != ["scipy", "special"]]
     assert not other, f"{path.name} imports {other}"
 
@@ -94,3 +100,35 @@ def test_core_imports_only_errors_at_module_level():
         for name in _package_imports(ast.walk(fn))
     }
     assert nested == {("_builtin_gg", "special")}
+
+
+_LAZY_SCIPY = """
+import math
+import sys
+
+from entroscope import measures, special, transforms
+from entroscope.core import builtin
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+names = ("exp", "halfgauss", "gauss", "pareto", "powerlaw", "uniform", "gg")
+values = [measures.shannon(builtin(name)) for name in names]
+values += [measures.shannon(special.gg_density(p, lam)) for p, lam in ((2.0, 0.7), (3.0, 1.0), (1.5, 3.0))]
+values.append(measures.renyi_power(special.mirror_gg(2.0, 1.5), 2.0))
+values.append(measures.shannon(transforms.down(special.gg_density(2.0, 1.5), 3.0)))
+values.append(measures.shannon(transforms.up(builtin("exp"), 3.0)))
+assert len(values) == 13 and all(map(math.isfinite, values)), values
+assert scipy_modules() == [], scipy_modules()
+special.inc_gamma_upper(1.5, 2.0)
+assert "scipy.special" in scipy_modules(), scipy_modules()
+"""
+
+
+def test_scipy_loads_only_with_the_incomplete_gamma_functions():
+    # builtins, g members, mirror_gg and numeric down/up images, each built
+    # and measured, load no scipy module; inc_gamma_upper loads scipy.special
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

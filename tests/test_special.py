@@ -1,16 +1,18 @@
 """Stretched-Gaussian family, generalized trig functions, incomplete Gamma."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
+from scipy.special import gamma as scipy_gamma
 
 from entroscope import core, special
 from entroscope.core import Support, integrate
-from entroscope.errors import DivergentIntegral, OutOfDomain, OutOfRange
+from entroscope.errors import DivergentIntegral, EntroscopeError, OutOfDomain, OutOfRange
 from entroscope.special import (
     GGParams,
     _arcsin_quarter,
@@ -143,6 +145,45 @@ class TestGGNormalization:
             second = mp_lam / d + (1 / mp_p if mp_lam < 1 else 0)
             expected = float(ps * d ** (1 / ps) / (2 * mp.beta(1 / ps, second)))
         assert gg_normalization(p, lam) == pytest.approx(expected, rel=rel, abs=0.0)
+
+    def test_constant_at_random_members_against_mpmath(self):
+        # 40 members drawn once over p in (1.05, 6) or (-6, -0.2) and lambda up
+        # to 3.5; scipy's gamma and poch formed the constant within 7.14e-16
+        # of these references, and the standard-library forms may not be worse
+        import mpmath as mp
+
+        rng = random.Random(22)
+        members = []
+        while len(members) < 40:
+            p = rng.choice([rng.uniform(1.05, 6.0), rng.uniform(-6.0, -0.2)])
+            lam = rng.uniform(max(1.0 - p / (p - 1.0), 0.0) + 0.02, 3.5)
+            members.append((round(p, 3), round(lam, 3)))
+        with mp.workdps(40):
+            expected = []
+            for p, lam in members:
+                mp_p, mp_lam = mp.mpf(p), mp.mpf(lam)
+                ps, d = mp_p / (mp_p - 1), abs(1 - mp_lam)
+                second = mp_lam / d + (1 / mp_p if mp_lam < 1 else 0)
+                expected.append(float(ps * d ** (1 / ps) / (2 * mp.beta(1 / ps, second))))
+        got = [gg_normalization(p, lam) for p, lam in members]
+        assert got == pytest.approx(expected, rel=7e-16, abs=0.0)
+
+    def test_beta_against_mpmath(self):
+        # Gamma(s)/(Gamma(l + s)/Gamma(l)) on a 15 x 15 grid of (0.05, 8)^2;
+        # scipy's beta is up to 2.7e-15 off on the same grid
+        import mpmath as mp
+
+        grid = [float(x) for x in np.linspace(0.05, 8.0, 15)]
+        with mp.workdps(40):
+            expected = [float(mp.beta(x, y)) for x in grid for y in grid]
+        got = [special._beta(x, y) for x in grid for y in grid]
+        assert got == pytest.approx(expected, rel=8e-16, abs=0.0)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, 172.0])
+    def test_gamma_where_math_gamma_raises(self, x):
+        # poles and overflow: scipy's values, not math.gamma's exceptions
+        expected, got = float(scipy_gamma(x)), special._gamma(x)
+        assert (math.isnan(got) and math.isnan(expected)) or got == expected
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
@@ -335,7 +376,7 @@ class TestGeneralizedTrig:
         # 1/v >= 1: arcsin_gen diverges at 1, so the quarter period is
         # infinite and every y >= 0 has a preimage in [0, 1)
         for y in (0.1, 0.5, 2.0):
-            assert arcsin_gen(v, b, sin_gen(v, b, y)) == pytest.approx(y, rel=1e-10)
+            assert arcsin_gen(v, b, sin_gen(v, b, y)) == pytest.approx(y, rel=1e-10, abs=0.0)
 
     def test_classical_sinh(self):
         # arcsinh_{2,2} is the classical arcsinh
@@ -356,7 +397,7 @@ class TestGeneralizedTrig:
     def test_sinh_roundtrip_far(self):
         # the preimage lies far past any fixed bracket cap
         y = arcsinh_gen(3, 2, 1e14)
-        assert sinh_gen(3, 2, y) == pytest.approx(1e14, rel=1e-9)
+        assert sinh_gen(3, 2, y) == pytest.approx(1e14, rel=1e-9, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(OutOfDomain):
@@ -437,12 +478,29 @@ class TestGeneralizedTrig:
         # the float A alone keeps 1.5e-14
         assert up_of_gg(3, 0.5, 2.5).value(-99.0) == pytest.approx(3.833324533347336e-111, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "p, lam, alpha, infinite",
+        # cg = 202, Gamma(cg) = inf: an infinite support
+        [(-0.01, 1.0, 3.0, True),
+         # cg = 603 and the amplitude 0 (Gamma(1/p*) = inf), so K = 0 and the length nan
+         (-0.005, 1.0, 2.5, False),
+         # cg = 667 and |alpha-2|^(1/(2-alpha)) = 1e3000
+         (3.0, 1.0, 2.001, False)],
+    )
+    def test_up_of_gg_where_gamma_overflows(self, p, lam, alpha, infinite):
+        # the lambda = 1 support has length K Gamma(cg), cg = (alpha-1)/((alpha-2) p*)
+        if infinite:
+            assert up_of_gg(p, lam, alpha).support.upper == math.inf
+        else:
+            with pytest.raises(EntroscopeError):
+                up_of_gg(p, lam, alpha)
+
     @pytest.mark.parametrize("v, b", [(2.0, 2.0), (3.0, 4.0), (-1.0, 1.5), (-0.5, 3.0)])
     def test_quarter_period_and_limit_closed_forms(self, v, b):
         # B(1/b, 1 - 1/v)/b and B(1/b, 1/v - 1/b)/b against the quadratures
         assert _arcsin_quarter(v, b) == pytest.approx(arcsin_gen(v, b, 1.0), rel=1e-12, abs=0.0)
         if b / v > 1.0:
-            assert _arcsinh_limit(v, b) == pytest.approx(arcsinh_gen(v, b, math.inf), rel=1e-12)
+            assert _arcsinh_limit(v, b) == pytest.approx(arcsinh_gen(v, b, math.inf), rel=1e-12, abs=0.0)
         else:
             assert _arcsinh_limit(v, b) == math.inf
 

@@ -138,7 +138,7 @@ def test_up_reaches_past_the_last_knot(x):
     u = up(builtin("pareto", {"eta": 3.0}), 2.0)
     log_u, sign = u.log_coordinate_at(np.array([x]))
     s = float(sign[0] * np.exp(log_u[0]))
-    assert u.locate(s) == pytest.approx(x, rel=1e-12)
+    assert u.locate(s) == pytest.approx(x, rel=1e-12, abs=0.0)
     assert u(s) == pytest.approx(math.exp(-x), rel=1e-12, abs=0.0)
 
 
@@ -256,7 +256,7 @@ def test_image_derivatives(transform, name, alpha):
         s = float(s)
         h = 1e-5 * max(1.0, abs(s))
         der = d.derivative(s)
-        assert (d(s + h) - d(s - h)) / (2.0 * h) == pytest.approx(der, rel=1e-8)
+        assert (d(s + h) - d(s - h)) / (2.0 * h) == pytest.approx(der, rel=1e-8, abs=0.0)
         assert d.log_abs_derivative(s) == pytest.approx(math.log(abs(der)), rel=1e-15, abs=1e-15)
 
 
@@ -280,7 +280,7 @@ def test_tail_exponent_down(eta, alpha):
     assert d.support.upper == math.inf
     report = tail_classify_down(eta, alpha)
     assert report.regime == "algebraic"
-    assert _loglog_slope(d, 1e6, 1e7) == pytest.approx(-report.exponent, rel=1e-12)
+    assert _loglog_slope(d, 1e6, 1e7) == pytest.approx(-report.exponent, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("eta,alpha", [(3.0, 2.25), (3.0, 2.4), (4.0, 2.2)])
@@ -289,7 +289,7 @@ def test_tail_exponent_up(eta, alpha):
     assert u.support.lower == -math.inf
     report = tail_classify_up(eta, alpha)
     assert report.regime == "algebraic"
-    assert _loglog_slope(u, -1e3, -1e4) == pytest.approx(report.exponent, rel=2e-4)
+    assert _loglog_slope(u, -1e3, -1e4) == pytest.approx(report.exponent, rel=2e-4, abs=0.0)
 
 
 def test_double_down_admissible_threshold():
