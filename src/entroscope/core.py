@@ -86,6 +86,7 @@ __all__ = [
     "parse_density",
     "quantiles",
     "EDGE_SLACK",
+    "EdgeForm",
 ]
 
 # Absolute slack when classifying a coordinate as interior vs edge;
@@ -576,7 +577,8 @@ def integrate(
     Raises NonConvergent if the error estimate of an interval stays above
     tol * max(min_scale, |value|) after _MAX_LEVEL levels (its `result`
     holds that interval's last estimate), and DivergentIntegral
-    when partial sums grow without bound under endpoint refinement.
+    when partial sums grow without bound under endpoint refinement; its
+    message names the heuristic that fired and the interval.
     """
     if tol <= 0:
         raise InvalidParams("tol must be positive")
@@ -587,16 +589,19 @@ def integrate(
     evals = 0
     sub_tol = tol / max(1.0, math.sqrt(len(edges) - 1))
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if math.isinf(lo) and math.isinf(hi):
-            r1 = _integrate_lower_inf(g, 0.0, sub_tol / 2, min_scale)
-            r2 = _integrate_upper_inf(g, 0.0, sub_tol / 2, min_scale)
-            rs = [r1, r2]
-        elif math.isinf(hi):
-            rs = [_integrate_upper_inf(g, lo, sub_tol, min_scale)]
-        elif math.isinf(lo):
-            rs = [_integrate_lower_inf(g, hi, sub_tol, min_scale)]
-        else:
-            rs = [_integrate_finite(g, lo, hi, sub_tol, min_scale)]
+        try:
+            if math.isinf(lo) and math.isinf(hi):
+                r1 = _integrate_lower_inf(g, 0.0, sub_tol / 2, min_scale)
+                r2 = _integrate_upper_inf(g, 0.0, sub_tol / 2, min_scale)
+                rs = [r1, r2]
+            elif math.isinf(hi):
+                rs = [_integrate_upper_inf(g, lo, sub_tol, min_scale)]
+            elif math.isinf(lo):
+                rs = [_integrate_lower_inf(g, hi, sub_tol, min_scale)]
+            else:
+                rs = [_integrate_finite(g, lo, hi, sub_tol, min_scale)]
+        except DivergentIntegral as exc:
+            raise DivergentIntegral(f"{exc} on ({lo!r}, {hi!r})") from None
         for r in rs:
             total += r.value
             err += r.error_estimate
@@ -1052,6 +1057,26 @@ class _Cumulative:
 _LEVEL_TOL = 1e-13  # relative tolerance of Density.invert_level without an inverter
 
 
+@dataclass(frozen=True)
+class EdgeForm:
+    """How f and f' behave at x0, a support edge or an interior point, as
+    t -> 0+, t the distance to x0 (1/|x| at an infinite edge):
+
+        f ~ t^a exp(-B t^-k),    |f'| ~ t^b exp(-B t^-k).
+
+    b is None where f' vanishes identically.  f and f' share the whole
+    exponential factor, as every density of the form poly(x) exp(-B|x|^k)
+    does, so it cancels exactly from f^m |f'|^n with m + n = 0.  At an
+    interior point the same exponents hold on both sides.
+    """
+
+    x0: float
+    a: float
+    b: Optional[float]
+    B: float = 0.0
+    k: float = 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class Density:
     """Analytically specified density (or sub-probability weight) on a support.
@@ -1059,7 +1084,9 @@ class Density:
     `value` and `derivative` are numpy-broadcastable callables.  Densities are
     immutable; every operation below returns a new instance.  `mass` records
     the total integral (1 for probability densities; restricted builtins may
-    carry 1/2).
+    carry 1/2).  `edge_forms`, where known, gives the power and exponential
+    behaviour of f and f' at each support edge and singular interior point
+    (see EdgeForm); `_affine` carries it.
     """
 
     support: Support
@@ -1075,6 +1102,10 @@ class Density:
     # into regions where the density itself underflows
     log_value: Optional[Callable] = None
     log_abs_derivative: Optional[Callable] = None
+    # EdgeForms at both support edges and at every interior point where f'
+    # vanishes or f, f' are not smooth; between them f is smooth and
+    # positive and f' nonzero.  measures decides convergence from them.
+    edge_forms: Optional[tuple] = None
 
     def __call__(self, x):
         return self.value(x)
@@ -1179,6 +1210,12 @@ def _affine(f: Density, sigma: float, kappa: float, c: float, label: str) -> Den
     val, der, sec, inv = f.value, f.derivative, f.second_derivative, f.level_inverter
     lv, ld = f.log_value, f.log_abs_derivative
     lo, hi = sorted((image(f.support.lower), image(f.support.upper)))
+
+    def moved(e: EdgeForm) -> EdgeForm:
+        # the source's t is r times the image's (to leading order at an infinite edge)
+        r = 1.0 / kappa if math.isinf(e.x0) else kappa
+        return EdgeForm(image(e.x0), e.a, e.b, e.B * r**-e.k if e.B else 0.0, e.k)
+
     dec, inc = f.monotone_decreasing, f.monotone_increasing
     if sigma < 0:
         dec, inc = inc, dec
@@ -1194,6 +1231,7 @@ def _affine(f: Density, sigma: float, kappa: float, c: float, label: str) -> Den
         level_inverter=None if inv is None else (lambda y: image(inv(y / kappa))),
         log_value=None if lv is None else (lambda x: lk + lv(src(x))),
         log_abs_derivative=None if ld is None else (lambda x: 2 * lk + ld(src(x))),
+        edge_forms=None if f.edge_forms is None else tuple(moved(e) for e in f.edge_forms),
     )
 
 
@@ -1247,7 +1285,13 @@ def _builtin_exp(rate: float = 1.0) -> Density:
         level_inverter=lambda y: -math.log(y / r) / r,
         log_value=lambda x: math.log(r) - r * np.asarray(x, dtype=float),
         log_abs_derivative=lambda x: 2 * math.log(r) - r * np.asarray(x, dtype=float),
+        edge_forms=(EdgeForm(0.0, 0.0, 0.0), EdgeForm(_INF, 0.0, 0.0, B=r, k=1.0)),
     )
+
+
+def _gauss_tail(x0: float, s: float) -> EdgeForm:
+    """f ~ exp(-x^2/(2 s^2)) and |f'| ~ |x| f at an infinite edge."""
+    return EdgeForm(x0, 0.0, -1.0, B=0.5 / (s * s), k=2.0)
 
 
 def _builtin_halfgauss(sigma: float = 1.0) -> Density:
@@ -1274,6 +1318,7 @@ def _builtin_halfgauss(sigma: float = 1.0) -> Density:
         log_value=logval,
         log_abs_derivative=lambda x: np.log(np.abs(np.asarray(x, dtype=float)) / (s * s))
         + logval(x),
+        edge_forms=(EdgeForm(0.0, 0.0, 1.0), _gauss_tail(_INF, s)),
     )
 
 
@@ -1299,6 +1344,7 @@ def _builtin_gauss(sigma: float = 1.0) -> Density:
         log_value=logval,
         log_abs_derivative=lambda x: np.log(np.abs(np.asarray(x, dtype=float)) / (s * s))
         + logval(x),
+        edge_forms=(_gauss_tail(-_INF, s), EdgeForm(0.0, 0.0, 1.0), _gauss_tail(_INF, s)),
     )
 
 
@@ -1320,6 +1366,7 @@ def _builtin_pareto(eta: float = 3.0, xmin: float = 1.0) -> Density:
         log_value=lambda x: math.log(c) - e * np.log(np.asarray(x, dtype=float)),
         log_abs_derivative=lambda x: math.log(c * e)
         - (e + 1.0) * np.log(np.asarray(x, dtype=float)),
+        edge_forms=(EdgeForm(m, 0.0, 0.0), EdgeForm(_INF, e, e + 1.0)),
     )
 
 
@@ -1340,6 +1387,7 @@ def _builtin_powerlaw(a: float = -0.5) -> Density:
         log_value=lambda x: math.log(c) + aa * np.log(np.asarray(x, dtype=float)),
         log_abs_derivative=lambda x: math.log(c * abs(aa))
         + (aa - 1.0) * np.log(np.asarray(x, dtype=float)),
+        edge_forms=(EdgeForm(0.0, aa, aa - 1.0), EdgeForm(1.0, 0.0, 0.0)),
     )
 
 
@@ -1364,6 +1412,7 @@ def _builtin_uniform(a: float = 0.0, b: float = 1.0) -> Density:
         label=f"uniform({a:g},{b:g})",
         log_value=lambda x: np.full_like(np.asarray(x, dtype=float), math.log(h)),
         log_abs_derivative=lambda x: np.full_like(np.asarray(x, dtype=float), -_INF),
+        edge_forms=(EdgeForm(float(a), 0.0, None), EdgeForm(float(b), 0.0, None)),
     )
 
 

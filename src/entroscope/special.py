@@ -12,9 +12,9 @@ construction modes are supported:
 Every member, mirror_gg's sign-flipped one included, comes from one kernel
 A (1 - sign (lambda-1) x^{p*})_+^{1/(lambda-1)}.  Gamma is math.gamma
 (`_gamma`) and every Beta constant Gamma(s)/(Gamma(l+s)/Gamma(l))
-(`_gamma_ratio`).  scipy.special is imported only inside inc_gamma_upper
-and inv_inc_gamma_upper, when one of them first runs; of the rest, only
-the values of up_of_gg's lambda = 1 image call them.  Closed-form
+(`_gamma_ratio`).  scipy.special is imported only inside inc_gamma_upper,
+inv_inc_gamma_upper and `_gammainccinv`, when one of them first runs; of
+the rest, only the values of up_of_gg's lambda = 1 image call them.  Closed-form
 transform images below are parameterized by the actual amplitude of the
 input, so they are exact for every mode.
 down_of_gg maps s to its source level y by one level map, the inverse of
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Density, Support, _Cumulative, _pointwise, _segment_masses, integrate
+from .core import Density, EdgeForm, Support, _Cumulative, _pointwise, _segment_masses, integrate
 from .errors import DivergentIntegral, EdgeIllConditioned, InvalidParams, OutOfDomain, OutOfRange
 from .measures import _SHANNON_WINDOW, holder_conjugate
 
@@ -312,6 +312,28 @@ def _gg_halfline_callables(p: float, lam: float, amplitude: float, sign: float =
     return val, der, sec, inv
 
 
+def _gg_edge_forms(p: float, lam: float, edge: float, sym: bool = False):
+    """EdgeForms of the half-line member A (1 - (lambda-1) x^{p*})_+^{1/(lambda-1)}
+    at 0 and at its upper edge, and at the mirrored lower edge when `sym`:
+    f -> A and |f'| ~ x^{p*-1} at 0; at infinity f ~ x^{-p*/(1-lambda)}
+    (lambda < 1) or exp(-x^{p*}) (lambda = 1); at a finite edge
+    f ~ t^{1/(lambda-1)} (lambda > 1).  None for p = 0 (logarithmic forms),
+    and just above lambda = 1, where the exp form stands on a finite support."""
+    if p == 0 or (abs(lam - 1.0) < _SHANNON_WINDOW and math.isfinite(edge)):
+        return None
+    ps = holder_conjugate(p)
+    if abs(lam - 1.0) < _SHANNON_WINDOW:
+        upper = EdgeForm(edge, 0.0, 1.0 - ps, B=1.0, k=ps)
+    elif lam < 1.0:
+        upper = EdgeForm(edge, ps / (1.0 - lam), ps / (1.0 - lam) + 1.0)
+    else:
+        upper = EdgeForm(edge, 1.0 / (lam - 1.0), 1.0 / (lam - 1.0) - 1.0)
+    zero = EdgeForm(0.0, 0.0, ps - 1.0)
+    if sym:
+        return EdgeForm(-edge, upper.a, upper.b, upper.B, upper.k), zero, upper
+    return zero, upper
+
+
 def gg_density(p: float, lam: float, mode: str = "half") -> Density:
     """Stretched deformed Gaussian g_{p,lambda} as a Density.
 
@@ -343,6 +365,7 @@ def gg_density(p: float, lam: float, mode: str = "half") -> Density:
             derivative=der,
             second_derivative=sec,
             label=f"gg(p={p:g},lambda={lam:g},sym)",
+            edge_forms=_gg_edge_forms(p, lam, edge, sym=True),
         )
     amp, mass = _gg_amplitude(p, lam, mode)
     val, der, sec, inv = _gg_halfline_callables(p, lam, amp)
@@ -355,6 +378,7 @@ def gg_density(p: float, lam: float, mode: str = "half") -> Density:
         label=f"gg(p={p:g},lambda={lam:g},{mode})",
         mass=mass,
         level_inverter=inv,
+        edge_forms=_gg_edge_forms(p, lam, edge),
     )
 
 
@@ -564,14 +588,22 @@ def inv_inc_gamma_upper(a: float, y: float) -> float:
         raise OutOfRange("inv_inc_gamma_upper requires order a > 0")
     if not y > 0:
         raise OutOfRange("inv_inc_gamma_upper requires y > 0")
-    from scipy.special import gamma, gammainccinv
+    from scipy.special import gamma
 
     top = float(gamma(a))
     if y > top * (1.0 + 1e-12):
         raise OutOfRange(f"y = {y} above Gamma({a}) = {top}")
     if y >= top:
         return 0.0
-    return float(gammainccinv(a, y / top))
+    return _gammainccinv(a, y / top)
+
+
+def _gammainccinv(a: float, q: float) -> float:
+    """x with Q(a, x) = q, Q = Gamma(a, x)/Gamma(a) the regularized upper
+    incomplete Gamma: scipy's gammainccinv."""
+    from scipy.special import gammainccinv
+
+    return float(gammainccinv(a, q))
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +678,9 @@ def up_of_gg(p: float, lam: float, alpha: float, mode: str = "half"):
     For lambda != 1 the value at s is read at the t with u(t) = s / C on one
     default-anchored `_gen_sine_coordinate`, built here, so no quarter period
     or range limit minus s / C cancels; the support is C times its own.
+    For lambda = 1 the support has length K Gamma(cg); where Gamma(cg)
+    overflows, the length and the regularized argument s / (K Gamma(cg)) of
+    the inverse are formed in log space with lgamma.
     """
     if p == 0:
         raise OutOfDomain("closed-form up images require p != 0")
@@ -665,11 +700,25 @@ def up_of_gg(p: float, lam: float, alpha: float, mode: str = "half"):
     if abs(lam - 1.0) < _SHANNON_WINDOW:
         cg = (alpha - 1.0) / (a2 * ps)
         K = (A / ps) * abs(a2) ** (1.0 / a2)
-        length = K * _gamma(cg)  # inf where Gamma(cg) overflows, nan (InvalidParams) where K is 0 too
-        sup = Support(0.0, length)
+        gamma_cg = _gamma(cg)
+        if math.isinf(gamma_cg) and K > 0:
+            # the length K Gamma(cg) and the regularized argument s / length in log space
+            log_length = math.log(K) + math.lgamma(cg)
+            length = math.exp(log_length) if log_length < 709.0 else math.inf
 
-        def x_of_s(s: float) -> float:
-            return inv_inc_gamma_upper(cg, s / K) ** (1.0 / ps)
+            def x_of_s(s: float) -> float:
+                q = math.exp(math.log(s) - log_length) if s > 0 else 0.0
+                if not 0.0 < q <= 1.0 + 1e-12:
+                    raise OutOfRange(f"up_of_gg coordinate {s} outside (0, {length})")
+                return (_gammainccinv(cg, q) if q < 1.0 else 0.0) ** (1.0 / ps)
+
+        else:
+            length = K * gamma_cg  # nan (InvalidParams) where K is 0 and Gamma(cg) inf
+
+            def x_of_s(s: float) -> float:
+                return inv_inc_gamma_upper(cg, s / K) ** (1.0 / ps)
+
+        sup = Support(0.0, length)
 
     else:
         m = abs(lam - 1.0) ** (1.0 / ps)

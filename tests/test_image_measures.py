@@ -79,6 +79,13 @@ def test_down_moment_identity(spec, alpha, q):
     # |s|^q f = |alpha-2|^-q f^lam with lam = 1 + (2-alpha) q; at alpha = 2,
     # s = -ln f and the moment is int f |ln f|^q, kinked where f = 1
     f = parse_density(spec)
+    if (spec, alpha, q) == ("gg:p=2,lambda=1.5", 3.0, 2.0):
+        # |s|^2 f = f^-1 ~ t^-2 at the finite edge, where f ~ t^2: the
+        # integral diverges, and the plain quadrature of the reference
+        # only fails to converge there
+        with pytest.raises(DivergentIntegral):
+            typical_deviation(down(f, alpha), q)
+        return
 
     def reference():
         if alpha != 2.0:

@@ -210,11 +210,21 @@ class TestFisherSup:
         assert abs(fisher_sup(GAUSS, 2) - expected) < 1e-8
         assert abs(expected - 0.24197072451914337) < 1e-15
 
-    @pytest.mark.parametrize("f,edges", [(GAUSS, 0), (EXP, 1), (builtin("powerlaw", {"a": 2.0}), 2)])
+    @pytest.mark.parametrize(
+        "f,edges",
+        [
+            (GAUSS, 0),
+            (EXP, 1),
+            (builtin("powerlaw", {"a": 2.0}), 1),
+            (dataclasses.replace(builtin("powerlaw", {"a": 2.0}), edge_forms=None), 2),
+        ],
+    )
     def test_one_array_call_per_round(self, f, edges):
-        # the grid, _ROUNDS zoom rounds and one probe per finite edge, each
-        # one call of the integrand on an array; the value is the one the
-        # density's own log pair gives
+        # the grid, _ROUNDS zoom rounds and one probe per finite edge that
+        # it reads, each one call of the integrand on an array; the value is
+        # the one the density's own log pair gives.  With edge forms only an
+        # edge where h tends to a nonzero constant is probed: h ~ x of
+        # powerlaw(a=2) vanishes at 0, and without forms both edges are probed
         shapes = []
 
         def value(x):

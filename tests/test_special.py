@@ -479,21 +479,32 @@ class TestGeneralizedTrig:
         assert up_of_gg(3, 0.5, 2.5).value(-99.0) == pytest.approx(3.833324533347336e-111, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
-        "p, lam, alpha, infinite",
-        # cg = 202, Gamma(cg) = inf: an infinite support
+        "p, lam, alpha, builds",
+        # cg = 202, Gamma(cg) = inf: the length and the argument in log space
         [(-0.01, 1.0, 3.0, True),
          # cg = 603 and the amplitude 0 (Gamma(1/p*) = inf), so K = 0 and the length nan
          (-0.005, 1.0, 2.5, False),
          # cg = 667 and |alpha-2|^(1/(2-alpha)) = 1e3000
          (3.0, 1.0, 2.001, False)],
     )
-    def test_up_of_gg_where_gamma_overflows(self, p, lam, alpha, infinite):
+    def test_up_of_gg_where_gamma_overflows(self, p, lam, alpha, builds):
         # the lambda = 1 support has length K Gamma(cg), cg = (alpha-1)/((alpha-2) p*)
-        if infinite:
-            assert up_of_gg(p, lam, alpha).support.upper == math.inf
-        else:
+        if not builds:
             with pytest.raises(EntroscopeError):
                 up_of_gg(p, lam, alpha)
+            return
+        import mpmath as mp
+
+        d = up_of_gg(p, lam, alpha)
+        # at alpha = 3: K = 1/Gamma(1/p*), and the value at s is 1/x with
+        # Gamma(cg, x^{p*}) = s/K, against 40-digit mpmath
+        with mp.workdps(40):
+            ps = mp.mpf(special.holder_conjugate(p))
+            cg, K = 2 / ps, 1 / mp.gamma(1 / ps)
+            assert d.support.upper == pytest.approx(float(K * mp.gamma(cg)), rel=1e-13, abs=0.0)
+            for s in (1.0, 1e3, 1e100):
+                z = mp.findroot(lambda z: mp.log(mp.gammainc(cg, z) * K / s), 250)
+                assert d.value(s) == pytest.approx(float(z ** (-1 / ps)), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("v, b", [(2.0, 2.0), (3.0, 4.0), (-1.0, 1.5), (-0.5, 3.0)])
     def test_quarter_period_and_limit_closed_forms(self, v, b):

@@ -25,6 +25,10 @@ then times uninstrumented passes.  It writes, per workload:
   on 15 nodes (one pair piece each) and on one point (Newton steps and
   the march) each one makes; the solves seeded from a table row's
   Kronrod interpolant, and the seeds that stand at their first check;
+- edge rule (`edge_rule`): the calls of `measures._edge_rule`, one per
+  measure integral, by the verdict its density's edge forms gave:
+  `divergent` raised DivergentIntegral with no quadrature, `converges` and
+  `unknown` went on to the quadrature;
 - L1 rule overhead (`rule_us_per_quadrature`): the mean wall time of a
   scalar quadrature less the time spent in its integrand calls, in µs (an
   integrand's nested quadratures count as their own), the least over
@@ -59,12 +63,14 @@ for path in (ROOT / "src", ROOT):
 from bench import run as bench_run  # noqa: E402
 from bench.items import WORKLOADS  # noqa: E402
 from bench.worker import Runner  # noqa: E402
-from entroscope import core, special, transforms  # noqa: E402
+from entroscope import core, measures, special, transforms  # noqa: E402
+from entroscope.errors import DivergentIntegral  # noqa: E402
 
 PIECES = ("pieces_certified", "pieces_handed_back")
 W_CALLS = ("w_calls_15_node", "w_calls_scalar")
 TABLE = ("tables", "tables_raised", "rows", "rows_certified_at_once", "rows_certified_after_halving",
          "rows_handed_back", "halving_calls", "halving_pieces")
+VERDICTS = ("divergent", "converges", "unknown")
 
 
 class Counters:
@@ -74,7 +80,8 @@ class Counters:
         self.n = dict.fromkeys(
             ("quadratures", "integrand_calls", "evaluations", "quadratures_ok", "integrand_calls_ok",
              "evaluations_ok", "x_of_u", "x_of_u_quadratures", *PIECES, *(f"x_of_u_{k}" for k in PIECES),
-             *(f"x_of_u_{k}" for k in W_CALLS), "seeded_x_of_u", "seeds_accepted_at_first_check", *TABLE), 0)
+             *(f"x_of_u_{k}" for k in W_CALLS), "seeded_x_of_u", "seeds_accepted_at_first_check", *TABLE,
+             *VERDICTS), 0)
         self._saved = []
         self._tables = []  # per table being built: [calls to the pair, rows, rows certified at once, handed back]
 
@@ -90,6 +97,7 @@ class Counters:
     def install(self) -> None:
         n = self.n
         tanh_sinh, x_of_u, invert_monotone = core._tanh_sinh, core._Cumulative.x_of_u, core.invert_monotone
+        edge_rule = measures._edge_rule
         gk_pieces, segment_masses, w_mass = core._gk_pieces, core._segment_masses, core._w_mass
         # a table's own calls come from `_segment_masses` and its `seg` (the
         # weight may run pair pieces and quadratures of its own)
@@ -176,13 +184,23 @@ class Counters:
                 if not raised:
                     n["rows_certified_after_halving"] += rows - at_once - back
 
+        def counted_edge_rule(*args):
+            try:
+                verdict = edge_rule(*args)
+            except DivergentIntegral:
+                n["divergent"] += 1
+                raise
+            n["converges" if verdict else "unknown"] += 1
+            return verdict
+
         # the helpers are bound by name in the modules that import them
         for owners, name, fn in (((core,), "_tanh_sinh", counted_tanh_sinh),
                                  ((core._Cumulative,), "x_of_u", counted_x_of_u),
                                  ((core,), "invert_monotone", counted_invert_monotone),
                                  ((core,), "_gk_pieces", counted_gk_pieces),
                                  ((core,), "_w_mass", counted_w_mass),
-                                 ((core, special, transforms), "_segment_masses", counted_segment_masses)):
+                                 ((core, special, transforms), "_segment_masses", counted_segment_masses),
+                                 ((measures,), "_edge_rule", counted_edge_rule)):
             for owner in owners:
                 self._saved.append((owner, name, getattr(owner, name)))
                 setattr(owner, name, fn)
@@ -268,6 +286,7 @@ def measure(workload: str, seed: int, passes: int) -> dict:
             "evaluations_ok": n["evaluations_ok"],
             "rule_us_per_quadrature": min(rule_us) if rule_us else None,
         },
+        "edge_rule": {k: n[k] for k in VERDICTS},
         "pieces": {
             **{k: n[k] for k in PIECES},
             **{f"x_of_u_{k}": n[f"x_of_u_{k}"] for k in PIECES},
@@ -295,7 +314,7 @@ def main(argv=None) -> int:
     result = {"seed": args.seed, "workloads": {w: measure(w, args.seed, args.passes) for w in WORKLOADS}}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for w, r in result["workloads"].items():
-        print(w, json.dumps({k: r[k] for k in ("L1", "pieces", "tables", "L2", "pass_ms")}))
+        print(w, json.dumps({k: r[k] for k in ("L1", "edge_rule", "pieces", "tables", "L2", "pass_ms")}))
     return 0
 
 
