@@ -12,17 +12,19 @@ applied: the map's scale follows the interval, and a power of two scales
 it exactly.
 
 The integrand is always called on a 1-d array.  Its first call holds the
-midpoint and the nodes of levels 0-3 on both sides, where most integrals
-settle; each level from 4 on makes one call of its own.  The abscissae
-and weight factors of each level are computed once, at unit half-width.
-A side's sum stops at its first chunk of 8 terms below 1e-17 times the
-running sum, and the next level uses that side at most one chunk beyond
-it, so from level 4 on an integrand whose deep nodes are costly pays for
-at most 8 of them per side and level.  The first call's terms go into one
-zero-padded table of 8-term chunks, and three numpy reductions give every
-chunk's sums and peak; levels 0-3 then scan at most 4 chunks per side in
-Python under the same rule, so they give the sums of one call per level.
-Levels from 4 on sum their own terms (`_side_sum`).
+midpoint and the live nodes of levels 0-4 on both sides (194 where the
+half-width does not underflow them), where most integrals settle; each
+level from 5 on makes one call of its own, so a typical quadrature makes
+two.  The abscissae and weights of each level are computed once, at unit
+half-width.  A side's sum stops at its first chunk of 8 terms below 1e-17
+times its running sum, and the next level uses that side at most one
+chunk beyond it, so from level 5 on an integrand whose deep nodes are
+costly pays for at most 8 of them per side and level.  A call's terms go
+into one zero-padded table of 8-term chunks by side and level, and one
+vectorized pass over it (`_scan`) gives every level's running sums and
+the chunk where each side stops; the reach caps then apply level by
+level (`_level_sum`), so the first call's levels sum as if each had made
+its own call.
 
 A cumulative coordinate (`_Cumulative`) is the mass u(x) of a weight w
 between x and an anchor, signed so that u' = -w.  A table of knots holds
@@ -152,380 +154,294 @@ _HUGE = 1e50         # partial sums beyond this are treated as divergent
 _MAX_LEVEL = 10      # refinement levels (step h = 2^-level) before NonConvergent
 _TRUNC_EPS = 1e-17   # a side stops at its first chunk of terms below eps * sum
 _CHUNK = 8
-_SHORT_SIDE = 64     # terms up to which a side sums in Python floats (measured crossover)
-_FIRST_LEVELS = 4    # levels 0-3, whose nodes the first integrand call evaluates together
+_FIRST_LEVELS = 5    # levels 0-4, whose live nodes the first integrand call evaluates together
 
 
 @functools.cache
 def _level_nodes(level: int):
     """One level's abscissae t > 0 (multiples of h = 1 at level 0, odd
     multiples of h = 2^-level after it) as a tuple, their edge distance
-    fractions 1 - tanh y = 2/(e^{2y} + 1), y = pi/2 sinh t, the weight
-    factors cosh t and cosh^2 y (kept apart, so that each weight is formed
-    as (half pi/2) cosh t / cosh^2 y in one order).  The midpoint t = 0 is
-    not among them: its weight is half pi/2 at level 0."""
+    fractions 1 - tanh y = 2/(e^{2y} + 1), y = pi/2 sinh t, and their
+    weights at unit half-width, pi/2 cosh t / cosh^2 y.  The midpoint t = 0
+    is not among them: its weight is pi/2 at level 0."""
     h = 2.0**-level
-    ts = np.arange(0.0, _TMAX, h) if level == 0 else np.arange(h, _TMAX, 2.0 * h)
+    ts = np.arange(1.0, _TMAX, 1.0) if level == 0 else np.arange(h, _TMAX, 2.0 * h)
     y = _PI_2 * np.sinh(ts)
     with np.errstate(over="ignore"):
-        arrays = [2.0 / (np.exp(2.0 * y) + 1.0), np.cosh(ts), np.cosh(y) ** 2]
-    arrays = [a[1:] if level == 0 else a for a in arrays]
-    for a in arrays:
+        dfrac, weight = 2.0 / (np.exp(2.0 * y) + 1.0), _PI_2 * np.cosh(ts) / np.cosh(y) ** 2
+    for a in (dfrac, weight):
         a.flags.writeable = False
-    return tuple((ts[1:] if level == 0 else ts).tolist()), *arrays
+    return tuple(ts.tolist()), dfrac, weight
+
+
+def _first_nodes(half: float):
+    """The edge distance fractions of the midpoint (1) and of the nodes of
+    levels 0 to _FIRST_LEVELS - 1 that are live at half-width `half`
+    (distance and weight both positive, a prefix of each level's nodes),
+    end to end; the nodes' weights; their count per level; and the least
+    of their fractions and weights."""
+    parts = []
+    for level in range(_FIRST_LEVELS):
+        _, dfrac, weight = _level_nodes(level)
+        n = int(np.count_nonzero((half * dfrac > 0.0) & (half * weight > 0.0)))
+        parts.append((dfrac[:n], weight[:n]))
+    dfrac, weight = (np.concatenate(p) for p in zip(*parts))
+    lives = tuple(len(d) for d, _ in parts)
+    return np.append(1.0, dfrac), weight, lives, min(dfrac.min(initial=_INF), weight.min(initial=_INF))
+
+
+_unit_first_nodes = functools.cache(functools.partial(_first_nodes, 1.0))
 
 
 @functools.cache
-def _first_levels():
-    """The edge distance fractions and weight factors of _level_nodes for
-    levels 0 to _FIRST_LEVELS - 1, laid end to end, and the offset at which
-    each level starts (with the total length last)."""
-    levels = [_level_nodes(k)[1:] for k in range(_FIRST_LEVELS)]
-    arrays = [np.concatenate(parts) for parts in zip(*levels)]
-    for a in arrays:
-        a.flags.writeable = False
-    return *arrays, np.cumsum([0] + [len(d) for d, _, _ in levels]).tolist()
+def _first_layout(lives: tuple):
+    """Where the terms of the first call go in its zero-padded table of
+    shape (2 sides, levels, chunks * _CHUNK), for lives[level] terms per
+    side and level (the upper side first, levels in turn within a side):
+    their flat positions, and the table's shape."""
+    row = _CHUNK * max(1, -(-max(lives) // _CHUNK))
+    dest = np.concatenate([np.arange(n) + k * row for k, n in enumerate(lives + lives)])
+    return dest, (2, len(lives), row)
 
 
-def _side_sum(terms: np.ndarray, total: float, max_term: float):
-    """(terms used, total, largest term so far) after adding one side's
-    finite terms to the running sum `total` by chunks of _CHUNK, in turn
-    across chunks.  A full chunk sums as np.add.reduce does, pairwise:
-    ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)); a partial chunk sums in turn, as
-    np.add.reduce does below 8 terms; and, as there, a chunk's sum is
-    never -0.0.  The side stops after its first chunk whose largest term is
-    at most _TRUNC_EPS max(|running sum|, largest term so far) -- unless
-    every term so far is 0: an integrand that underflows near the midpoint
-    must not stop a side before it reaches the mass at the endpoint.
+class _Scan(NamedTuple):
+    """The terms of one integrand call by side and level, and where each
+    side of each level stops: `terms`, weight * value in the table of
+    `_scan` (a term that is not finite is 0); `running`, the
+    running sum of each side of each level at the end of each chunk;
+    `counts[side][level]`, the count of terms; `stops[side][level]`, the
+    index of the chunk at which the side stops; and `infs[side][level]`,
+    the index of its first inf value (the row length where there is
+    none), or None where every term is finite."""
 
-    Up to _SHORT_SIDE terms, the common case, the sums run in Python
-    floats; a longer side (an integral that does not settle) takes the
-    same sums in numpy, whose fixed cost is then the smaller."""
-    n = len(terms)
-    if n > _SHORT_SIDE:
-        full = n - n % _CHUNK
-        parts = [(total,), np.add.reduce(terms[:full].reshape(-1, _CHUNK), axis=1)]
-        if full < n:
-            parts.append((np.add.reduce(terms[full:]),))
-        running = np.add.accumulate(np.concatenate(parts))[1:]
-        peaks = np.maximum.reduceat(np.abs(terms), np.arange(0, n, _CHUNK))
-        largest = np.maximum.accumulate(peaks)
-        np.maximum(largest, max_term, out=largest)
-        stop = (peaks <= _TRUNC_EPS * np.maximum(np.abs(running), largest)) & (largest > 0.0)
-        c = int(stop.argmax()) if stop.any() else len(stop) - 1
-        return min(n, (c + 1) * _CHUNK), float(running[c]), float(largest[c])
-    vals = terms.tolist()
-    for c in range(0, n, _CHUNK):
-        chunk = vals[c : c + _CHUNK]
-        if len(chunk) == _CHUNK:
-            a0, a1, a2, a3, a4, a5, a6, a7 = chunk
-            part = ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
-        else:
-            part = chunk[0]
-            for v in chunk[1:]:
-                part += v
-        # np.add.reduce starts from +0.0: a chunk of -0.0 sums to +0.0
-        total += part + 0.0
-        peak = max(map(abs, chunk))
-        max_term = max(max_term, peak)
-        if peak <= _TRUNC_EPS * max(abs(total), max_term) and max_term > 0.0:
-            return min(n, c + _CHUNK), total, max_term
-    return n, total, max_term
+    terms: np.ndarray
+    running: np.ndarray
+    counts: tuple
+    stops: list
+    infs: Optional[list]
 
 
-def _ts_level_sum(g, edge_map, half: float, level: int, reach: list, total: float):
-    """One tanh-sinh level from level _FIRST_LEVELS on: `total` plus the sum
-    of weight * integrand over its nodes, the evaluations it made, and the
-    outermost terms it used.  The level calls g once on the nodes it uses,
-    and `_side_sum` adds each side.
+def _scan(terms: np.ndarray, values: np.ndarray, counts: tuple, dest: np.ndarray, shape: tuple) -> _Scan:
+    """One vectorized pass over the terms of one integrand call: its
+    values and their weight * value terms, side-major and levels in turn
+    within a side, which go to the flat positions `dest` of a zero-padded
+    table of `shape` (2 sides, levels, chunks * _CHUNK).
 
-    edge_map(d, upper) gives the x at distance d from the upper (or lower)
-    end and the divisors of the Jacobian in the order they apply: working
-    from the edge distance avoids catastrophic cancellation for singular
-    integrands.  reach[side] (upper side first, updated in place) is the
-    outermost t the previous level used on that side; at most _CHUNK nodes
-    past it are used, since deep nodes can be very expensive for
-    transform-backed integrands.
-    """
-    ts, dfrac, cosh_t, cosh2_y = _level_nodes(level)
-    edge_terms: list[float] = []
-    caps = [bisect.bisect_right(ts, r) + _CHUNK for r in reach]
-    n = min(len(ts), max(caps))
-    w = half * _PI_2 * cosh_t[:n] / cosh2_y[:n]
-    deltas = half * dfrac[:n]
-    # live nodes (weight and distance not underflowed) are a prefix
-    live = n
-    if not (w[n - 1] > 0.0 and deltas[n - 1] > 0.0):
-        live = int(np.count_nonzero((w > 0.0) & (deltas > 0.0)))
-    counts = [min(c, live) for c in caps]
-    if not sum(counts):
-        return total, 0, edge_terms
-    sides = [edge_map(deltas[:k], upper) for k, upper in zip(counts, (True, False))]
-    values, n_evals = _node_values(g, sides)
-    max_term = abs(total)
-    for side, (k, v) in enumerate(zip(counts, values)):
-        terms = w[:k] * v
-        bad = None
-        if not math.isfinite(np.add.reduce(terms)):
-            bad = ~np.isfinite(terms)
-            terms = np.where(bad, 0.0, terms)
-        used, total, max_term = _side_sum(terms, total, max_term)
-        # weight underflow times a singular value gives nan; those nodes
-        # carry no mass for integrable edges -- but a genuine inf means the
-        # integrand outgrows the weight decay
-        if bad is not None and np.isinf(v[:used][bad[:used]]).any():
-            raise DivergentIntegral("integrand grows faster than the node weights decay")
-        if not used:
+    Within a side of a level, each chunk of _CHUNK terms sums in turn, and
+    the running sum adds the chunk sums in turn.  The side stops at its
+    first chunk whose largest |term| is below _TRUNC_EPS max(|running
+    sum|, largest |term| so far), or else at its last: a side whose terms
+    are all 0 so far (an integrand that underflows near the midpoint) goes
+    on until it reaches the mass at the endpoint.  The reductions run over
+    the table's transpose, chunk position first, where each is a handful of
+    elementwise steps."""
+    infs = None
+    if not math.isfinite(np.add.reduce(terms)):
+        at = np.zeros(math.prod(shape), dtype=bool)
+        at[dest] = np.isinf(values)
+        at = at.reshape(shape)
+        infs = np.where(at.any(axis=2), at.argmax(axis=2), shape[2]).tolist()
+        terms = np.where(np.isfinite(terms), terms, 0.0)
+    table = np.zeros(math.prod(shape))
+    table[dest] = terms
+    table = table.reshape(shape)
+    by_place = np.ascontiguousarray(table.reshape(*shape[:2], -1, _CHUNK).transpose(3, 0, 1, 2))
+    running = np.add.accumulate(np.add.reduce(by_place, axis=0), axis=2)
+    peaks = np.maximum.reduce(np.abs(by_place), axis=0)
+    stop = peaks < _TRUNC_EPS * np.maximum(np.abs(running), np.maximum.accumulate(peaks, axis=2))
+    stop[..., -1] = True
+    return _Scan(table, running, counts, stop.argmax(axis=2).tolist(), infs)
+
+
+def _level_sum(scan: _Scan, i: int, ts: tuple, reach: list, total: float):
+    """`total` plus the sum of level i of `scan` over both sides, the upper
+    side first; the terms each side uses; and whether an inf value lies
+    among them.  A side uses its terms up to where it stops, and at most
+    _CHUNK nodes past reach[side], the outermost t the previous level used
+    on that side (updated in place): deep nodes can be very expensive for
+    transform-backed integrands.  A chunk that the cap cuts short sums its
+    used terms in turn."""
+    used, inf = [], False
+    for side in (0, 1):
+        n = scan.counts[side][i]
+        k = min(n, (scan.stops[side][i] + 1) * _CHUNK, bisect.bisect_right(ts, reach[side]) + _CHUNK)
+        used.append(k)
+        if not k:
             continue
-        reach[side] = ts[used - 1]
-        last3 = np.abs(terms[max(used - 3, (used - 1) // _CHUNK * _CHUNK) : used]).tolist()
-        # keep the side whose outermost terms are largest: the divergence
-        # heuristic watches for edges that fail to decay
-        if not edge_terms or max(last3) > max(edge_terms):
-            edge_terms = last3
-    return total, n_evals, edge_terms
+        reach[side] = ts[k - 1]
+        inf = inf or (scan.infs is not None and scan.infs[side][i] < k)
+        c = (k - 1) // _CHUNK
+        if k < min(n, (c + 1) * _CHUNK):
+            first, *rest = scan.terms[side, i, c * _CHUNK : k].tolist()
+            for t in rest:
+                first += t
+            total += (scan.running.item(side, i, c - 1) + first) if c else first
+        else:
+            total += scan.running.item(side, i, c)
+    return total, used, inf
 
 
-def _node_values(g, sides):
+def _edge_terms(scan: _Scan, i: int, used: list) -> list:
+    """The |terms| that end the used prefix of each side of level i of
+    `scan` (its last three, within its last chunk), of the side whose
+    largest is larger (the upper side on a tie): the divergence heuristics
+    watch for edges that fail to decay."""
+    edge: list[float] = []
+    for side, k in enumerate(used):
+        if k:
+            last = np.abs(scan.terms[side, i, max(k - 3, (k - 1) // _CHUNK * _CHUNK) : k]).tolist()
+            if not edge or max(last) > max(edge):
+                edge = last
+    return edge
+
+
+def _node_values(g, sides) -> np.ndarray:
     """One call to g on the points of every (x, Jacobian divisors) pair in
-    `sides`: the values on each, divided by its divisors, and the count of
-    points."""
+    `sides`: the values end to end, each side's divided by its divisors."""
     xs = np.concatenate([x for x, _ in sides])
     vs = np.asarray(g(xs), dtype=float)
     # np.broadcast_to costs ten times the shape test: keep it off the common path
     vs = vs if vs.shape == xs.shape else np.broadcast_to(vs, xs.shape)
-    values = []
+    if not any(jac for _, jac in sides):
+        return vs
+    parts, start = [], 0
     for x, jac in sides:
-        v, vs = vs[: len(x)], vs[len(x) :]
+        v, start = vs[start : start + len(x)], start + len(x)
         for q in jac:
             v = v / q
-        values.append(v)
-    return values, len(xs)
-
-
-@functools.cache
-def _chunk_layout(lives: tuple):
-    """Where the terms of `_chunk_table` go, for lives[level] live nodes on
-    each side of each level: the flat position in the zero-padded (chunks x
-    _CHUNK) table of every term (upper side first, levels in turn within a
-    side), the table's size, and per level and side (base, c0): the index of
-    its first term and of its first chunk.  Each level's side starts a new
-    chunk, so its chunks are those of `_side_sum` on its terms."""
-    dest, slots, chunk = [], [[None, None] for _ in lives], 0
-    for side in range(2):
-        for level, n in enumerate(lives):
-            slots[level][side] = (len(dest), chunk)
-            dest += range(chunk * _CHUNK, chunk * _CHUNK + n)
-            chunk += -(-n // _CHUNK)
-    dest = np.array(dest, dtype=np.intp)
-    dest.flags.writeable = False
-    return dest, chunk * _CHUNK, tuple(map(tuple, slots))
-
-
-class _ChunkTable(NamedTuple):
-    """One quadrature's terms on the first call's nodes, by chunk: per
-    chunk its pairwise sum (that of a full chunk in `_side_sum`), its sum in
-    turn (that of a partial chunk) and its largest |term|; the terms (not
-    finite ones zeroed), the positions of the inf values among them, and
-    the live counts and slots of `_chunk_layout`."""
-
-    sums: list
-    seqs: list
-    peaks: list
-    terms: list
-    infs: list
-    lives: tuple
-    slots: tuple
-
-
-def _chunk_table(values: np.ndarray, w: np.ndarray, lives: tuple) -> _ChunkTable:
-    """The terms w * values of both sides (values holds the upper side's
-    len(w) values, then the lower side's), and their chunk sums in three
-    numpy reductions over the zero-padded table of `_chunk_layout`."""
-    terms = (values.reshape(2, -1) * w).ravel()
-    infs = []
-    if not math.isfinite(np.add.reduce(terms)):
-        infs = np.flatnonzero(np.isinf(values)).tolist()
-        terms = np.where(np.isfinite(terms), terms, 0.0)
-    dest, size, slots = _chunk_layout(lives)
-    table = np.zeros(size)
-    table[dest] = terms
-    table = table.reshape(-1, _CHUNK)
-    return _ChunkTable(
-        np.add.reduce(table, axis=1).tolist(),  # pairwise, from +0.0
-        # in turn, with the padding's +0.0 last: a partial chunk of -0.0 sums to +0.0
-        np.add.accumulate(table, axis=1)[:, -1].tolist(),
-        np.maximum.reduce(np.abs(table), axis=1).tolist(),
-        terms.tolist(),
-        infs,
-        lives,
-        slots,
-    )
-
-
-def _table_side_sum(tab: _ChunkTable, level: int, side: int, k: int, total: float, max_term: float):
-    """`_side_sum` of the first k terms of one level and side of the chunk
-    table, chunk by chunk from its sums: the same (used, total, largest
-    term), bit for bit.  A chunk cut short by k (a reach cap) is summed in
-    turn from the terms.  Raises DivergentIntegral if an inf value lies
-    among the terms used."""
-    base, c0 = tab.slots[level][side]
-    live, used = tab.lives[level], k
-    for c in range(0, k, _CHUNK):
-        if c + _CHUNK <= k:
-            part, peak = tab.sums[c0], tab.peaks[c0]
-        elif k == live:
-            part, peak = tab.seqs[c0], tab.peaks[c0]
-        else:
-            chunk = tab.terms[base + c : base + k]
-            part = chunk[0]
-            for v in chunk[1:]:
-                part += v
-            part += 0.0
-            peak = max(map(abs, chunk))
-        c0 += 1
-        total += part
-        if peak > max_term:
-            max_term = peak
-        if peak <= _TRUNC_EPS * max(abs(total), max_term) and max_term > 0.0:
-            used = min(k, c + _CHUNK)
-            break
-    # weight underflow times a singular value gives nan; those nodes carry no
-    # mass for integrable edges -- but a genuine inf means the integrand
-    # outgrows the weight decay
-    if tab.infs and any(base <= i < base + used for i in tab.infs):
-        raise DivergentIntegral("integrand grows faster than the node weights decay")
-    return used, total, max_term
-
-
-def _first_level_sum(tab: _ChunkTable, level: int, reach: list, total: float):
-    """Level `level` < _FIRST_LEVELS of the rule of `_ts_level_sum`, read
-    from the first call's chunk table: `total` plus the level's sum, and the
-    outermost terms it used.  The same reach caps, and `_table_side_sum` in
-    place of `_side_sum`, so the same sums bit for bit."""
-    ts = _level_nodes(level)[0]
-    live, edge_terms = tab.lives[level], []
-    max_term = abs(total)
-    for side, r in enumerate(reach):
-        k = min(bisect.bisect_right(ts, r) + _CHUNK, live)
-        used, total, max_term = _table_side_sum(tab, level, side, k, total, max_term)
-        if not used:
-            continue
-        reach[side] = ts[used - 1]
-        base = tab.slots[level][side][0]
-        last3 = list(map(abs, tab.terms[base + max(used - 3, (used - 1) // _CHUNK * _CHUNK) : base + used]))
-        # keep the side whose outermost terms are largest: the divergence
-        # heuristic watches for edges that fail to decay
-        if not edge_terms or max(last3) > max(edge_terms):
-            edge_terms = last3
-    return total, edge_terms
+        parts.append(v)
+    return np.concatenate(parts)
 
 
 def _first_call(g, edge_map, half: float):
     """The first call of `_tanh_sinh`: g once on the midpoint and on the
     live nodes of levels 0 to _FIRST_LEVELS - 1 on both sides.  Returns the
-    midpoint value, the `_chunk_table` of the weight * value terms of those
-    nodes, from which levels 0 to _FIRST_LEVELS - 1 are summed, and the
-    count of points."""
-    dfrac, cosh_t, cosh2_y, starts = _first_levels()
+    midpoint value, the `_scan` of the other values, and the count of
+    points."""
+    dfrac, weight, lives, least = _unit_first_nodes()
+    if not half * least > 0.0:  # a node live at unit half-width is not at this one
+        dfrac, weight, lives, _ = _first_nodes(half)
     deltas = half * dfrac
-    w = half * _PI_2 * cosh_t / cosh2_y
-    live = (w > 0.0) & (deltas > 0.0)
-    lives = tuple(np.add.reduceat(live, starts[:-1]).tolist())
-    deltas = deltas[live]
     # the midpoint is the upper side's point at distance `half`
-    sides = [edge_map(np.append(half, deltas), True), edge_map(deltas, False)]
-    (upper, lower), n_evals = _node_values(g, sides)
-    tab = _chunk_table(np.concatenate((upper[1:], lower)), w[live], lives)
-    return float(upper[0]), tab, n_evals
+    vs = _node_values(g, [edge_map(deltas, True), edge_map(deltas[1:], False)])
+    terms = (vs[1:].reshape(2, -1) * (half * weight)).ravel()
+    return float(vs[0]), _scan(terms, vs[1:], (lives, lives), *_first_layout(lives)), len(vs)
+
+
+def _level_call(g, edge_map, half: float, level: int, reach: list):
+    """Level `level` from _FIRST_LEVELS on: g once on the live nodes that
+    each side may use under its reach cap (see `_level_sum`).  Returns
+    their `_scan` and the count of points."""
+    ts, dfrac, weight = _level_nodes(level)
+    caps = [bisect.bisect_right(ts, r) + _CHUNK for r in reach]
+    n = min(len(ts), max(caps))
+    w, deltas = half * weight[:n], half * dfrac[:n]
+    # live nodes (weight and distance not underflowed) are a prefix
+    live = n
+    if not (w[n - 1] > 0.0 and deltas[n - 1] > 0.0):
+        live = int(np.count_nonzero((w > 0.0) & (deltas > 0.0)))
+    ku, kl = counts = [min(c, live) for c in caps]
+    vs = np.empty(0)
+    if ku + kl:
+        vs = _node_values(g, [edge_map(deltas[:ku], True), edge_map(deltas[:kl], False)])
+    row = _CHUNK * max(1, -(-max(counts) // _CHUNK))
+    dest = np.concatenate((np.arange(ku), np.arange(row, row + kl)))
+    return _scan(vs * np.concatenate((w[:ku], w[:kl])), vs, ((ku,), (kl,)), dest, (2, 1, row)), ku + kl
 
 
 def _tanh_sinh(g, edge_map, half: float, tol: float, min_scale: float) -> QuadResult:
-    """Adaptive tanh-sinh on an interval of half-width `half`, whose ends
-    edge_map locates (see _ts_level_sum), on nodes cached per level
-    (_level_nodes).  A side stops at its first chunk of terms below
-    _TRUNC_EPS times the running sum, and is used at most one chunk
-    (_CHUNK nodes) past where it stopped at the previous level; a side that
-    has not stopped by then stops there.
+    """Adaptive tanh-sinh on an interval of half-width `half`, on nodes
+    cached per level (_level_nodes).  edge_map(d, upper) gives the x at
+    distance d from the upper (or lower) end and the divisors of the
+    Jacobian in the order they apply: working from the edge distance avoids
+    catastrophic cancellation for singular integrands.
 
     The first call to g holds the midpoint and the live nodes of levels 0
-    to 3 on both sides, and builds their chunk table (`_first_call`); each
-    level from 4 on makes one call of its own (`_ts_level_sum`).  Levels 0-3
-    are summed one by one from the table's chunk sums (`_first_level_sum`),
-    with the same reach caps, midpoint, overflow, divergence and stop tests
-    as if each had made its own call, so the value and error are those of
-    one call per level.  Some of the first call's nodes go unused: those of
-    levels 1-3 past a side's reach cap, and all of level 3 when the rule
-    stops at level 2 (or every level past one that raises).  They are
-    counted in `evaluations`, which is the number of points given to g."""
+    to 4 on both sides (`_first_call`), where most integrals settle; each
+    level from 5 on makes one call of its own (`_level_call`) on the nodes
+    its reach caps allow.  One vectorized pass over a call's terms gives
+    every level's running sums and where each side stops (`_scan`); the
+    reach caps then apply level by level (`_level_sum`), so levels 0-4 sum
+    as if each had made its own call.  The first call's nodes past a
+    side's cap, and those of every level past the one at which the rule
+    stops or raises, go unused.  They are counted in `evaluations`, which
+    is the number of points given to g.
+
+    The stop test compares the last two level estimates; it stands unless
+    the terms that end the sides' used prefixes rise toward the edge.  A
+    failure carries the heuristic that decided it and the estimates."""
     h = 1.0
     s = 0.0
     estimates: list[float] = []
-    last_edge: list[float] = []
     reach = [math.inf, math.inf]
+    last = None  # (scan, level index, terms used) of the last level that used a node
+
+    def diverges(heuristic: str, message: str) -> DivergentIntegral:
+        return DivergentIntegral(message, heuristic=heuristic, estimates=estimates)
+
+    # one errstate for the whole rule: the integrand's overflow and 0 * inf
+    # are read from the values, not warned about
     with np.errstate(all="ignore"):
-        v0, tab, n_evals = _first_call(g, edge_map, half)
-    if math.isinf(v0):
-        raise DivergentIntegral("integrand not finite at interval midpoint")
-    if math.isnan(v0):
-        v0 = 0.0  # overflow-times-underflow product: no representable mass
-    for level in range(_MAX_LEVEL + 1):
-        # t = 0 contributes once, at level 0: the midpoint, `half` from either end
-        total = half * _PI_2 * v0 if level == 0 else 0.0
-        if level < _FIRST_LEVELS:
-            ds, edge = _first_level_sum(tab, level, reach, total)
-        else:
-            with np.errstate(all="ignore"):
-                ds, ne, edge = _ts_level_sum(g, edge_map, half, level, reach, total)
-            n_evals += ne
-        s += ds
-        est = h * s
-        if edge:
-            last_edge = edge
-        estimates.append(est)
-        if abs(est) > _HUGE:
-            raise DivergentIntegral("partial sums exceed overflow threshold")
-        if level >= 2:
-            err = abs(estimates[-1] - estimates[-2])
-            scale = max(min_scale, abs(est))
-            if scale == 0.0:
-                scale = 1.0
-            if err <= tol * scale:
-                # a finite value at the truncation edge means the rule ran out
-                # of axis, i.e. mass keeps arriving from the endpoint region
-                if last_edge and max(last_edge) > 1e3 * tol * scale and (
-                    last_edge == sorted(last_edge)
-                ):
-                    raise DivergentIntegral(
-                        "endpoint contributions do not decay under clustering refinement"
-                    )
-                return QuadResult(est, err, n_evals)
-        h *= 0.5
-    err = abs(estimates[-1] - estimates[-2]) if len(estimates) >= 2 else abs(estimates[-1])
+        v0, scan, n_evals = _first_call(g, edge_map, half)
+        if math.isinf(v0):
+            raise diverges("midpoint", "integrand not finite at interval midpoint")
+        if math.isnan(v0):
+            v0 = 0.0  # overflow-times-underflow product: no representable mass
+        for level in range(_MAX_LEVEL + 1):
+            i = level
+            if level >= _FIRST_LEVELS:
+                scan, ne = _level_call(g, edge_map, half, level, reach)
+                n_evals += ne
+                i = 0
+            # t = 0 contributes once, at level 0: the midpoint, `half` from either end
+            start = half * _PI_2 * v0 if level == 0 else 0.0
+            ds, used, inf = _level_sum(scan, i, _level_nodes(level)[0], reach, start)
+            # weight underflow times a singular value gives nan; those nodes
+            # carry no mass for integrable edges -- but a genuine inf means the
+            # integrand outgrows the weight decay
+            if inf:
+                raise diverges("weights", "integrand grows faster than the node weights decay")
+            if used[0] or used[1]:
+                last = (scan, i, used)
+            s += ds
+            est = h * s
+            estimates.append(est)
+            if abs(est) > _HUGE:
+                raise diverges("overflow", "partial sums exceed overflow threshold")
+            if level >= 2:
+                err = abs(estimates[-1] - estimates[-2])
+                scale = max(min_scale, abs(est))
+                if scale == 0.0:
+                    scale = 1.0
+                if err <= tol * scale:
+                    # a finite value at the truncation edge means the rule ran out
+                    # of axis, i.e. mass keeps arriving from the endpoint region
+                    edge = _edge_terms(*last) if last else []
+                    if edge and max(edge) > 1e3 * tol * scale and edge == sorted(edge):
+                        raise diverges("edge", "endpoint contributions do not decay under clustering refinement")
+                    return QuadResult(est, err, n_evals)
+            h *= 0.5
+    err = abs(estimates[-1] - estimates[-2])
     scale = max(1.0, abs(estimates[-1]))
     # divergence heuristics apply only to material residual motion; tiny
     # level-to-level creep is evaluation noise on a convergent integral
     if err > 1e-6 * scale:
-        growing = (
-            len(estimates) >= 4
-            and abs(estimates[-1]) > abs(estimates[-2]) >= abs(estimates[-3])
-            and abs(estimates[-1] - estimates[-2]) >= abs(estimates[-2] - estimates[-3])
-        )
-        if len(estimates) >= 4:
-            # logarithmic divergence: level increments neither grow nor decay
-            # (a convergent tanh-sinh rule contracts increments superlinearly)
-            d1 = abs(estimates[-1] - estimates[-2])
-            d2 = abs(estimates[-2] - estimates[-3])
-            d3 = abs(estimates[-3] - estimates[-4])
-            if d3 > 0 and d2 > 0 and d1 / d3 > 0.5 and d1 / d2 > 0.7:
-                raise DivergentIntegral(
-                    "level increments do not contract (logarithmically divergent integral)"
-                )
-        if growing or (last_edge and last_edge == sorted(last_edge) and max(last_edge) > err):
-            raise DivergentIntegral("partial sums grow without bound under endpoint refinement")
+        d1, d2, d3 = (abs(estimates[j] - estimates[j - 1]) for j in (-1, -2, -3))
+        # logarithmic divergence: level increments neither grow nor decay
+        # (a convergent tanh-sinh rule contracts increments superlinearly)
+        if d3 > 0 and d2 > 0 and d1 / d3 > 0.5 and d1 / d2 > 0.7:
+            raise diverges("increments", "level increments do not contract (logarithmically divergent integral)")
+        grow = "partial sums grow without bound under endpoint refinement"
+        if abs(estimates[-1]) > abs(estimates[-2]) >= abs(estimates[-3]) and d1 >= d2:
+            raise diverges("growth", grow)
+        edge = _edge_terms(*last) if last else []
+        if edge and edge == sorted(edge) and max(edge) > err:
+            raise diverges("edge", grow)
     raise NonConvergent(
         f"error {err:.3e} above tolerance {tol:.3e} after level {_MAX_LEVEL}",
         QuadResult(estimates[-1], err, n_evals),
+        heuristic="tolerance",
+        estimates=estimates,
     )
 
 
@@ -570,15 +486,17 @@ def integrate(
     endpoints, so interior singularities must become endpoints).
 
     g is called on 1-d arrays of points, first on the midpoint and the
-    nodes of levels 0-3 of each interval at once (`_tanh_sinh`), and
-    `evaluations` counts every point given to it, those of the first call
-    that the rule stops before using included.
+    live nodes of levels 0-4 of each interval at once, then once per
+    further level (`_tanh_sinh`), and `evaluations` counts every point
+    given to it, those of the first call that the rule stops before using
+    included.
 
     Raises NonConvergent if the error estimate of an interval stays above
     tol * max(min_scale, |value|) after _MAX_LEVEL levels (its `result`
     holds that interval's last estimate), and DivergentIntegral
     when partial sums grow without bound under endpoint refinement; its
-    message names the heuristic that fired and the interval.
+    message names the heuristic that fired and the interval.  Both carry
+    the `heuristic`, the `interval` and the per-level `estimates`.
     """
     if tol <= 0:
         raise InvalidParams("tol must be positive")
@@ -601,7 +519,12 @@ def integrate(
             else:
                 rs = [_integrate_finite(g, lo, hi, sub_tol, min_scale)]
         except DivergentIntegral as exc:
-            raise DivergentIntegral(f"{exc} on ({lo!r}, {hi!r})") from None
+            raise DivergentIntegral(
+                f"{exc} on ({lo!r}, {hi!r})", heuristic=exc.heuristic, interval=(lo, hi), estimates=exc.estimates
+            ) from None
+        except NonConvergent as exc:
+            exc.interval = (lo, hi)
+            raise
         for r in rs:
             total += r.value
             err += r.error_estimate
@@ -803,14 +726,29 @@ _GK_X, _GK_K, _GK_G = (np.concatenate((s * np.array(a[:-1]), a[::-1])) for s, a 
 for _a in (_GK_X, _GK_K, _GK_G):
     _a.flags.writeable = False
 _UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
-# From w's values on the Kronrod nodes of (-1, 1) to the Chebyshev
-# coefficients of the integral from -1 of their degree-14 interpolant: the
-# integral of each T_k (T_1, T_2/4, T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1))) and
-# the constant that makes it 0 at -1, times the inverse of T_k at the nodes
-_j, _m = np.arange(1, 15), np.zeros((16, 15))
-_m[1, 0], _m[_j + 1, _j], _m[_j[1:] - 1, _j[1:]] = 1.0, 0.5 / (_j + 1), -0.5 / _j[:-1]
-_m[0] = -((-1.0) ** np.arange(1, 16)[:, None] * _m[1:]).sum(axis=0)
-_GK_ANTIDERIVATIVE = np.linalg.solve(np.cos(np.arange(15)[:, None] * np.arccos(_GK_X)), _m.T).T
+
+
+@functools.cache
+def _gk_antiderivative() -> np.ndarray:
+    """From w's values on the Kronrod nodes of (-1, 1) to the Chebyshev
+    coefficients of the integral from -1 of their degree-14 interpolant: the
+    integral of each T_k (T_1, T_2/4, T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)))
+    and the constant that makes it 0 at -1, times the inverse of T_k at the
+    nodes.  Formed on first use: its solve is the library's only LAPACK call,
+    and only the seeds of `_Cumulative` read it."""
+    j, m = np.arange(1, 15), np.zeros((16, 15))
+    m[1, 0], m[j + 1, j], m[j[1:] - 1, j[1:]] = 1.0, 0.5 / (j + 1), -0.5 / j[:-1]
+    m[0] = -((-1.0) ** np.arange(1, 16)[:, None] * m[1:]).sum(axis=0)
+    out = np.linalg.solve(np.cos(np.arange(15)[:, None] * np.arccos(_GK_X)), m.T).T
+    out.flags.writeable = False
+    return out
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of the finite floats x, sorted: np.unique's
+    result without its check for masked arrays, which imports numpy.ma."""
+    x = np.sort(x)
+    return x[np.append(True, x[1:] != x[:-1])]
 
 
 def _gk_pieces(w, los, his):
@@ -818,8 +756,10 @@ def _gk_pieces(w, los, his):
     his[i]), from one call to w on the 15 Kronrod nodes of every row, whose
     values it returns (rows x 15); his[i] < los[i] gives minus the mass on
     (his[i], los[i]).  ok marks the rows the pair certifies: K15 != 0 (a
-    weight that underflows there stays with tanh-sinh, whose masses never
-    tie two knots of a table), |K15| <= _HUGE (past which tanh-sinh calls
+    weight that underflows there goes to tanh-sinh, whose mass may be 0.0
+    as well, so knots of a table can tie: in up(halfgauss, 3) the 16 knots
+    from x = 40.37 to 10504.7 all have u = 0.0, and a solve for a u above
+    0 brackets it below them), |K15| <= _HUGE (past which tanh-sinh calls
     partial sums divergent), and |K15 - G7| and the rounding of the nodes
     (see below) both within _SEG_TOL |K15|, so K15 and G7 finite.  halve
     marks the rows that fail the |K15 - G7| test alone, which a segment
@@ -1038,7 +978,7 @@ class _Cumulative:
         """x in row j where u_j less the integral from knot j of the row's
         Kronrod interpolant of w is u; nan where the row holds no values."""
         lo, half = self.knots[j], 0.5 * (self.knots[j + 1] - self.knots[j])
-        coef, r = (_GK_ANTIDERIVATIVE @ self.values[j]).tolist(), float(self.u_knots[j] - u) / half
+        coef, r = (_gk_antiderivative() @ self.values[j]).tolist(), float(self.u_knots[j] - u) / half
         return math.nan if math.isnan(coef[0]) else lo + half * (1.0 + _chebyshev_root(coef, r))
 
     def x_of_u(self, u: float) -> Optional[float]:
@@ -1495,7 +1435,7 @@ def quantiles(f: Density, qs: Sequence[float]) -> np.ndarray:
     if np.any((qs <= 0) | (qs >= 1)):
         raise InvalidParams("quantile fractions must lie strictly inside (0, 1)")
     sup = f.support
-    knots = np.unique(sup.clustered(64))
+    knots = _distinct(sup.clustered(64))
     inner, head, tail, _ = masses = _segment_masses(f.value, sup, knots)
     total = head + float(np.sum(inner)) + tail
     if not math.isfinite(total):

@@ -12,18 +12,35 @@ class EntroscopeError(Exception):
 
 class NonConvergent(EntroscopeError):
     """Quadrature error estimate stayed above tolerance after the budget;
-    `result` is the QuadResult (last estimate) of the interval that failed."""
+    `result` is the QuadResult (last estimate) of the interval that failed.
 
-    def __init__(self, message: str, result=None):
+    From quadrature, `heuristic` names the check that decided ("tolerance":
+    the level budget ran out; or, where edge forms say the integral
+    converges, the divergence heuristic that fired), `interval` is the
+    (lower, upper) that failed, and `estimates` the per-level estimates."""
+
+    def __init__(self, message: str, result=None, *, heuristic=None, interval=None, estimates=()):
         super().__init__(message)
         self.result = result
+        self.heuristic = heuristic
+        self.interval = interval
+        self.estimates = tuple(estimates)
 
 
 class DivergentIntegral(EntroscopeError):
     """Partial sums grow without bound under endpoint refinement.
 
     Signals an infinite moment / measure rather than a numerical defect.
-    """
+    From quadrature, `heuristic` names the partial-sum heuristic that fired
+    ("midpoint", "weights", "overflow", "edge", "increments" or "growth"),
+    `interval` is the (lower, upper) on which it fired, and `estimates`
+    the per-level estimates up to it."""
+
+    def __init__(self, message: str, *, heuristic=None, interval=None, estimates=()):
+        super().__init__(message)
+        self.heuristic = heuristic
+        self.interval = interval
+        self.estimates = tuple(estimates)
 
 
 class TargetOutOfRange(EntroscopeError):

@@ -278,7 +278,10 @@ def _integrate(f: Density, g, support, points: tuple, converges: Optional[bool])
             raise
         raise NonConvergent(
             f"the edge forms of {f.label!r} say its integral converges, "
-            f"but a quadrature heuristic fired: {exc}"
+            f"but a quadrature heuristic fired: {exc}",
+            heuristic=exc.heuristic,
+            interval=exc.interval,
+            estimates=exc.estimates,
         ) from exc
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Density, EdgeForm, Support, _Cumulative, _pointwise, _segment_masses, integrate
+from .core import Density, EdgeForm, Support, _Cumulative, _distinct, _pointwise, _segment_masses, integrate
 from .errors import DivergentIntegral, EdgeIllConditioned, InvalidParams, OutOfDomain, OutOfRange
 from .measures import _SHANNON_WINDOW, holder_conjugate
 
@@ -446,7 +446,7 @@ def _gen_sine_coordinate(v: float, b: float, hyperbolic: bool, anchor: str = "")
         with np.errstate(all="ignore"):
             return base(np.asarray(t, dtype=float)) ** (-1.0 / v)
 
-    knots = np.unique(sup.clustered(64))
+    knots = _distinct(sup.clustered(64))
     return _Cumulative(w, sup, knots, _segment_masses(w, sup, knots), anchor)
 
 

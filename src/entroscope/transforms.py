@@ -47,6 +47,7 @@ from .core import (
     Support,
     _affine,
     _Cumulative,
+    _distinct,
     _log_pair,
     _pointwise,
     _segment_masses,
@@ -471,7 +472,7 @@ def up(f: Density, alpha: float) -> TransformedDensity:
     knots = f.support.clustered(_TABLE_N)
     if f.support.contains(0.0, slack=EDGE_SLACK):
         knots = np.append(knots, 0.0)
-    knots = np.unique(knots)
+    knots = _distinct(knots)
     coords = _Cumulative(wf, f.support, knots, _segment_masses(wf, f.support, knots))
     sigma, _ = _canonical(a)
 

@@ -1,10 +1,11 @@
 """Import rules: the library runs on the standard library, numpy and
 scipy.special alone, and the benchmark's oracle stays independent of the
 library it judges.  Both are checked by parsing the sources, so nothing is
-imported.  One more rule is checked by running the library in a fresh
-process: scipy is not loaded until an incomplete-Gamma function of
+imported.  Three more rules are checked by running the library in fresh
+processes: scipy is not loaded until an incomplete-Gamma function of
 `special` runs, since scipy.special alone doubles the resident memory of
-`import entroscope.special`."""
+`import entroscope.special`; sorting knot grids loads no numpy.ma; and
+measures of builtins make no LAPACK call."""
 
 import ast
 import os
@@ -131,4 +132,50 @@ def test_scipy_loads_only_with_the_incomplete_gamma_functions():
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     run = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+_NO_MASKED_ARRAYS = """
+import sys
+
+from entroscope import core, special, transforms
+from entroscope.core import builtin
+
+image = transforms.up(builtin("pareto", {"eta": 3.0}), 3.0)
+assert 0.0 < image.value(2.0) < 1.0
+assert core.quantiles(builtin("exp"), [0.1, 0.9])[0] > 0.0
+assert 0.0 < special.sin_gen(2.0, 1.5, 0.5) < 1.0
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_knot_grids_load_no_masked_arrays():
+    # np.unique looks for masked arrays, which imports numpy.ma (~22 ms):
+    # an up image, quantiles and a generalized sine sort their knots
+    # without it
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+_NO_LAPACK = """
+from entroscope import core, measures, special
+from entroscope.core import builtin
+
+names = ("exp", "halfgauss", "gauss", "pareto", "powerlaw", "uniform", "gg")
+densities = [builtin(name) for name in names] + [special.gg_density(2.0, 0.7)]
+for f in densities:
+    measures.shannon(f)
+    measures.renyi_power(f, 0.5)
+assert core._gk_antiderivative.cache_info().currsize == 0
+"""
+
+
+def test_builtin_measures_make_no_lapack_call():
+    # the Kronrod seed matrix is the one LAPACK solve; only the seeds of
+    # cumulative coordinates read it, so measures of builtins never form it
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", _NO_LAPACK], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr

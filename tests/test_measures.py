@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entroscope.core import builtin, rescale
-from entroscope.errors import DivergentIntegral, MissingDerivative, OutOfDomain, Unbounded
+from entroscope.errors import DivergentIntegral, MissingDerivative, NonConvergent, OutOfDomain, Unbounded
 from entroscope.measures import (
     _ROUNDS,
     entropic_Sp,
@@ -309,3 +309,14 @@ class TestEvaluateMeasure:
             evaluate_measure("nope", EXP)
         with pytest.raises(InvalidParams):
             evaluate_measure("sigma", EXP, p="abc")
+
+
+def test_a_contradicted_heuristic_carries_its_name_interval_and_estimates():
+    # the edge forms of exp say sigma_2 converges at rate 1e-30, so the
+    # quadrature's overflow heuristic becomes NonConvergent, which keeps
+    # what fired, where, and the estimates up to it
+    with pytest.raises(NonConvergent) as info:
+        typical_deviation(builtin("exp", {"rate": 1e-30}), 2.0)
+    assert info.value.heuristic == "overflow"
+    assert info.value.interval == (0.0, math.inf)
+    assert info.value.estimates and abs(info.value.estimates[-1]) > 1e50

@@ -10,7 +10,10 @@ then times uninstrumented passes.  It writes, per workload:
 
 - L1 quadrature: scalar quadratures (`core._tanh_sinh` runs), their
   integrand calls and evaluations, all of them and (`*_ok`) those of the
-  quadratures that returned a value;
+  quadratures that returned a value.  A quadrature's first integrand call
+  holds the midpoint and the live nodes of levels 0-4 (195 points unless
+  the interval's half-width underflows some), and each further level
+  makes one call;
 - pieces: the intervals given to the 7-15 Gauss-Kronrod pair
   (`core._gk_pieces`), those it certifies and those it hands back to
   tanh-sinh, in all and in `x_of_u` solves;
