@@ -1026,7 +1026,12 @@ class Density:
     the total integral (1 for probability densities; restricted builtins may
     carry 1/2).  `edge_forms`, where known, gives the power and exponential
     behaviour of f and f' at each support edge and singular interior point
-    (see EdgeForm); `_affine` carries it.
+    (see EdgeForm).  `curvature` is r = f f''/f'^2 in closed form, whose
+    sign against alpha is the down image's monotonicity, and
+    `curvature_range` (inf r, sup r), which a non-constant r only
+    approaches at the edges: set by the builtins but uniform and gauss, and
+    the g members with p != 0.  `_affine` carries all three (r is unchanged
+    by x -> sigma kappa (x - c), f -> kappa f).
     """
 
     support: Support
@@ -1046,6 +1051,8 @@ class Density:
     # vanishes or f, f' are not smooth; between them f is smooth and
     # positive and f' nonzero.  measures decides convergence from them.
     edge_forms: Optional[tuple] = None
+    curvature: Optional[Callable] = None
+    curvature_range: Optional[tuple] = None
 
     def __call__(self, x):
         return self.value(x)
@@ -1148,7 +1155,7 @@ def _affine(f: Density, sigma: float, kappa: float, c: float, label: str) -> Den
     d2 = kappa**3
     lk = math.log(kappa)
     val, der, sec, inv = f.value, f.derivative, f.second_derivative, f.level_inverter
-    lv, ld = f.log_value, f.log_abs_derivative
+    lv, ld, cur = f.log_value, f.log_abs_derivative, f.curvature
     lo, hi = sorted((image(f.support.lower), image(f.support.upper)))
 
     def moved(e: EdgeForm) -> EdgeForm:
@@ -1172,6 +1179,8 @@ def _affine(f: Density, sigma: float, kappa: float, c: float, label: str) -> Den
         log_value=None if lv is None else (lambda x: lk + lv(src(x))),
         log_abs_derivative=None if ld is None else (lambda x: 2 * lk + ld(src(x))),
         edge_forms=None if f.edge_forms is None else tuple(moved(e) for e in f.edge_forms),
+        curvature=None if cur is None else (lambda x: cur(src(x))),
+        curvature_range=f.curvature_range,
     )
 
 
@@ -1211,6 +1220,20 @@ def translate(f: Density, c: float) -> Density:
 # ---------------------------------------------------------------------------
 
 
+def _curvature_fields(k: float, c: float = 0.0, q: float = 1.0, edge: float = 0.0) -> dict:
+    """Density fields of f f''/f'^2 = k - c |x|^-q (q > 0) on a support from
+    0, where r tends to -sign(c) inf, to an edge where |x|^-q = edge."""
+    if c == 0.0:
+        return {"curvature": lambda x: np.full(np.shape(x), k), "curvature_range": (k, k)}
+
+    def curvature(x):
+        with np.errstate(divide="ignore"):
+            return k - c * np.abs(np.asarray(x, dtype=float)) ** -q
+
+    end = k - c * edge
+    return {"curvature": curvature, "curvature_range": (-_INF, end) if c > 0 else (end, _INF)}
+
+
 def _builtin_exp(rate: float = 1.0) -> Density:
     if not rate > 0:
         raise InvalidParams("exp requires rate > 0")
@@ -1226,6 +1249,7 @@ def _builtin_exp(rate: float = 1.0) -> Density:
         log_value=lambda x: math.log(r) - r * np.asarray(x, dtype=float),
         log_abs_derivative=lambda x: 2 * math.log(r) - r * np.asarray(x, dtype=float),
         edge_forms=(EdgeForm(0.0, 0.0, 0.0), EdgeForm(_INF, 0.0, 0.0, B=r, k=1.0)),
+        **_curvature_fields(1.0),
     )
 
 
@@ -1259,6 +1283,7 @@ def _builtin_halfgauss(sigma: float = 1.0) -> Density:
         log_abs_derivative=lambda x: np.log(np.abs(np.asarray(x, dtype=float)) / (s * s))
         + logval(x),
         edge_forms=(EdgeForm(0.0, 0.0, 1.0), _gauss_tail(_INF, s)),
+        **_curvature_fields(1.0, s * s, 2.0),
     )
 
 
@@ -1307,6 +1332,7 @@ def _builtin_pareto(eta: float = 3.0, xmin: float = 1.0) -> Density:
         log_abs_derivative=lambda x: math.log(c * e)
         - (e + 1.0) * np.log(np.asarray(x, dtype=float)),
         edge_forms=(EdgeForm(m, 0.0, 0.0), EdgeForm(_INF, e, e + 1.0)),
+        **_curvature_fields((e + 1.0) / e),
     )
 
 
@@ -1328,6 +1354,7 @@ def _builtin_powerlaw(a: float = -0.5) -> Density:
         log_abs_derivative=lambda x: math.log(c * abs(aa))
         + (aa - 1.0) * np.log(np.asarray(x, dtype=float)),
         edge_forms=(EdgeForm(0.0, aa, aa - 1.0), EdgeForm(1.0, 0.0, 0.0)),
+        **_curvature_fields((aa - 1.0) / aa),
     )
 
 

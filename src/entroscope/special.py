@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Density, EdgeForm, Support, _Cumulative, _distinct, _pointwise, _segment_masses, integrate
+from .core import (Density, EdgeForm, Support, _Cumulative, _curvature_fields, _distinct, _pointwise,
+                   _segment_masses, integrate)
 from .errors import DivergentIntegral, EdgeIllConditioned, InvalidParams, OutOfDomain, OutOfRange
 from .measures import _SHANNON_WINDOW, holder_conjugate
 
@@ -334,6 +335,17 @@ def _gg_edge_forms(p: float, lam: float, edge: float, sym: bool = False):
     return zero, upper
 
 
+def _gg_curvature(p: float, lam: float) -> dict:
+    """Curvature fields of g at |x| (none for p = 0): f f''/f'^2 =
+    (2 - lambda) - ((p*-1)/p*) (x^{-p*} - (lambda-1)), lambda = 1 in the exp
+    window; x^{-p*} is lambda - 1 at a finite upper edge."""
+    if p == 0:
+        return {}
+    ps = holder_conjugate(p)
+    c, lm1 = (ps - 1.0) / ps, 0.0 if abs(lam - 1.0) < _SHANNON_WINDOW else lam - 1.0
+    return _curvature_fields(1.0 - lm1 + c * lm1, c, ps, max(lam - 1.0, 0.0))
+
+
 def gg_density(p: float, lam: float, mode: str = "half") -> Density:
     """Stretched deformed Gaussian g_{p,lambda} as a Density.
 
@@ -366,6 +378,7 @@ def gg_density(p: float, lam: float, mode: str = "half") -> Density:
             second_derivative=sec,
             label=f"gg(p={p:g},lambda={lam:g},sym)",
             edge_forms=_gg_edge_forms(p, lam, edge, sym=True),
+            **_gg_curvature(p, lam),
         )
     amp, mass = _gg_amplitude(p, lam, mode)
     val, der, sec, inv = _gg_halfline_callables(p, lam, amp)
@@ -379,6 +392,7 @@ def gg_density(p: float, lam: float, mode: str = "half") -> Density:
         mass=mass,
         level_inverter=inv,
         edge_forms=_gg_edge_forms(p, lam, edge),
+        **_gg_curvature(p, lam),
     )
 
 

@@ -137,15 +137,10 @@ class AdmissibilityWitness:
 
 
 def _edge_limit(f: Density, side: str) -> float:
-    """One-sided limit of f at a support edge (may be 0 or +inf)."""
-    lo, hi = f.support.lower, f.support.upper
-    if side == "lower":
-        edge, inward = lo, +1.0
-    else:
-        edge, inward = hi, -1.0
-    if not math.isfinite(edge):
-        # integrable densities vanish at infinite edges
-        return 0.0
+    """One-sided limit of f at a finite support edge (may be 0 or +inf),
+    probed toward the edge."""
+    edge = getattr(f.support, side)
+    inward = 1.0 if side == "lower" else -1.0
     scale = max(1.0, abs(edge))
     vals = []
     hs = []
@@ -187,6 +182,21 @@ def _edge_limit(f: Density, side: str) -> float:
             return 0.0  # the sequence is heading linearly to zero
         return ext
     return vals[-1]
+
+
+def _edge_value(f: Density, side: str) -> float:
+    """One-sided limit of f at a support edge: 0 at an infinite edge, where
+    integrable densities vanish; at a finite one from f's EdgeForm there,
+    0 where B > 0 or a > 0, inf where a < 0, f(x0) where a = B = 0 if that
+    is finite and positive; else probed (`_edge_limit`)."""
+    edge = getattr(f.support, side)
+    form = next((e for e in f.edge_forms or () if e.x0 == edge), None)
+    if not math.isfinite(edge) or form is not None and (form.B > 0.0 or form.a > 0.0):
+        return 0.0
+    if form is not None and form.a < 0.0:
+        return math.inf
+    v = float(f.value(edge)) if form is not None else math.nan
+    return v if 0.0 < v < math.inf else _edge_limit(f, side)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +285,11 @@ def down(f: Density, alpha: float) -> TransformedDensity:
     """Down transformation of a strictly decreasing density.
 
     Requires an analytic derivative and a finite lower support edge;
-    increasing densities are reflected first.
+    increasing densities are reflected first.  The support is sigma_alpha
+    of f's edge limits, from its edge forms; the image is monotone where
+    alpha - f f''/f'^2 keeps one sign, from its curvature range.  Only
+    where f lacks them (images, closed images, g at p = 0, densities built
+    by hand) are the limits and the ratio probed.
     """
     if f.monotone_increasing and not f.monotone_decreasing:
         return down(reflect(f), alpha)
@@ -289,8 +303,8 @@ def down(f: Density, alpha: float) -> TransformedDensity:
         raise OutOfDomain("down transform requires a finite lower support edge")
 
     a = float(alpha)
-    sup_f = _edge_limit(f, "lower")   # largest value (decreasing density)
-    inf_f = _edge_limit(f, "upper")   # smallest value
+    sup_f = _edge_value(f, "lower")   # largest value (decreasing density)
+    inf_f = _edge_value(f, "upper")   # smallest value
     sigma, sigma_inv = _canonical(a)
     sup = Support(sigma(sup_f), sigma(inf_f))
 
@@ -333,12 +347,11 @@ def down(f: Density, alpha: float) -> TransformedDensity:
     mono_dec = mono_inc = False
     log_derivative = None
     if f.second_derivative is not None:
-        rs = _curvature_ratio(f, 65)
-        if rs.size:
-            if a > float(rs.max()) + 1e-9:
-                mono_dec = True
-            elif a < float(rs.min()) - 1e-9:
-                mono_inc = True
+        bounds = _curvature_bounds(f, 65)
+        if bounds is not None:
+            lo, hi, margin = bounds
+            mono_dec = a > hi + margin if margin else a >= hi
+            mono_inc = a < lo - margin if margin else a <= lo
 
         def log_derivative(point: tuple[float, float]) -> tuple[float, float]:
             """(log |D'|, sign D') from f, f' and f'' at the source point."""
@@ -353,8 +366,7 @@ def down(f: Density, alpha: float) -> TransformedDensity:
     )
     inverter = None
     if mono_dec or mono_inc:
-        g = lambda x: math.exp(float(log_kernel(x, float(lv_f(x)))))  # the image value at x
-        inverter = _down_level_inverter(f, sigma, g, sup, value)
+        inverter = _down_level_inverter(f, sigma, log_value_at, sup, value)
 
     return TransformedDensity(
         support=sup,
@@ -382,9 +394,11 @@ def _probe_grid(f: Density, n: int) -> np.ndarray:
 
 
 def _curvature(f: Density, x):
-    """f f''/f'^2 at x, formed as exp(log f - 2 log |f'|) f'' from
-    `core._log_pair`: f f'' alone overflows where f and f'' are both large,
-    as for powerlaw(a=-0.5) near 0."""
+    """f f''/f'^2 at x: f's closed form, else exp(log f - 2 log |f'|) f''
+    from `core._log_pair`, since f f'' alone overflows where f and f'' are
+    both large, as for powerlaw(a=-0.5) near 0."""
+    if f.curvature is not None:
+        return f.curvature(x)
     lv, ld = _log_pair(f)
     with np.errstate(all="ignore"):
         log_ratio = np.asarray(lv(x), dtype=float) - 2.0 * np.asarray(ld(x), dtype=float)
@@ -397,19 +411,34 @@ def _curvature_ratio(f: Density, n: int) -> np.ndarray:
     return r[np.isfinite(r)]
 
 
-def _down_level_inverter(f: Density, sigma, g, sup: Support, value):
+def _curvature_bounds(f: Density, n: int) -> Optional[tuple[float, float, float]]:
+    """(inf r, sup r, margin) of r = f f''/f'^2, alpha clearing an end when
+    past it by more than margin: f's closed range, with margin 0 where r
+    only approaches the ends and 1e-9 where it is constant, else the n-point
+    probe grid's extremes with 1e-9 (None where no probe is finite)."""
+    if f.curvature_range is not None:
+        lo, hi = f.curvature_range
+        return lo, hi, _ADMISSIBLE_MARGIN if lo == hi else 0.0
+    r = _curvature_ratio(f, n)
+    return (float(r.min()), float(r.max()), _ADMISSIBLE_MARGIN) if r.size else None
+
+
+def _down_level_inverter(f: Density, sigma, log_g, sup: Support, value):
     """Level inversion of a monotone down image (support sup, values
-    value): solve g(x) = f^alpha/|f'| = y in x (`core._solve`), then map
-    back through sigma.  The table of (x, g(x)) on the source, sorted by
-    value, is built at the first inversion: building it with the image
-    would double the cost of down() for images never inverted.  Past
-    either end of the table the solve marches toward the source edge on
-    that end's side; a level beyond reach raises TargetOutOfRange."""
+    value): solve g(x) = f^alpha/|f'| = exp(log_g(x)) = y in x
+    (`core._solve`), then map back through sigma.  The table of (x, g(x))
+    on the source, sorted by value, is built in one call at the first
+    inversion: building it with the image would double the cost of down()
+    for images never inverted.  Past either end of the table the solve
+    marches toward the source edge on that end's side; a level beyond reach
+    raises TargetOutOfRange."""
+    g = lambda x: math.exp(float(log_g(x)))  # the image value at x
 
     @functools.cache
     def table():
         xs = _probe_grid(f, 96)
-        gs = np.array([g(x) for x in xs])
+        with np.errstate(all="ignore"):
+            gs = np.exp(np.asarray(log_g(xs), dtype=float))
         good = np.isfinite(gs)
         order = np.argsort(gs[good])
         xs, gs = xs[good][order], gs[good][order]
@@ -428,6 +457,7 @@ def _down_level_inverter(f: Density, sigma, g, sup: Support, value):
             raise EdgeIllConditioned(f"level {y} of a down image is not resolved at its edge")
         return s
 
+    inverter.table = table
     return inverter
 
 
@@ -554,18 +584,18 @@ def down_support_length(f: Density, alpha: float) -> float:
 
 
 def double_down_admissible(f: Density, alpha: float) -> AdmissibilityWitness:
-    """Whether down can be applied twice: alpha must exceed sup f f''/f'^2."""
+    """Whether down can be applied twice: alpha must exceed sup f f''/f'^2
+    (`_curvature_bounds`, on 129 probes where f has no curvature range)."""
     if f.second_derivative is None:
         raise MissingSecondDerivative("double-down admissibility requires f''")
     if f.derivative is None:
         raise MissingDerivative("double-down admissibility requires f'")
-    r = _curvature_ratio(f, _ADMISSIBLE_GRID)
-    if r.size == 0:
+    bounds = _curvature_bounds(f, _ADMISSIBLE_GRID)
+    if bounds is None:
         raise EdgeIllConditioned("admissibility ratio not finite anywhere on the grid")
-    sup_r = float(r.max())
-    return AdmissibilityWitness(
-        admissible=alpha > sup_r + _ADMISSIBLE_MARGIN, observed_sup=sup_r, alpha=float(alpha)
-    )
+    _, sup_r, margin = bounds
+    admissible = alpha > sup_r + margin if margin else alpha >= sup_r
+    return AdmissibilityWitness(admissible, float(sup_r), float(alpha), margin)
 
 
 def compose_updown(f: Density, alpha: float, beta: float) -> TransformedDensity:

@@ -36,6 +36,11 @@ then times uninstrumented passes.  It writes, per workload:
   scalar quadrature less the time spent in its integrand calls, in µs (an
   integrand's nested quadratures count as their own), the least over
   `--passes` passes of its own, each after one uninstrumented pass;
+- L4 builds (`builds`): the numeric `down` and `up` build items, the
+  median over each kind of a build's median time in the uninstrumented
+  passes, in ms, and the calls of the probes that `down` runs for a
+  source without edge forms or a curvature range (`transforms._edge_limit`
+  and `transforms._curvature_ratio`);
 - pass time: the median wall time of `--passes` uninstrumented passes, in
   ms, after one untimed warm-up pass.
 
@@ -74,6 +79,7 @@ W_CALLS = ("w_calls_15_node", "w_calls_scalar")
 TABLE = ("tables", "tables_raised", "rows", "rows_certified_at_once", "rows_certified_after_halving",
          "rows_handed_back", "halving_calls", "halving_pieces")
 VERDICTS = ("divergent", "converges", "unknown")
+PROBES = ("_edge_limit", "_curvature_ratio")
 
 
 class Counters:
@@ -84,7 +90,7 @@ class Counters:
             ("quadratures", "integrand_calls", "evaluations", "quadratures_ok", "integrand_calls_ok",
              "evaluations_ok", "x_of_u", "x_of_u_quadratures", *PIECES, *(f"x_of_u_{k}" for k in PIECES),
              *(f"x_of_u_{k}" for k in W_CALLS), "seeded_x_of_u", "seeds_accepted_at_first_check", *TABLE,
-             *VERDICTS), 0)
+             *VERDICTS, *PROBES), 0)
         self._saved = []
         self._tables = []  # per table being built: [calls to the pair, rows, rows certified at once, handed back]
 
@@ -196,8 +202,18 @@ class Counters:
             n["converges" if verdict else "unknown"] += 1
             return verdict
 
+        def counted_probe(name):
+            probe = getattr(transforms, name)
+
+            def wrapped(*args):
+                n[name] += 1
+                return probe(*args)
+
+            return wrapped
+
         # the helpers are bound by name in the modules that import them
-        for owners, name, fn in (((core,), "_tanh_sinh", counted_tanh_sinh),
+        for owners, name, fn in (*(((transforms,), k, counted_probe(k)) for k in PROBES),
+                                 ((core,), "_tanh_sinh", counted_tanh_sinh),
                                  ((core._Cumulative,), "x_of_u", counted_x_of_u),
                                  ((core,), "invert_monotone", counted_invert_monotone),
                                  ((core,), "_gk_pieces", counted_gk_pieces),
@@ -261,11 +277,11 @@ def measure(workload: str, seed: int, passes: int) -> dict:
     finally:
         counters.uninstall()
     runner.run_pass()  # warm-up: lazy tables and caches, as in the benchmark's later passes
-    times, rule_us = [], []
+    times, rule_us, item_s = [], [], []
     for _ in range(passes):
         gc.collect()
         t0 = time.perf_counter()
-        runner.run_pass()
+        item_s.append(runner.run_pass()[2])
         times.append(1e3 * (time.perf_counter() - t0))
         timer = RuleTimer()
         timer.install()
@@ -277,6 +293,12 @@ def measure(workload: str, seed: int, passes: int) -> dict:
             rule_us.append(1e6 * timer.rule_s / timer.quadratures)
     n = counters.n
     per_solve = lambda count: count / n["x_of_u"] if n["x_of_u"] else None
+    builds = {}
+    for kind in ("down", "up"):
+        idx = [i for i, it in enumerate(items) if it["op"] == "build" and kind in it["dens"]]
+        ms = [1e3 * statistics.median(t[i] for t in item_s) for i in idx]
+        builds[kind] = len(idx)
+        builds[f"{kind}_ms_per_build"] = statistics.median(ms) if ms else None
     return {
         "items": len(items),
         "failed_items": sum(oc != "ok" for oc in outcomes),
@@ -302,6 +324,7 @@ def measure(workload: str, seed: int, passes: int) -> dict:
             "seeded_x_of_u": n["seeded_x_of_u"],
             "seeds_accepted_at_first_check": n["seeds_accepted_at_first_check"],
         },
+        "builds": {**builds, **{f"{k[1:]}_calls": n[k] for k in PROBES}},
         "pass_ms": statistics.median(times),
         "pass_ms_all": times,
     }
@@ -317,7 +340,7 @@ def main(argv=None) -> int:
     result = {"seed": args.seed, "workloads": {w: measure(w, args.seed, args.passes) for w in WORKLOADS}}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for w, r in result["workloads"].items():
-        print(w, json.dumps({k: r[k] for k in ("L1", "edge_rule", "pieces", "tables", "L2", "pass_ms")}))
+        print(w, json.dumps({k: r[k] for k in ("L1", "edge_rule", "pieces", "tables", "L2", "builds", "pass_ms")}))
     return 0
 
 
